@@ -27,11 +27,9 @@ from .catalog import FamilySpec, binary_entropy, eta, make, parse_function_spec,
 from .dist import (
     EvenProductDistribution,
     TripleDistribution,
-    even_product,
     is_even_product,
     per_voter_spectrum,
     profile_probability,
-    to_triple_distribution,
 )
 from .errors import CapacityError, GswfError, HypothesisViolation, ValidationError
 from .rationality import (
@@ -73,7 +71,6 @@ __all__ = [
     "enumerate_class",
     "eta",
     "evaluate",
-    "even_product",
     "expectation",
     "extremal_w",
     "inverse_walsh_transform",
@@ -94,7 +91,6 @@ __all__ = [
     "random_search",
     "run_all",
     "suite_passed",
-    "to_triple_distribution",
     "w_formula",
     "w_from_spectra",
     "w_monte_carlo",

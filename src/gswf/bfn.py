@@ -34,7 +34,9 @@ PARSEVAL_TOL = 1e-12
 NAIVE_MAX = 12
 
 
-def _check_arity(n: int) -> None:
+def check_arity(n: int) -> None:
+    """Reject an arity that is not an integer in ``1..N_MAX``, before any
+    ``2**n``-sized allocation."""
     if not isinstance(n, (int, np.integer)):
         raise ValidationError(f"arity must be an integer, got {n!r}")
     if n < 1:
@@ -68,7 +70,7 @@ class BooleanFunction:
     __slots__ = ("n", "table", "_packed")
 
     def __init__(self, n: int, table) -> None:
-        _check_arity(n)
+        check_arity(n)
         raw = np.asarray(table)
         if raw.ndim != 1 or raw.size != 1 << n:
             raise ValidationError(
@@ -84,7 +86,7 @@ class BooleanFunction:
     @classmethod
     def from_packed(cls, n: int, value: int) -> "BooleanFunction":
         """Build from the packed integer whose bit ``x`` is ``f(x)``."""
-        _check_arity(n)
+        check_arity(n)
         size = 1 << n
         if not 0 <= value < (1 << size):
             raise ValidationError(f"packed value out of range for n={n}")
@@ -139,7 +141,7 @@ class PseudoSpectrum:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_arity(self.n)
+        check_arity(self.n)
         arr = np.asarray(self.coeffs, dtype=np.float64).copy()
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise ValidationError(
@@ -157,27 +159,40 @@ class WalshSpectrum(PseudoSpectrum):
     """Spectrum of a Boolean function.
 
     On top of the raw coefficient vector this enforces the consistency that
-    holds exactly for 0/1-valued sources: the sum of squared coefficients
-    equals the empty-set coefficient, which lies in ``[0, 1]``.
+    holds exactly for 0/1-valued sources (see :func:`check_boolean_spectra`).
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        total = float(np.sum(self.coeffs * self.coeffs))
-        mean = self.mean
-        if abs(total - mean) > PARSEVAL_TOL:
-            raise ValidationError(
-                "coefficients are not consistent with a Boolean source: "
-                f"sum of squares {total!r} != mean {mean!r}"
-            )
-        if not -PARSEVAL_TOL <= mean <= 1.0 + PARSEVAL_TOL:
-            raise ValidationError(f"mean coefficient {mean!r} outside [0, 1]")
+        check_boolean_spectra(self.coeffs)
+
+
+def check_boolean_spectra(coeffs: np.ndarray) -> None:
+    """Parseval consistency of each spectrum along the last axis.
+
+    For a 0/1-valued source the sum of squared coefficients equals the
+    empty-set coefficient, which lies in ``[0, 1]``.
+    """
+    total = np.atleast_1d(np.sum(coeffs * coeffs, axis=-1))
+    mean = np.atleast_1d(coeffs[..., 0])
+    gap = np.abs(total - mean) > PARSEVAL_TOL
+    if gap.any():
+        r = int(np.argmax(gap))
+        raise ValidationError(
+            "coefficients are not consistent with a Boolean source: "
+            f"sum of squares {float(total[r])!r} != mean {float(mean[r])!r}"
+        )
+    inside = (mean >= -PARSEVAL_TOL) & (mean <= 1.0 + PARSEVAL_TOL)
+    if not inside.all():
+        bad = float(mean[int(np.argmin(inside))])
+        raise ValidationError(f"mean coefficient {bad!r} outside [0, 1]")
 
 
 def _analysis_butterfly(values: np.ndarray, n: int) -> None:
     # In place: entry S becomes sum_x v(x) r_S(x); bit i pairs at stride 2^i.
+    # A C-contiguous stack of rows works too: pairs never straddle two rows.
     for i in range(n):
-        v = values.reshape(-1, 2, 1 << i)
+        v = values.reshape(values.size >> (i + 1), 2, 1 << i)
         low = v[:, 0, :].copy()
         v[:, 0, :] += v[:, 1, :]
         v[:, 1, :] -= low
@@ -192,23 +207,33 @@ def _synthesis_butterfly(values: np.ndarray, n: int) -> None:
         v[:, 1, :] += low
 
 
+def walsh_coeffs(values) -> np.ndarray:
+    """``2^-n sum_x v(x) r_S(x)`` for each table ``v`` along the last axis.
+
+    One butterfly pass over the whole stack, with no Booleanity check; row
+    by row it is bit-identical to :func:`walsh_transform`.
+    """
+    out = np.array(values, dtype=np.float64, order="C")
+    n = _arity_of(out)
+    _analysis_butterfly(out, n)
+    out /= float(1 << n)
+    return out
+
+
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Spectrum of ``f``: ``coeffs[S] = 2^-n sum_x f(x) r_S(x)``.
 
     Computed by the in-place butterfly in ``O(n 2^n)``; agrees with the
     quadratic summation of :func:`walsh_transform_naive`.
     """
-    values = f.table.astype(np.float64)
-    _analysis_butterfly(values, f.n)
-    values /= float(1 << f.n)
-    return WalshSpectrum(f.n, values)
+    return WalshSpectrum(f.n, walsh_coeffs(f.table))
 
 
 def character_table(n: int) -> np.ndarray:
     """Dense matrix of signed characters, entry ``[S, x] = r_S(x)``."""
     if n > NAIVE_MAX:
         raise CapacityError(f"dense character table limited to n <= {NAIVE_MAX}")
-    _check_arity(n)
+    check_arity(n)
     masks = np.arange(1 << n, dtype=np.int32)
     flipped = masks ^ ((1 << n) - 1)
     # r_S(x) = (-1)^{#(i in S with x_i = 0)}
@@ -250,39 +275,64 @@ def level_weights(s: PseudoSpectrum) -> np.ndarray:
     return np.bincount(mask_levels(s.n), weights=sq, minlength=s.n + 1)
 
 
-def is_balanced(f: BooleanFunction) -> bool:
-    """Exact integer test for ``E[f] = 1/2``."""
-    return int(f.table.sum()) * 2 == (1 << f.n)
+def _arity_of(tables: np.ndarray) -> int:
+    size = tables.shape[-1]
+    n = size.bit_length() - 1
+    if size != 1 << n:
+        raise ValidationError(f"table length {size} is not a power of two")
+    return n
 
 
-def is_monotone(f: BooleanFunction) -> bool:
+def _tables(f) -> np.ndarray:
+    # The truth table of a function, or an array of tables along the last axis.
+    return f.table if isinstance(f, BooleanFunction) else np.asarray(f)
+
+
+def _per_table(result):
+    # One Python bool for a single table, an array of flags for a stack.
+    return bool(result) if np.ndim(result) == 0 else result
+
+
+def is_balanced(f) -> bool:
+    """Exact integer test for ``E[f] = 1/2``.
+
+    Like every predicate below, ``f`` is a function or a stack of truth
+    tables along the last axis (one flag per table).
+    """
+    t = _tables(f)
+    return _per_table(t.sum(axis=-1, dtype=np.int64) * 2 == t.shape[-1])
+
+
+def is_monotone(f) -> bool:
     """True iff setting any single input bit never decreases ``f``."""
-    return is_monotone_values(f.table, f.n)
+    t = _tables(f)
+    return is_monotone_values(t, _arity_of(t))
 
 
-def is_monotone_values(values, n: int, *, decreasing: bool = False, atol: float = 0.0) -> bool:
-    """Coordinate-wise monotonicity test for a real-valued table.
+def is_monotone_values(values, n: int, *, decreasing: bool = False, atol: float = 0.0):
+    """Coordinate-wise monotonicity test for a real-valued table (or a stack
+    of tables along the last axis).
 
     ``atol`` absorbs float round-off when the table came from arithmetic
     rather than a genuine truth table.
     """
     arr = np.asarray(values)
-    if arr.size != 1 << n:
+    if arr.shape[-1] != 1 << n:
         raise ValidationError(f"table must have length 2**{n}")
+    lead = arr.shape[:-1]
+    ok = np.ones(lead, dtype=bool)
     for i in range(n):
-        v = arr.reshape(-1, 2, 1 << i)
-        lower, upper = v[:, 0, :], v[:, 1, :]
+        v = arr.reshape(*lead, arr.shape[-1] >> (i + 1), 2, 1 << i)
+        lower, upper = v[..., 0, :], v[..., 1, :]
         if decreasing:
-            ok = np.all(upper <= lower + atol)
-        else:
-            ok = np.all(lower <= upper + atol)
-        if not ok:
-            return False
-    return True
+            lower, upper = upper, lower
+        ok &= np.all(lower <= (upper + atol if atol else upper), axis=(-2, -1))
+    return _per_table(ok)
 
 
-def is_constant(f: BooleanFunction) -> bool:
-    return bool(f.table.all() or not f.table.any())
+def is_constant(f) -> bool:
+    t = _tables(f)
+    return _per_table(t.all(axis=-1) | ~t.any(axis=-1))
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
@@ -293,8 +343,10 @@ def dual(f: BooleanFunction) -> BooleanFunction:
     return BooleanFunction(f.n, 1 - f.table[::-1])
 
 
-def is_self_dual(f: BooleanFunction) -> bool:
-    return bool(np.array_equal(dual(f).table, f.table))
+def is_self_dual(f) -> bool:
+    """True iff ``f(~x) = 1 - f(x)`` for every input."""
+    t = _tables(f)
+    return _per_table(np.all(t[..., ::-1] != t, axis=-1))
 
 
 def _permuted_inputs(n: int, perm: tuple[int, ...]) -> np.ndarray:
@@ -306,7 +358,7 @@ def _permuted_inputs(n: int, perm: tuple[int, ...]) -> np.ndarray:
     return y
 
 
-def is_invariant_under(f: BooleanFunction, generators) -> bool:
+def is_invariant_under(f, generators) -> bool:
     """True iff ``f`` is unchanged by each given voter permutation.
 
     A generator is a tuple ``perm`` of length ``n`` sending voter index ``i``
@@ -314,21 +366,23 @@ def is_invariant_under(f: BooleanFunction, generators) -> bool:
     certified through explicit generators; this is a sufficient condition,
     not a decision procedure.
     """
+    t = _tables(f)
+    n = _arity_of(t)
+    ok = np.ones(t.shape[:-1], dtype=bool)
     for perm in generators:
-        if sorted(perm) != list(range(f.n)):
-            raise ValidationError(f"not a voter permutation of 0..{f.n - 1}: {perm!r}")
-        if not np.array_equal(f.table[_permuted_inputs(f.n, tuple(perm))], f.table):
-            return False
-    return True
+        if sorted(perm) != list(range(n)):
+            raise ValidationError(f"not a voter permutation of 0..{n - 1}: {perm!r}")
+        ok &= np.all(t[..., _permuted_inputs(n, tuple(perm))] == t, axis=-1)
+    return _per_table(ok)
 
 
-def is_cyclic_invariant(f: BooleanFunction) -> bool:
+def is_cyclic_invariant(f) -> bool:
     """True iff ``f`` is invariant under the cyclic rotation of voters."""
-    rotation = tuple((i + 1) % f.n for i in range(f.n))
-    return is_invariant_under(f, [rotation])
+    n = _arity_of(_tables(f))
+    return is_invariant_under(f, [tuple((i + 1) % n for i in range(n))])
 
 
 def random_function(n: int, rng: np.random.Generator) -> BooleanFunction:
     """Uniformly random truth table of arity ``n``."""
-    _check_arity(n)
+    check_arity(n)
     return BooleanFunction(n, rng.integers(0, 2, size=1 << n, dtype=np.uint8))

@@ -45,12 +45,11 @@ class FamilySpec:
     bit: int | None = None          # constant
 
 
-def _weights(n: int) -> np.ndarray:
-    # popcount of each input mask; identical to the level table
-    return mask_levels(n)
+# Every family checks its arity before it allocates a 2^n-sized table.
 
 
 def dictator(n: int, voter: int) -> BooleanFunction:
+    bfn.check_arity(n)
     if not 1 <= voter <= n:
         raise ValidationError(f"voter index must be in 1..{n}, got {voter}")
     x = np.arange(1 << n, dtype=np.int64)
@@ -59,9 +58,10 @@ def dictator(n: int, voter: int) -> BooleanFunction:
 
 def threshold(n: int, k: int) -> BooleanFunction:
     """1 exactly on inputs with at least ``k`` ones; monotone by construction."""
+    bfn.check_arity(n)
     if not 0 <= k <= n + 1:
         raise ValidationError(f"threshold must be in 0..{n + 1}, got {k}")
-    return BooleanFunction(n, (_weights(n) >= k).astype(np.uint8))
+    return BooleanFunction(n, (mask_levels(n) >= k).astype(np.uint8))
 
 
 def majority(n: int) -> BooleanFunction:
@@ -79,10 +79,12 @@ def disjunction(n: int) -> BooleanFunction:
 
 
 def parity(n: int) -> BooleanFunction:
-    return BooleanFunction(n, (_weights(n) & 1).astype(np.uint8))
+    bfn.check_arity(n)
+    return BooleanFunction(n, (mask_levels(n) & 1).astype(np.uint8))
 
 
 def constant(n: int, bit: int) -> BooleanFunction:
+    bfn.check_arity(n)
     if bit not in (0, 1):
         raise ValidationError(f"constant bit must be 0 or 1, got {bit}")
     return BooleanFunction(n, np.full(1 << n, bit, dtype=np.uint8))
@@ -94,6 +96,7 @@ def tribes(n: int, tribe_size: int) -> BooleanFunction:
     When ``tribe_size`` does not divide ``n`` the last tribe is simply
     shorter; cyclic invariance holds only in the divisible case.
     """
+    bfn.check_arity(n)
     if not 1 <= tribe_size <= n:
         raise ValidationError(f"tribe size must be in 1..{n}, got {tribe_size}")
     x = np.arange(1 << n, dtype=np.int64)

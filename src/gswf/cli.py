@@ -7,7 +7,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from importlib import resources
 
@@ -20,18 +19,6 @@ from .errors import GswfError, ValidationError
 from .rationality import Gswf, w_formula, w_monte_carlo, w_oracle
 from .search import ClassFilter, extremal_w, random_search
 from .theorems import CHECKS, run_all, suite_passed
-
-def _thread_cap() -> int:
-    """Upper cap on workers from GSWF_THREADS; execution is vectorized and
-    never uses more than this many (currently one)."""
-    raw = os.environ.get("GSWF_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"GSWF_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValidationError(f"GSWF_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def load_schema() -> dict:
@@ -76,7 +63,10 @@ def _parse_dist(args) -> tuple[object, bool]:
     if sum(chosen) > 1:
         raise ValidationError("choose one of --uniform, --alpha/--beta/--gamma, --triples")
     if args.triples is not None:
-        parts = [float(x) for x in args.triples.split(",")]
+        try:
+            parts = [float(x) for x in args.triples.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"--triples takes six numbers, got {args.triples!r}") from exc
         if len(parts) != 6:
             raise ValidationError("--triples needs exactly six comma-separated values")
         t = TripleDistribution(np.asarray(parts))
@@ -111,12 +101,6 @@ def _parse_gswf(args) -> tuple[Gswf, str | None]:
         raise ValidationError("give either --preset --n or all of --f, --g, --h")
     fs = tuple(catalog.parse_function_spec(s) for s in (args.f, args.g, args.h))
     return Gswf(*fs), None
-
-
-def _dist_dict(dist) -> dict:
-    if isinstance(dist, EvenProductDistribution):
-        return dist.as_dict()
-    return dist.as_dict()
 
 
 def _pretty_wresult(res) -> str:
@@ -194,7 +178,7 @@ def _cmd_rationality(args) -> int:
         "kind": "rationality_report",
         "n": gswf.n,
         "functions": {"f": gswf.f.hex, "g": gswf.g.hex, "h": gswf.h.hex},
-        "distribution": _dist_dict(dist),
+        "distribution": dist.as_dict(),
         "preset": preset,
         "reference_bound": 0.471**gswf.n if preset == "and_dual_majority" else None,
         "results": [r.to_json_dict() for r in results],
@@ -307,17 +291,17 @@ def _cmd_catalog(args) -> int:
 
 
 def _parse_n_list(text: str) -> list[int]:
-    if not text:
-        raise ValidationError("empty n list")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (2, 3):
-            raise ValidationError("range syntax is start:stop[:step]")
-        start, stop = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 1
-        values = list(range(start, stop + 1, step))
-    else:
-        values = [int(x) for x in text.split(",") if x]
+    parts = text.split(":")
+    if len(parts) > 3:
+        raise ValidationError("range syntax is start:stop[:step]")
+    try:
+        if len(parts) > 1:
+            step = int(parts[2]) if len(parts) == 3 else 1
+            values = list(range(int(parts[0]), int(parts[1]) + 1, step))
+        else:
+            values = [int(x) for x in text.split(",") if x]
+    except ValueError as exc:  # a non-integer, or a zero step
+        raise ValidationError(f"malformed n list {text!r}: {exc}") from exc
     if not values:
         raise ValidationError("empty n list")
     return values
@@ -363,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gswf",
         description="Spectral analysis of three-alternative voting rules: "
         "irrational-outcome probability, bound verification, extremal search.",
-        epilog="GSWF_THREADS caps the worker count (execution is vectorized; "
-        "results are identical for any cap).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -450,7 +432,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _thread_cap()
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except GswfError as exc:
         print(f"error: {exc}", file=sys.stderr)

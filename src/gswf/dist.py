@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bfn import _analysis_butterfly, _frozen
+from .bfn import walsh_coeffs
 from .errors import ValidationError
 
 #: Admissible per-voter triples ``(x_i, y_i, z_i)`` in canonical order.
@@ -55,7 +55,8 @@ class TripleDistribution:
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "p", _frozen(arr))
+        arr.setflags(write=False)
+        object.__setattr__(self, "p", arr)
 
     def probability(self, triple: tuple[int, int, int]) -> float:
         idx = _TRIPLE_INDEX.get(tuple(triple))
@@ -117,15 +118,6 @@ class EvenProductDistribution:
         return d
 
 
-def even_product(alpha: float, beta: float, gamma: float) -> EvenProductDistribution:
-    """Validated constructor for ``D(alpha, beta, gamma)``."""
-    return EvenProductDistribution(alpha, beta, gamma)
-
-
-def to_triple_distribution(d: EvenProductDistribution) -> TripleDistribution:
-    return d.to_triple_distribution()
-
-
 def as_triple_distribution(dist) -> TripleDistribution:
     """Coerce either distribution type to the six-probability form."""
     if isinstance(dist, TripleDistribution):
@@ -147,8 +139,7 @@ def per_voter_spectrum(t: TripleDistribution) -> np.ndarray:
     values = np.zeros(8, dtype=np.float64)
     for (x, y, z), p in zip(ADMISSIBLE_TRIPLES, t.p):
         values[x | (y << 1) | (z << 2)] = p
-    _analysis_butterfly(values, 3)
-    return values / 8.0
+    return walsh_coeffs(values)
 
 
 def is_even_product(t: TripleDistribution, tol: float = 1e-12) -> bool:

@@ -102,6 +102,10 @@ class WResult:
         return out
 
 
+#: Ceiling on any pairwise inner-product matrix, in bytes.
+PAIR_CACHE_BYTES = 1 << 30
+
+
 def _delta_mask_weights(n: int, delta: float) -> np.ndarray:
     # delta^{|S|} per mask with the empty set zeroed out; the n+1 level
     # powers are computed once and gathered.
@@ -111,14 +115,30 @@ def _delta_mask_weights(n: int, delta: float) -> np.ndarray:
     return weights
 
 
+def _biased_rows(a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
+    # <<a, b>>_delta for each pair of rows along the last axis.  The weights
+    # broadcast over the rows, so they are applied in place: one product
+    # array is alive at a time, whatever the stack's shape.
+    prod = a * b
+    prod *= _delta_mask_weights(a.shape[-1].bit_length() - 1, delta)
+    return prod.sum(axis=-1)
+
+
 def biased_inner_product(sf: PseudoSpectrum, sg: PseudoSpectrum, delta: float) -> float:
     """``sum over nonempty S of sf[S] sg[S] delta^{|S|}``."""
     if sf.n != sg.n:
         raise ValidationError(f"arities differ: {sf.n} != {sg.n}")
     if not -1.0 <= delta <= 1.0:
         raise ValidationError(f"delta must lie in [-1, 1], got {delta!r}")
-    weights = _delta_mask_weights(sf.n, delta)
-    return float(np.sum(sf.coeffs * sg.coeffs * weights))
+    return float(_biased_rows(sf.coeffs, sg.coeffs, delta))
+
+
+def pair_matrix(sa: np.ndarray, sb: np.ndarray, delta: float) -> np.ndarray:
+    """Entry ``[i, j]`` is ``<<sa[i], sb[j]>>_delta`` for two stacks of spectra."""
+    if sa.shape[0] * sb.shape[0] * 8 > PAIR_CACHE_BYTES:
+        raise CapacityError("pairwise inner-product cache would exceed 1 GiB")
+    n = sa.shape[-1].bit_length() - 1
+    return (sa * _delta_mask_weights(n, delta)) @ sb.T
 
 
 def noise_operator_spectral(s: PseudoSpectrum, eps: float) -> PseudoSpectrum:
@@ -153,30 +173,20 @@ def _base_term(p1: float, p2: float, p3: float) -> float:
     return p1 * p2 * p3 + (1 - p1) * (1 - p2) * (1 - p3)
 
 
-def _w_from_coeff_vectors(
-    sf: PseudoSpectrum,
-    sg: PseudoSpectrum,
-    sh: PseudoSpectrum,
-    d: EvenProductDistribution,
-    method: str,
-) -> WResult:
-    if not (sf.n == sg.n == sh.n):
-        raise ValidationError(f"arities differ: {sf.n}, {sg.n}, {sh.n}")
-    d1, d2, d3 = d.deltas
-    cross = (
-        biased_inner_product(sf, sg, d1),
-        biased_inner_product(sg, sh, d2),
-        biased_inner_product(sh, sf, d3),
+def w_batch(sf: np.ndarray, sg: np.ndarray, sh: np.ndarray, d: EvenProductDistribution):
+    """The closed form for row-aligned stacks of coefficient vectors.
+
+    Row ``t`` of the three stacks is one triple.  Returns ``(w, base,
+    cross)``: ``W`` per row, the base term ``p1 p2 p3 + (1-p1)(1-p2)(1-p3)``
+    and the three cross terms (f,g), (g,h), (h,f), with ``w`` summed as
+    ``((base + cross[0]) + cross[1]) + cross[2]``.
+    """
+    base = _base_term(sf[..., 0], sg[..., 0], sh[..., 0])
+    cross = tuple(
+        _biased_rows(a, b, delta)
+        for (a, b), delta in zip(((sf, sg), (sg, sh), (sh, sf)), d.deltas)
     )
-    base = _base_term(sf.mean, sg.mean, sh.mean)
-    return WResult(
-        w=base + cross[0] + cross[1] + cross[2],
-        base=base,
-        method=method,
-        n=sf.n,
-        cross_terms=cross,
-        deltas=(d1, d2, d3),
-    )
+    return base + cross[0] + cross[1] + cross[2], base, cross
 
 
 @functools.lru_cache(maxsize=4096)
@@ -191,8 +201,7 @@ def _spectrum(f: BooleanFunction) -> PseudoSpectrum:
 
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
     """Closed-form ``W`` for an even product distribution."""
-    sf, sg, sh = (_spectrum(fn) for fn in gswf.functions)
-    return _w_from_coeff_vectors(sf, sg, sh, d, "formula")
+    return w_from_spectra(*(_spectrum(fn) for fn in gswf.functions), d)
 
 
 def w_from_spectra(
@@ -206,7 +215,17 @@ def w_from_spectra(
     No Booleanity is demanded, so this also evaluates coefficient patterns
     that no genuine Boolean function realizes.
     """
-    return _w_from_coeff_vectors(sf, sg, sh, d, "formula")
+    if not (sf.n == sg.n == sh.n):
+        raise ValidationError(f"arities differ: {sf.n}, {sg.n}, {sh.n}")
+    w, base, cross = w_batch(sf.coeffs[None], sg.coeffs[None], sh.coeffs[None], d)
+    return WResult(
+        w=float(w[0]),
+        base=float(base[0]),
+        method="formula",
+        n=sf.n,
+        cross_terms=tuple(float(c[0]) for c in cross),
+        deltas=d.deltas,
+    )
 
 
 @functools.lru_cache(maxsize=4)
@@ -224,7 +243,8 @@ def _profile_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
         m = np.zeros(total, dtype=np.int32)
         for i in range(n):
             m |= bits[digits[i]].astype(np.int32) << i
-        masks.append(bfn._frozen(m))
+        m.setflags(write=False)
+        masks.append(m)
     digits.setflags(write=False)
     return (digits, *masks)
 

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bfn
-from .bfn import BooleanFunction, walsh_transform
+from .bfn import BooleanFunction
 from .dist import EvenProductDistribution
 from .errors import CapacityError, ValidationError
-from .rationality import Gswf, _delta_mask_weights, w_formula
+from .rationality import Gswf, pair_matrix, w_batch, w_formula
 
 #: Largest arity for full class enumeration (2^16 candidate tables at n=4).
 ENUM_MAX = 4
@@ -19,15 +19,12 @@ ENUM_MAX = 4
 #: Ceiling on |F| * |G| * |H| for the exhaustive triple scan.
 TRIPLE_BUDGET = 10**9
 
-#: Ceiling on any cached pairwise inner-product matrix, in bytes.
-PAIR_CACHE_BYTES = 1 << 30
-
 PREDICATES = {
     "balanced": bfn.is_balanced,
     "monotone": bfn.is_monotone,
     "self_dual": bfn.is_self_dual,
     "cyclic_invariant": bfn.is_cyclic_invariant,
-    "non_constant": lambda f: not bfn.is_constant(f),
+    "non_constant": lambda f: np.logical_not(bfn.is_constant(f)),
 }
 
 
@@ -56,11 +53,26 @@ class ClassFilter:
             raise ValidationError("a class filter needs at least one predicate")
 
     def accepts(self, f: BooleanFunction) -> bool:
+        return self.select(f.table[None]).size == 1
+
+    def select(self, tables: np.ndarray) -> np.ndarray:
+        """Ascending indices of the rows of a table stack that pass.
+
+        Each test runs only on the rows that passed the ones before it.
+        """
+        rows = np.arange(len(tables))
+        tests = [PREDICATES[name] for name in self.predicates]
         if self.expectation_range is not None:
-            lo, hi = self.expectation_range
-            if not lo <= bfn.expectation(f) <= hi:
-                return False
-        return all(PREDICATES[name](f) for name in self.predicates)
+            tests.insert(0, self._in_window)
+        for test in tests:
+            ok = test(tables)
+            tables, rows = tables[ok], rows[ok]
+        return rows
+
+    def _in_window(self, tables: np.ndarray) -> np.ndarray:
+        lo, hi = self.expectation_range
+        mean = tables.sum(axis=-1, dtype=np.int64) / float(tables.shape[-1])
+        return (lo <= mean) & (mean <= hi)
 
     @classmethod
     def parse(cls, text: str) -> "ClassFilter":
@@ -125,34 +137,76 @@ _TIE_BREAK_NOTE = (
 
 
 @functools.lru_cache(maxsize=64)
-def _class_members(n: int, filt: ClassFilter) -> tuple[BooleanFunction, ...]:
+def class_table(n: int, filt: ClassFilter) -> tuple[tuple[BooleanFunction, ...], np.ndarray]:
+    """Members of a class in ascending truth-table order, with their spectra.
+
+    All ``2^(2^n)`` candidate tables are unpacked at once from a counter,
+    filtered as one stack, and only the members are transformed, in one
+    butterfly pass; row ``i`` of the read-only spectra belongs to member ``i``.
+    """
+    bfn.check_arity(n)
     if n > ENUM_MAX:
         raise CapacityError(
             f"full enumeration is limited to n <= {ENUM_MAX} "
             f"(2^(2^n) candidates); use random_search for larger arities"
         )
-    out = []
-    for packed in range(1 << (1 << n)):
-        f = BooleanFunction.from_packed(n, packed)
-        if filt.accepts(f):
-            out.append(f)
-    return tuple(out)
+    size = 1 << n
+    counter = np.arange(1 << size, dtype=f"<u{max(1, size // 8)}")
+    tables = np.unpackbits(
+        counter.view(np.uint8).reshape(counter.size, -1), axis=1, count=size, bitorder="little"
+    )
+    tables = tables[filt.select(tables)]
+    spectra = bfn.walsh_coeffs(tables)
+    bfn.check_boolean_spectra(spectra)
+    spectra.setflags(write=False)
+    return tuple(BooleanFunction(n, t) for t in tables), spectra
 
 
 def enumerate_class(n: int, filt: ClassFilter):
     """All functions of arity ``n`` passing the filter, in ascending
     truth-table order."""
-    yield from _class_members(n, filt)
+    yield from class_table(n, filt)[0]
 
 
-def _spectra_matrix(members) -> np.ndarray:
-    return np.stack([walsh_transform(f).coeffs for f in members])
+def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
+    """Optimum over triples ``(i, j, k)`` of ``base + fg[i,j] + gh[j,k] + hf[k,i]``.
 
-
-def _pair_matrix(sa: np.ndarray, sb: np.ndarray, n: int, delta: float) -> np.ndarray:
-    if sa.shape[0] * sb.shape[0] * 8 > PAIR_CACHE_BYTES:
-        raise CapacityError("pairwise inner-product cache would exceed 1 GiB")
-    return (sa * _delta_mask_weights(n, delta)) @ sb.T
+    The triples with first index ``i`` form one plane, summed as
+    ``((base + fg) + gh) + hf``.  ``base`` is ``p_i q_j r_k + (1-p_i)(1-q_j)(1-r_k)``
+    for ``means = (p, q, r)`` and absent without it.  ``allowed(i)``, if
+    given, returns a boolean plane of the triples to consider, or None for
+    all.  Returns ``(value, (i, j, k), triples considered)``; the first
+    optimum in ascending ``(i, j, k)`` order wins ties.
+    """
+    pick = np.argmax if maximize else np.argmin
+    if means is not None:
+        p, q, r = means
+        ones, zeros = np.multiply.outer(q, r), np.multiply.outer(1 - q, 1 - r)
+    best, considered = None, 0
+    for i in range(fg.shape[0]):
+        if means is None:
+            plane = fg[i][:, None] + gh
+        else:
+            plane = p[i] * ones + (1 - p[i]) * zeros
+            plane += fg[i][:, None]
+            plane += gh
+        plane += hf[:, i][None, :]
+        mask = None if allowed is None else allowed(i)
+        if mask is None:
+            considered += plane.size
+        elif mask.any():
+            considered += int(mask.sum())
+            plane = np.where(mask, plane, -np.inf if maximize else np.inf)
+        else:
+            continue
+        flat = int(pick(plane))
+        value = float(plane.flat[flat])
+        if best is None or (value > best[0] if maximize else value < best[0]):
+            j, k = np.unravel_index(flat, plane.shape)
+            best = (value, (i, int(j), int(k)))
+    if best is None:
+        raise ValidationError("no triple is left to scan")
+    return best[0], best[1], considered
 
 
 def _is_pm_dictator(f: BooleanFunction) -> bool:
@@ -185,9 +239,7 @@ def extremal_w(
     """
     if objective not in ("min_w", "max_w"):
         raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
-    F = _class_members(n, filter_f)
-    G = _class_members(n, filter_g)
-    H = _class_members(n, filter_h)
+    (F, sf), (G, sg), (H, sh) = (class_table(n, x) for x in (filter_f, filter_g, filter_h))
     count = len(F) * len(G) * len(H)
     if count == 0:
         raise ValidationError("one of the classes is empty")
@@ -196,42 +248,27 @@ def extremal_w(
             f"triple space of size {count} exceeds the {TRIPLE_BUDGET} budget; "
             "use random_search"
         )
-    sf, sg, sh = _spectra_matrix(F), _spectra_matrix(G), _spectra_matrix(H)
     d1, d2, d3 = d.deltas
-    bfg = _pair_matrix(sf, sg, n, d1)
-    bgh = _pair_matrix(sg, sh, n, d2)
-    bhf = _pair_matrix(sh, sf, n, d3)
-    pf, pg, ph = sf[:, 0], sg[:, 0], sh[:, 0]
-    ones = np.multiply.outer(pg, ph)
-    zeros = np.multiply.outer(1 - pg, 1 - ph)
-    maximize = objective == "max_w"
-    skip_packed = None
+    planes = pair_matrix(sf, sg, d1), pair_matrix(sg, sh, d2), pair_matrix(sh, sf, d3)
+    allowed = None
     if exclude_dictator_triples:
-        g_index = {f.packed: j for j, f in enumerate(G)}
-        h_index = {f.packed: k for k, f in enumerate(H)}
-        skip_packed = (g_index, h_index)
-    best_value = None
-    best_idx = None
-    for i in range(len(F)):
-        plane = pf[i] * ones + (1 - pf[i]) * zeros
-        plane += bfg[i][:, None]
-        plane += bgh
-        plane += bhf[:, i][None, :]
-        if skip_packed is not None and _is_pm_dictator(F[i]):
-            j = skip_packed[0].get(F[i].packed)
-            k = skip_packed[1].get(F[i].packed)
-            if j is not None and k is not None:
-                plane[j, k] = -np.inf if maximize else np.inf
-        flat = int(np.argmax(plane) if maximize else np.argmin(plane))
-        value = float(plane.flat[flat])
-        better = best_value is None or (value > best_value if maximize else value < best_value)
-        if better:
-            best_value = value
-            best_idx = (i, *np.unravel_index(flat, plane.shape))
-    i, j, k = best_idx
+        g_index = {f: j for j, f in enumerate(G)}
+        h_index = {f: k for k, f in enumerate(H)}
+
+        def allowed(i):
+            j, k = g_index.get(F[i]), h_index.get(F[i])
+            if j is None or k is None or not _is_pm_dictator(F[i]):
+                return None
+            mask = np.ones((len(G), len(H)), dtype=bool)
+            mask[j, k] = False
+            return mask
+
+    value, (i, j, k), _ = scan_planes(
+        *planes, objective == "max_w", means=(sf[:, 0], sg[:, 0], sh[:, 0]), allowed=allowed
+    )
     return ExtremalResult(
         objective=objective,
-        value=best_value,
+        value=value,
         witness=(F[i], G[j], H[k]),
         distribution=d,
         enumeration_count=count,
@@ -248,7 +285,7 @@ def _sample_balanced(n: int, rng: np.random.Generator) -> BooleanFunction:
 
 def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> BooleanFunction:
     if n <= ENUM_MAX:
-        members = _class_members(n, filt)
+        members = class_table(n, filt)[0]
         if not members:
             raise ValidationError("class filter matches no function")
         return members[int(rng.integers(0, len(members)))]
@@ -270,33 +307,17 @@ def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> Boole
 def _random_search_enumerated(n, filters, d, objective, trials, rng):
     # Classes are enumerable: sample member indices in bulk and evaluate
     # the closed form on gathered spectrum rows.
-    classes = [_class_members(n, filt) for filt in filters]
-    for filt, members in zip(filters, classes):
+    classes = [class_table(n, filt) for filt in filters]
+    for filt, (members, _) in zip(filters, classes):
         if not members:
             raise ValidationError(f"class filter {filt} matches no function")
-    spectra = [_spectra_matrix(m) for m in classes]
-    picks = [rng.integers(0, len(m), size=trials) for m in classes]
-    rows = [s[idx] for s, idx in zip(spectra, picks)]
-    d1, d2, d3 = d.deltas
-    w1 = _delta_mask_weights(n, d1)
-    w2 = _delta_mask_weights(n, d2)
-    w3 = _delta_mask_weights(n, d3)
-    p = [r[:, 0] for r in rows]
-    values = (
-        p[0] * p[1] * p[2]
-        + (1 - p[0]) * (1 - p[1]) * (1 - p[2])
-        + (rows[0] * w1 * rows[1]).sum(axis=1)
-        + (rows[1] * w2 * rows[2]).sum(axis=1)
-        + (rows[2] * w3 * rows[0]).sum(axis=1)
-    )
-    maximize = objective == "max_w"
-    opt = float(values.max() if maximize else values.min())
-    ties = np.flatnonzero(values == opt)
-    packed = [np.array([f.packed for f in m], dtype=np.int64) for m in classes]
-    keys = [(int(packed[0][picks[0][t]]), int(packed[1][picks[1][t]]), int(packed[2][picks[2][t]]), int(t)) for t in ties]
-    key = min(keys)
-    witness = tuple(classes[s][int(picks[s][key[3]])] for s in range(3))
-    return opt, witness
+    picks = [rng.integers(0, len(members), size=trials) for members, _ in classes]
+    values = w_batch(*(spectra[idx] for (_, spectra), idx in zip(classes, picks)), d)[0]
+    opt = float(values.max() if objective == "max_w" else values.min())
+    # Members are in ascending truth-table order, so member indices order
+    # ties as the packed tables do.
+    t = min(np.flatnonzero(values == opt), key=lambda s: tuple(p[s] for p in picks))
+    return opt, tuple(members[int(p[t])] for (members, _), p in zip(classes, picks))
 
 
 def random_search(

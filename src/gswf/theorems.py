@@ -24,14 +24,15 @@ from .dist import EvenProductDistribution, TripleDistribution, as_triple_distrib
 from .errors import HypothesisViolation, ValidationError
 from .rationality import (
     Gswf,
-    _delta_mask_weights,
     biased_inner_product,
+    pair_matrix,
+    w_batch,
     w_formula,
     w_from_spectra,
     w_oracle,
     w_prime,
 )
-from .search import ClassFilter, _class_members, _spectra_matrix
+from .search import ClassFilter, class_table, scan_planes
 
 TOL_EXACT = 1e-12
 #: For quantities accumulated over 2^n-term sums at n >= 16.
@@ -126,40 +127,16 @@ def _functions_from_payload(w: dict):
     return tuple(BooleanFunction.from_hex(n, w[k]) for k in ("f", "g", "h"))
 
 
-# --------------------------------------------------------------------------
-# worst-case plane scans shared by several checks
-# --------------------------------------------------------------------------
+_MONOTONE = ClassFilter(("monotone",))
 
 
-def _cross_sum_planes(members, d: EvenProductDistribution):
-    """Pairwise biased-product matrices for one class under ``d``."""
-    n = members[0].n
-    S = _spectra_matrix(members)
-    d1, d2, d3 = d.deltas
-    bfg = (S * _delta_mask_weights(n, d1)) @ S.T
-    bgh = (S * _delta_mask_weights(n, d2)) @ S.T
-    bhf = (S * _delta_mask_weights(n, d3)) @ S.T
-    return S, bfg, bgh, bhf
+def _cross_sums(S: np.ndarray, d: EvenProductDistribution):
+    """The (f,g), (g,h), (h,f) biased-product matrices of one class under ``d``."""
+    return tuple(pair_matrix(S, S, delta) for delta in d.deltas)
 
 
-def _extreme_cross_sum(members, d, maximize=True, restrict=None):
-    """Extreme of ``W - base`` (the three cross terms) over class triples."""
-    S, bfg, bgh, bhf = _cross_sum_planes(members, d)
-    sel = np.arange(len(members), dtype=np.intp) if restrict is None else np.asarray(
-        list(restrict), dtype=np.intp
-    )
-    bgh_sel = bgh if restrict is None else bgh[np.ix_(sel, sel)]
-    best = None
-    for i in sel:
-        row = bfg[i] if restrict is None else bfg[i][sel]
-        col = bhf[:, i] if restrict is None else bhf[sel, i]
-        plane = row[:, None] + bgh_sel + col[None, :]
-        flat = int(np.argmax(plane) if maximize else np.argmin(plane))
-        value = float(plane.flat[flat])
-        if best is None or (value > best[0] if maximize else value < best[0]):
-            j, k = np.unravel_index(flat, plane.shape)
-            best = (value, (int(i), int(sel[j]), int(sel[k])))
-    return best
+def _spectra(members) -> np.ndarray:
+    return bfn.walsh_coeffs(np.stack([f.table for f in members]))
 
 
 # --------------------------------------------------------------------------
@@ -240,20 +217,16 @@ def check_monotone_bound(
         )
     if mode != "exhaustive":
         raise ValidationError(f"unsupported mode {mode!r}")
-    members = _class_members(n, ClassFilter(("monotone",)))
-    value, (i, j, k) = _extreme_cross_sum(members, d, maximize=True)
+    members, S = class_table(n, _MONOTONE)
+    planes = _cross_sums(S, d)
+    value, (i, j, k), _ = scan_planes(*planes, True)
     worst_triple = (members[i], members[j], members[k])
-    balanced_idx = [i for i, f in enumerate(members) if bfn.is_balanced(f)]
-    bal_value, (bi, bj, bk) = _extreme_cross_sum(
-        members, d, maximize=True, restrict=balanced_idx
-    )
-    balanced_max_w = 0.25 + bal_value
+    sel = np.flatnonzero(S[:, 0] == 0.5)  # the balanced members
+    bal_value, bal_idx, _ = scan_planes(*(m[np.ix_(sel, sel)] for m in planes), True)
     extra = {
-        "balanced_max_w": balanced_max_w,
-        "balanced_witness": _triple_payload(
-            (members[bi], members[bj], members[bk])
-        ),
-        "balanced_count": len(balanced_idx),
+        "balanced_max_w": 0.25 + bal_value,
+        "balanced_witness": _triple_payload(tuple(members[sel[x]] for x in bal_idx)),
+        "balanced_count": len(sel),
         "monotone_count": len(members),
     }
     if n >= 3:
@@ -280,16 +253,20 @@ def check_monotone_bound(
 _DELTA_GRID = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 
-def _pairwise_scaled_products(members, delta_grid):
-    n = members[0].n
-    S = _spectra_matrix(members)
-    out = []
+def _worst_scaled_pair(members, S, delta_grid):
+    """Least ``(1/delta) <<f, g>>_delta`` over member pairs and the grid,
+    as ``(value, delta, f, g)``; the first minimum wins ties."""
+    worst = None
     for delta in delta_grid:
         if delta == 0.0:
             continue
-        M = (S * _delta_mask_weights(n, delta)) @ S.T / delta
-        out.append((delta, M))
-    return out
+        M = pair_matrix(S, S, delta) / delta
+        flat = int(np.argmin(M))
+        value = float(M.flat[flat])
+        if worst is None or value < worst[0]:
+            i, j = np.unravel_index(flat, M.shape)
+            worst = (value, delta, members[int(i)], members[int(j)])
+    return worst
 
 
 def check_biased_product_sign(
@@ -298,15 +275,8 @@ def check_biased_product_sign(
     """``(1/delta) <<f, g>>_delta >= 0`` for monotone increasing pairs."""
     if n > 4:
         raise ValidationError("exhaustive monotone-pair scan is limited to n <= 4")
-    members = _class_members(n, ClassFilter(("monotone",)))
-    worst = None
-    for delta, M in _pairwise_scaled_products(members, delta_grid):
-        flat = int(np.argmin(M))
-        value = float(M.flat[flat])
-        if worst is None or value < worst[0]:
-            i, j = np.unravel_index(flat, M.shape)
-            worst = (value, delta, members[int(i)], members[int(j)])
-    value, delta, f, g = worst
+    members, S = class_table(n, _MONOTONE)
+    value, delta, f, g = _worst_scaled_pair(members, S, delta_grid)
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
@@ -336,14 +306,7 @@ def check_biased_product_sign_demo(
     """
     all_f = [BooleanFunction.from_packed(n, v) for v in range(1 << (1 << n))]
     members = [f for f in all_f if not bfn.is_monotone(f)]
-    worst = None
-    for delta, M in _pairwise_scaled_products(members, delta_grid):
-        flat = int(np.argmin(M))
-        value = float(M.flat[flat])
-        if worst is None or value < worst[0]:
-            i, j = np.unravel_index(flat, M.shape)
-            worst = (value, delta, members[int(i)], members[int(j)])
-    value, delta, f, g = worst
+    value, delta, f, g = _worst_scaled_pair(members, _spectra(members), delta_grid)
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
@@ -369,7 +332,7 @@ def check_fkg(n: int = 3, trials: int = 400, seed: int = _DEFAULT_SEED) -> Bound
 
     Exhaustive over monotone pairs for n <= 3, sampled above.
     """
-    members = list(_class_members(n, ClassFilter(("monotone",))))
+    members = class_table(n, _MONOTONE)[0]
     if n > 3:
         rng = np.random.default_rng(seed)
         idx = rng.integers(0, len(members), size=(trials, 2))
@@ -467,29 +430,21 @@ def check_balanced_bound(
     examples (first-level and second-level) reaching exactly 1/3.
     """
     d = _uniform()
-    members = _class_members(n, ClassFilter(("balanced",)))
+    members, S = class_table(n, ClassFilter(("balanced",)))
     if mode == "exhaustive":
-        value, (i, j, k) = _extreme_cross_sum(members, d, maximize=True)
+        value, (i, j, k), count = scan_planes(*_cross_sums(S, d), True)
         best = (members[i], members[j], members[k])
-        count = len(members) ** 3
+        max_w = 0.25 + value
     elif mode == "random":
         rng = np.random.default_rng(seed)
-        S = _spectra_matrix(members)
         picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
-        rows = [S[p] for p in picks]
-        w = _delta_mask_weights(n, -1.0 / 3.0)
-        cross = (
-            (rows[0] * w * rows[1]).sum(axis=1)
-            + (rows[1] * w * rows[2]).sum(axis=1)
-            + (rows[2] * w * rows[0]).sum(axis=1)
-        )
-        t = int(np.argmax(cross))
-        value = float(cross[t])
+        w = w_batch(*(S[p] for p in picks), d)[0]
+        t = int(np.argmax(w))
+        max_w = float(w[t])
         best = tuple(members[int(p[t])] for p in picks)
         count = trials
     else:
         raise ValidationError(f"unsupported mode {mode!r}")
-    max_w = 0.25 + value
     pseudo_w = w_from_spectra(*pseudo_extremal_spectra(max(n, 3)), d).w
     first_w = w_formula(first_level_example(max(n, 2)), d).w
     second_w = w_formula(second_level_example(max(n, 2)), d).w
@@ -720,7 +675,7 @@ def check_lower_bound_biased(
     if n > 4:
         raise ValidationError("exhaustive pair scan is limited to n <= 4")
     members = [BooleanFunction.from_packed(n, v) for v in range(1 << (1 << n))]
-    S = _spectra_matrix(members)
+    S = _spectra(members)
     p = S[:, 0]
     floor_matrix = np.minimum(np.multiply.outer(p, p), np.multiply.outer(1 - p, 1 - p))
     nonconst = np.array([not bfn.is_constant(f) for f in members])
@@ -729,8 +684,7 @@ def check_lower_bound_biased(
     strict_min = None
     equality_dev = 0.0
     for delta in delta_grid:
-        M = (S * _delta_mask_weights(n, delta)) @ S.T
-        slack = M + floor_matrix
+        slack = pair_matrix(S, S, delta) + floor_matrix
         flat = int(np.argmin(slack))
         value = float(slack.flat[flat])
         if worst is None or value < worst[0]:
@@ -773,31 +727,13 @@ def check_lower_bound_biased(
 def check_arrow_sum_condition(n: int = 2) -> BoundReport:
     """Non-constant triples with ``p1 + p2 + p3 <= 1`` have ``W > 0``."""
     d = _uniform()
-    members = [
-        BooleanFunction.from_packed(n, v)
-        for v in range(1 << (1 << n))
-        if 0 < bin(v).count("1") < (1 << n)
-    ]
-    S, bfg, bgh, bhf = _cross_sum_planes(members, d)
+    members, S = class_table(n, ClassFilter(("non_constant",)))
     p = S[:, 0]
-    best = None
-    eligible = 0
-    for i in range(len(members)):
-        sum_ok = p[i] + p[:, None] + p[None, :] <= 1.0 + 1e-15
-        if not sum_ok.any():
-            continue
-        base = p[i] * np.multiply.outer(p, p) + (1 - p[i]) * np.multiply.outer(
-            1 - p, 1 - p
-        )
-        plane = base + bfg[i][:, None] + bgh + bhf[:, i][None, :]
-        plane = np.where(sum_ok, plane, np.inf)
-        eligible += int(sum_ok.sum())
-        flat = int(np.argmin(plane))
-        value = float(plane.flat[flat])
-        if best is None or value < best[0]:
-            j, k = np.unravel_index(flat, plane.shape)
-            best = (value, (members[i], members[int(j)], members[int(k)]))
-    value, fs = best
+    sum_ok = p[:, None, None] + p[None, :, None] + p[None, None, :] <= 1.0 + 1e-15
+    value, (i, j, k), eligible = scan_planes(
+        *_cross_sums(S, d), False, means=(p, p, p), allowed=lambda i: sum_ok[i]
+    )
+    fs = (members[i], members[j], members[k])
     witness = {
         "kind": "w_triple",
         "value": value,
@@ -990,20 +926,13 @@ def check_alpha_half_ceiling(
     product distribution; the two-dictator rule at ``alpha = 1/2`` attains
     it exactly."""
     rng = np.random.default_rng(seed)
-    members = _class_members(n, ClassFilter(("balanced", "monotone")))
-    S = _spectra_matrix(members)
+    members, S = class_table(n, ClassFilter(("balanced", "monotone")))
     picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
     rows = [S[p] for p in picks]
     grid = _even_product_grid()
     worst = None
     for d in grid:
-        d1, d2, d3 = d.deltas
-        cross = (
-            (rows[0] * _delta_mask_weights(n, d1) * rows[1]).sum(axis=1)
-            + (rows[1] * _delta_mask_weights(n, d2) * rows[2]).sum(axis=1)
-            + (rows[2] * _delta_mask_weights(n, d3) * rows[0]).sum(axis=1)
-        )
-        w = 0.25 + cross  # balanced triples: base is exactly 1/4
+        w = w_batch(*rows, d)[0]
         t = int(np.argmax(w))
         value = float(w[t])
         if worst is None or value > worst[0]:

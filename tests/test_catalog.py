@@ -1,6 +1,7 @@
 """Function families, presets, and the instability floor."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from gswf.catalog import (
     FamilySpec,
     binary_entropy,
     conjunction,
+    constant,
     dictator,
     disjunction,
     eta,
@@ -22,7 +24,7 @@ from gswf.catalog import (
     tribes,
 )
 from gswf.dist import EvenProductDistribution
-from gswf.errors import ValidationError
+from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import w_formula, w_oracle
 
 UNIFORM = EvenProductDistribution.uniform()
@@ -179,3 +181,30 @@ class TestEta:
         assert min(bfn.expectation(f) for f in gswf.functions) < eta(3, 0.2)
         gswf = preset_gswf("threshold_instability", 7, q=0.1)
         assert min(bfn.expectation(f) for f in gswf.functions) < eta(7, 0.1)
+
+
+class TestArityCeiling:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: majority(25),
+            lambda: preset_gswf("condorcet", 25),
+            lambda: threshold(25, 3),
+            lambda: conjunction(25),
+            lambda: disjunction(25),
+            lambda: parity(25),
+            lambda: dictator(25, 1),
+            lambda: tribes(25, 5),
+            lambda: constant(25, 1),
+        ],
+    )
+    def test_rejected_before_any_table_is_allocated(self, build):
+        # a 2^25 table would be 32 MiB; the ceiling must fire first
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -7,7 +7,7 @@ import sys
 import jsonschema
 import pytest
 
-from gswf.cli import load_schema
+from gswf.cli import load_schema, main
 
 SCHEMA = load_schema()
 
@@ -240,12 +240,28 @@ class TestOtherCommands:
         assert proc.returncode == 2
         assert "monte_carlo" in proc.stderr
 
-    def test_thread_cap_env_validation(self):
-        proc = run_cli(
-            "spectrum", "--function", "maj:3", env_extra={"GSWF_THREADS": "zero"}
-        )
-        assert proc.returncode == 2
-        proc = run_cli(
-            "spectrum", "--function", "maj:3", env_extra={"GSWF_THREADS": "4"}
-        )
-        assert proc.returncode == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rationality", "--preset", "condorcet", "--n", "3", "--triples", "a,b"],
+            ["verify", "--all", "--seed", "-1"],
+            ["simulate", "--preset", "condorcet", "--n", "3", "--samples", "10", "--seed", "-1"],
+            ["rationality", "--preset", "condorcet", "--n", "3", "--method", "monte-carlo",
+             "--samples", "10", "--seed", "-1"],
+            ["search", "--n", "3", "--class-f", "balanced", "--class-g", "balanced",
+             "--class-h", "balanced", "--objective", "max_w", "--mode", "random",
+             "--trials", "5", "--seed", "-1"],
+            ["curve", "--check", "instability", "--q", "0.2", "--n-list", "5:x"],
+            ["curve", "--check", "instability", "--q", "0.2", "--n-list", "5:15:0"],
+            ["rationality", "--preset", "condorcet", "--n", "60", "--uniform"],
+            ["rationality", "--preset", "split_dictators", "--n", "60", "--uniform"],
+            ["spectrum", "--function", "tribes:60:3"],
+        ],
+    )
+    def test_bad_input_is_one_error_line(self, argv, capsys):
+        # exit 2, never a traceback or the "check failed" exit 1; the size
+        # ceiling is enforced before any 2^n allocation
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")

@@ -9,11 +9,9 @@ from gswf.dist import (
     ADMISSIBLE_TRIPLES,
     EvenProductDistribution,
     TripleDistribution,
-    even_product,
     is_even_product,
     per_voter_spectrum,
     profile_probability,
-    to_triple_distribution,
 )
 from gswf.errors import ValidationError
 
@@ -38,36 +36,36 @@ def direct_per_voter_spectrum(p6):
 class TestEvenProduct:
     def test_uniform(self):
         d = EvenProductDistribution.uniform()
-        t = to_triple_distribution(d)
+        t = d.to_triple_distribution()
         assert np.allclose(t.p, 1 / 6, atol=1e-12)
         assert np.allclose(d.deltas, -1 / 3, atol=1e-12)
 
     def test_half_corner(self):
-        d = even_product(0.5, 0.0, 0.0)
-        t = to_triple_distribution(d)
+        d = EvenProductDistribution(0.5, 0.0, 0.0)
+        t = d.to_triple_distribution()
         assert np.allclose(t.p, [0.5, 0, 0, 0.5, 0, 0], atol=1e-15)
         assert d.deltas == (1.0, -1.0, -1.0)
 
     def test_quarter_case_deltas(self):
-        d = even_product(0.25, 0.25, 0.0)
+        d = EvenProductDistribution(0.25, 0.25, 0.0)
         assert np.allclose(d.deltas, [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_renormalization_within_tolerance(self):
-        d = even_product(1 / 6, 1 / 6, 1 / 6 + 5e-10)
+        d = EvenProductDistribution(1 / 6, 1 / 6, 1 / 6 + 5e-10)
         assert d.alpha + d.beta + d.gamma == pytest.approx(0.5, abs=1e-15)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError):
-            even_product(0.1666, 0.1666, 0.1666)  # off by 2e-4, above tolerance
+            EvenProductDistribution(0.1666, 0.1666, 0.1666)  # off by 2e-4, above tolerance
 
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
-            even_product(-0.01, 0.25, 0.26)
+            EvenProductDistribution(-0.01, 0.25, 0.26)
 
     def test_triple_order_is_canonical(self):
         labels = tuple("".join(map(str, t)) for t in ADMISSIBLE_TRIPLES)
         assert labels == ("110", "011", "101", "001", "100", "010")
-        d = even_product(0.0, 0.0, 0.5).to_triple_distribution()
+        d = EvenProductDistribution(0.0, 0.0, 0.5).to_triple_distribution()
         assert d.as_dict() == {
             "p110": 0.0,
             "p011": 0.0,
@@ -91,7 +89,7 @@ class TestTripleDistribution:
         assert profile_probability(uniform, profile) == pytest.approx(
             (1 / 6) ** 3, abs=1e-15
         )
-        corner = even_product(0.5, 0, 0).to_triple_distribution()
+        corner = EvenProductDistribution(0.5, 0, 0).to_triple_distribution()
         assert profile_probability(corner, [(1, 1, 0)] * 4) == 0.5**4
         assert profile_probability(corner, [(1, 1, 0), (1, 0, 0)]) == 0.0
 
@@ -114,7 +112,7 @@ class TestPerVoterSpectrum:
             assert s[mask] == pytest.approx(-1 / 24, abs=1e-15)
 
     def test_even_product_pair_coefficients(self):
-        d = even_product(0.3, 0.15, 0.05)
+        d = EvenProductDistribution(0.3, 0.15, 0.05)
         s = per_voter_spectrum(d.to_triple_distribution())
         a, b, c = d.alpha, d.beta, d.gamma
         assert s[0b011] == pytest.approx((4 * a - 1) / 8, abs=1e-15)
@@ -122,7 +120,7 @@ class TestPerVoterSpectrum:
         assert s[0b101] == pytest.approx((4 * c - 1) / 8, abs=1e-15)
 
     def test_half_corner_pairs(self):
-        s = per_voter_spectrum(even_product(0.5, 0, 0).to_triple_distribution())
+        s = per_voter_spectrum(EvenProductDistribution(0.5, 0, 0).to_triple_distribution())
         assert s[0b011] == pytest.approx(1 / 8, abs=1e-15)
         assert s[0b110] == pytest.approx(-1 / 8, abs=1e-15)
         assert s[0b101] == pytest.approx(-1 / 8, abs=1e-15)

@@ -15,7 +15,7 @@ from gswf.bfn import (
     walsh_transform,
 )
 from gswf.catalog import conjunction, dictator, disjunction, majority, preset_gswf
-from gswf.dist import EvenProductDistribution, TripleDistribution, even_product
+from gswf.dist import EvenProductDistribution, TripleDistribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import (
     Gswf,
@@ -23,6 +23,8 @@ from gswf.rationality import (
     biased_inner_product,
     noise_operator_convolution,
     noise_operator_spectral,
+    pair_matrix,
+    w_batch,
     w_formula,
     w_from_spectra,
     w_monte_carlo,
@@ -40,6 +42,30 @@ EPS_GRID = np.linspace(-1.0, 1.0, 9)
 def random_even(rng):
     v = rng.dirichlet(np.ones(3)) / 2
     return EvenProductDistribution(*v)
+
+
+class TestBatchedKernels:
+    def test_w_batch_equals_w_formula_row_by_row(self, rng):
+        for _ in range(5):
+            d = random_even(rng)
+            fs = [[bfn.random_function(3, rng) for _ in range(3)] for _ in range(40)]
+            stacks = [np.stack([walsh_transform(row[c]).coeffs for row in fs]) for c in range(3)]
+            w = w_batch(*stacks, d)[0]
+            for t, row in enumerate(fs):
+                assert w[t] == w_formula(Gswf(*row), d).w
+
+    def test_pair_matrix_entries_are_biased_products(self, rng):
+        fs = [bfn.random_function(4, rng) for _ in range(12)]
+        spectra = [walsh_transform(f) for f in fs]
+        S = np.stack([s.coeffs for s in spectra])
+        for delta in (-1.0, -1 / 3, 0.0, 0.6):
+            M = pair_matrix(S[:5], S, delta)
+            assert M.shape == (5, 12)
+            for i in range(5):
+                for j in range(12):
+                    assert M[i, j] == pytest.approx(
+                        biased_inner_product(spectra[i], spectra[j], delta), abs=1e-15
+                    )
 
 
 class TestBiasedInnerProduct:
@@ -142,7 +168,7 @@ class TestWFormula:
 
     def test_half_corner_split(self):
         gswf = preset_gswf("alpha_half_extremal", 2)
-        assert w_formula(gswf, even_product(0.5, 0, 0)).w == pytest.approx(
+        assert w_formula(gswf, EvenProductDistribution(0.5, 0, 0)).w == pytest.approx(
             0.5, abs=1e-12
         )
 

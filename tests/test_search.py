@@ -8,7 +8,14 @@ from gswf.catalog import dictator, majority
 from gswf.dist import EvenProductDistribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import Gswf, w_formula
-from gswf.search import ClassFilter, enumerate_class, extremal_w, random_search
+from gswf.search import (
+    PREDICATES,
+    ClassFilter,
+    class_table,
+    enumerate_class,
+    extremal_w,
+    random_search,
+)
 
 UNIFORM = EvenProductDistribution.uniform()
 
@@ -66,6 +73,35 @@ class TestEnumeration:
         result = extremal_w(3, BAL_MONO, BAL_MONO, BAL_MONO, UNIFORM, "max_w")
         for f in result.witness:
             assert BAL_MONO.accepts(f)
+
+
+class TestClassTable:
+    FILTERS = [ClassFilter((name,)) for name in PREDICATES] + [
+        BAL_MONO,
+        ClassFilter(("non_constant",), expectation_range=(0.2, 0.7)),
+        ClassFilter((), expectation_range=(0.25, 0.5)),
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("filt", FILTERS, ids=str)
+    def test_equals_per_function_filter(self, n, filt):
+        every = [bfn.BooleanFunction.from_packed(n, v) for v in range(1 << (1 << n))]
+        members, spectra = class_table(n, filt)
+        assert list(members) == [f for f in every if filt.accepts(f)]
+        lo, hi = filt.expectation_range or (0.0, 1.0)
+        direct = [
+            f for f in every
+            if lo <= bfn.expectation(f) <= hi and all(PREDICATES[p](f) for p in filt.predicates)
+        ]
+        assert list(members) == direct
+        expected = np.stack([bfn.walsh_transform(f).coeffs for f in members])
+        assert np.array_equal(spectra, expected)
+
+    def test_n4_stacked_butterfly_is_bit_identical(self):
+        members, spectra = class_table(4, BALANCED)
+        assert len(members) == 12870
+        assert np.array_equal(spectra, np.stack([bfn.walsh_transform(f).coeffs for f in members]))
+        assert not spectra.flags.writeable
 
 
 class TestExtremal:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from gswf.catalog import eta
-from gswf.dist import EvenProductDistribution, even_product
+from gswf.dist import EvenProductDistribution
 from gswf.errors import HypothesisViolation, ValidationError
 from gswf.theorems import (
     CHECKS,
@@ -51,9 +51,9 @@ class TestIndividualChecks:
 
     def test_monotone_bound_refuses_outside_hypothesis(self):
         with pytest.raises(HypothesisViolation):
-            check_monotone_bound(n=3, d=even_product(0.5, 0.0, 0.0))
+            check_monotone_bound(n=3, d=EvenProductDistribution(0.5, 0.0, 0.0))
         with pytest.raises(HypothesisViolation):
-            check_monotone_bound(n=2, d=even_product(0.3, 0.1, 0.1))
+            check_monotone_bound(n=2, d=EvenProductDistribution(0.3, 0.1, 0.1))
 
     def test_biased_product_sign(self):
         r = check_biased_product_sign(n=3)
@@ -98,7 +98,7 @@ class TestIndividualChecks:
 
     def test_neutral_symmetric_bound_degenerate_distribution(self):
         # quarter corner kills the cubic factor, the floor collapses to zero
-        r = check_neutral_symmetric_bound(n_list=(3, 5), d=even_product(0.25, 0.25, 0.0))
+        r = check_neutral_symmetric_bound(n_list=(3, 5), d=EvenProductDistribution(0.25, 0.25, 0.0))
         assert r.passed
         assert r.witness["extra"]["cubic_factor"] == pytest.approx(0.0, abs=1e-12)
 
