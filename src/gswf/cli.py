@@ -35,8 +35,11 @@ def _write_output(text: str, out: str | None, append: bool = False) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    with open(out, "a" if append else "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(out, "a" if append else "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
@@ -342,8 +345,15 @@ def _cmd_curve(args) -> int:
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit status 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gswf",
         description="Spectral analysis of three-alternative voting rules: "
         "irrational-outcome probability, bound verification, extremal search.",
@@ -429,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)

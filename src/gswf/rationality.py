@@ -12,16 +12,16 @@ Two independent evaluation paths are provided:
   + <<f,g>>_{4a-1} + <<g,h>>_{4b-1} + <<h,f>>_{4c-1}``,
   valid for even product distributions, where ``<<.,.>>_d`` is the biased
   inner product of spectra and ``p_i`` are the means.
-* ``w_oracle`` enumerates all ``6^n`` admissible profiles and accumulates
-  probability mass directly; it shares no code with the formula path and
-  accepts arbitrary per-voter triple distributions.
+* ``w_oracle_batch`` enumerates all ``6^n`` admissible profiles and
+  accumulates probability mass directly, for every row of three stacked
+  truth tables; ``w_oracle`` is its one-row view.  It shares no code with
+  the formula path and accepts arbitrary per-voter triple distributions.
 
 A seeded Monte Carlo estimator covers arities beyond the oracle ceiling.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +34,7 @@ from .errors import CapacityError, ValidationError
 #: Largest arity accepted by the exhaustive profile oracle (6^9 ~ 1e7).
 ORACLE_MAX = 9
 
-#: Oracle profile tables are cached up to this arity (6^6 profiles).
-_PROFILE_CACHE_MAX = 6
-
+#: Ceiling on rows times profiles held at once by the oracle.
 _ORACLE_BATCH = 1 << 20
 
 _TRIPLE_BITS = np.array(ADMISSIBLE_TRIPLES, dtype=np.uint8)
@@ -189,19 +187,13 @@ def w_batch(sf: np.ndarray, sg: np.ndarray, sh: np.ndarray, d: EvenProductDistri
     return base + cross[0] + cross[1] + cross[2], base, cross
 
 
-@functools.lru_cache(maxsize=4096)
-def _small_spectrum(f: BooleanFunction) -> PseudoSpectrum:
-    return walsh_transform(f)
-
-
-def _spectrum(f: BooleanFunction) -> PseudoSpectrum:
-    # Small tables recur heavily in exhaustive scans; cache those only.
-    return _small_spectrum(f) if f.n <= 8 else walsh_transform(f)
-
-
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
-    """Closed-form ``W`` for an even product distribution."""
-    return w_from_spectra(*(_spectrum(fn) for fn in gswf.functions), d)
+    """Closed-form ``W`` for an even product distribution.
+
+    Each distinct function of the triple is transformed once.
+    """
+    spectra = {fn: walsh_transform(fn) for fn in set(gswf.functions)}
+    return w_from_spectra(*(spectra[fn] for fn in gswf.functions), d)
 
 
 def w_from_spectra(
@@ -228,75 +220,68 @@ def w_from_spectra(
     )
 
 
-@functools.lru_cache(maxsize=4)
-def _profile_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Digit matrix and (x, y, z) input masks for all 6^n profiles."""
-    total = 6**n
-    idx = np.arange(total, dtype=np.int64)
-    digits = np.empty((n, total), dtype=np.uint8)
-    for i in range(n):
-        digits[i] = idx % 6
-        idx //= 6
-    masks = []
-    for c in range(3):
-        bits = _TRIPLE_BITS[:, c]
-        m = np.zeros(total, dtype=np.int32)
-        for i in range(n):
-            m |= bits[digits[i]].astype(np.int32) << i
-        m.setflags(write=False)
-        masks.append(m)
-    digits.setflags(write=False)
-    return (digits, *masks)
-
-
 def _irrational_indicator(
     ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, xm, ym, zm
 ) -> np.ndarray:
-    a, b, c = ft[xm], gt[ym], ht[zm]
+    # Along the last axis, so a stack of tables gives one row per table.
+    a, b, c = ft[..., xm], gt[..., ym], ht[..., zm]
     return (a & b & c) | ((1 - a) & (1 - b) & (1 - c))
 
 
-def w_oracle(gswf: Gswf, t) -> WResult:
-    """Exact ``W`` by enumerating all ``6^n`` admissible profiles.
+def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndarray:
+    """Exact ``W`` per row of three row-aligned ``uint8`` truth-table stacks,
+    by enumerating all ``6^n`` admissible profiles.
 
     Accepts any per-voter triple distribution (not only even product ones)
-    and shares no code path with :func:`w_formula`.
+    and shares no code path with :func:`w_formula`.  Rows times profiles
+    per chunk stay at most ``2^20``; each row sums its chunks in order.
     """
     t = as_triple_distribution(t)
-    n = gswf.n
+    if not (np.ndim(ft) == 2 and np.shape(ft) == np.shape(gt) == np.shape(ht)):
+        raise ValidationError(
+            f"expected three equal-shape table stacks, got {np.shape(ft)}, "
+            f"{np.shape(gt)}, {np.shape(ht)}"
+        )
+    rows, size = ft.shape
+    n = size.bit_length() - 1
+    if size != 1 << n:
+        raise ValidationError(f"table length {size} is not a power of two")
     if n > ORACLE_MAX:
         raise CapacityError(
             f"oracle enumerates 6^n profiles and is limited to n <= {ORACLE_MAX}; "
             "use w_monte_carlo for larger arities"
         )
-    ft, gt, ht = (fn.table for fn in gswf.functions)
-    pvals = t.p
     total = 6**n
-    acc = 0.0
-    if n <= _PROFILE_CACHE_MAX:
-        digits, xm, ym, zm = _profile_tables(n)
-        prob = np.prod(pvals[digits], axis=0)
-        irr = _irrational_indicator(ft, gt, ht, xm, ym, zm)
-        acc = float(prob @ irr.astype(np.float64))
-    else:
-        xbits, ybits, zbits = _TRIPLE_BITS[:, 0], _TRIPLE_BITS[:, 1], _TRIPLE_BITS[:, 2]
-        for start in range(0, total, _ORACLE_BATCH):
-            idx = np.arange(start, min(start + _ORACLE_BATCH, total), dtype=np.int64)
-            prob = np.ones(idx.size, dtype=np.float64)
-            xm = np.zeros(idx.size, dtype=np.int32)
-            ym = np.zeros_like(xm)
-            zm = np.zeros_like(xm)
-            for i in range(n):
-                d = (idx % 6).astype(np.uint8)
-                idx //= 6
-                prob *= pvals[d]
-                xm |= xbits[d].astype(np.int32) << i
-                ym |= ybits[d].astype(np.int32) << i
-                zm |= zbits[d].astype(np.int32) << i
-            irr = _irrational_indicator(ft, gt, ht, xm, ym, zm)
-            acc += float(prob @ irr.astype(np.float64))
+    span = min(total, _ORACLE_BATCH)
+    row_step = max(1, _ORACLE_BATCH // span)
+    bits = _TRIPLE_BITS.T.astype(np.int32)  # x, y and z bit per triple
+    acc = np.zeros(rows, dtype=np.float64)
+    for start in range(0, total, span):
+        idx = np.arange(start, min(start + span, total), dtype=np.int64)
+        prob = np.ones(idx.size, dtype=np.float64)
+        xm, ym, zm = masks = np.zeros((3, idx.size), dtype=np.int32)
+        for i in range(n):
+            d = (idx % 6).astype(np.uint8)
+            idx //= 6
+            prob *= t.p[d]
+            for m, b in zip(masks, bits):
+                m |= b[d] << i
+        for r0 in range(0, rows, row_step):
+            r1 = min(r0 + row_step, rows)
+            irr = _irrational_indicator(ft[r0:r1], gt[r0:r1], ht[r0:r1], xm, ym, zm)
+            # One dot product per contiguous row: a matrix-vector product, or
+            # a strided row, rounds differently from the single-row sum.
+            irr = irr.astype(np.float64, order="C")
+            for r in range(r1 - r0):
+                acc[r0 + r] += prob @ irr[r]
+    return acc
+
+
+def w_oracle(gswf: Gswf, t) -> WResult:
+    """Exact ``W`` of one triple: the one-row view of :func:`w_oracle_batch`."""
+    w = w_oracle_batch(*(fn.table[None] for fn in gswf.functions), t)
     p1, p2, p3 = (bfn.expectation(fn) for fn in gswf.functions)
-    return WResult(w=acc, base=_base_term(p1, p2, p3), method="oracle", n=n)
+    return WResult(w=float(w[0]), base=_base_term(p1, p2, p3), method="oracle", n=gswf.n)
 
 
 def w_monte_carlo(gswf: Gswf, t, samples: int, seed: int) -> WResult:
@@ -347,7 +332,7 @@ def w_prime(gswf: Gswf) -> float:
     witnesses that any bound discarding coefficient signs cannot prove
     nonnegativity of ``W`` in general.
     """
-    sf, sg, sh = (_spectrum(fn) for fn in gswf.functions)
+    sf, sg, sh = (walsh_transform(fn) for fn in gswf.functions)
     base = _base_term(sf.mean, sg.mean, sh.mean)
     return (
         base

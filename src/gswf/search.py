@@ -11,10 +11,14 @@ from . import bfn
 from .bfn import BooleanFunction
 from .dist import EvenProductDistribution
 from .errors import CapacityError, ValidationError
-from .rationality import Gswf, pair_matrix, w_batch, w_formula
+from .rationality import Gswf, pair_matrix, w_batch
 
 #: Largest arity for full class enumeration (2^16 candidate tables at n=4).
 ENUM_MAX = 4
+
+#: Ceiling on sampled rows times ``2^n`` evaluated at once by the random
+#: search above ``ENUM_MAX``; one row is always allowed.
+_SAMPLE_BATCH = 1 << 20
 
 #: Ceiling on |F| * |G| * |H| for the exhaustive triple scan.
 TRIPLE_BUDGET = 10**9
@@ -136,13 +140,11 @@ _TIE_BREAK_NOTE = (
 )
 
 
-@functools.lru_cache(maxsize=64)
-def class_table(n: int, filt: ClassFilter) -> tuple[tuple[BooleanFunction, ...], np.ndarray]:
-    """Members of a class in ascending truth-table order, with their spectra.
+def all_tables(n: int) -> np.ndarray:
+    """Every truth table of arity ``n <= ENUM_MAX`` as one ``uint8`` stack.
 
-    All ``2^(2^n)`` candidate tables are unpacked at once from a counter,
-    filtered as one stack, and only the members are transformed, in one
-    butterfly pass; row ``i`` of the read-only spectra belongs to member ``i``.
+    Row ``v`` is the function whose packed table is ``v``, so the rows are in
+    ascending truth-table order; they are unpacked at once from a counter.
     """
     bfn.check_arity(n)
     if n > ENUM_MAX:
@@ -152,9 +154,20 @@ def class_table(n: int, filt: ClassFilter) -> tuple[tuple[BooleanFunction, ...],
         )
     size = 1 << n
     counter = np.arange(1 << size, dtype=f"<u{max(1, size // 8)}")
-    tables = np.unpackbits(
+    return np.unpackbits(
         counter.view(np.uint8).reshape(counter.size, -1), axis=1, count=size, bitorder="little"
     )
+
+
+@functools.lru_cache(maxsize=64)
+def class_table(n: int, filt: ClassFilter) -> tuple[tuple[BooleanFunction, ...], np.ndarray]:
+    """Members of a class in ascending truth-table order, with their spectra.
+
+    The rows of :func:`all_tables` are filtered as one stack, and only the
+    members are transformed, in one butterfly pass; row ``i`` of the
+    read-only spectra belongs to member ``i``.
+    """
+    tables = all_tables(n)
     tables = tables[filt.select(tables)]
     spectra = bfn.walsh_coeffs(tables)
     bfn.check_boolean_spectra(spectra)
@@ -231,8 +244,9 @@ def extremal_w(
 ) -> ExtremalResult:
     """Exact optimum of ``W`` over the filtered triple space.
 
-    ``objective`` is ``min_w`` or ``max_w``.  Ties are broken toward the
-    lexicographically least witness so parallel and serial scans agree.
+    ``objective`` is ``min_w`` or ``max_w``.  Exact ties go to the first
+    optimum in ascending ``(f, g, h)`` truth-table order, the
+    lexicographically least witness.
     With ``exclude_dictator_triples`` the scan skips triples ``f = g = h``
     where the common function is a dictator or a negated dictator (the
     always-rational rules).
@@ -284,11 +298,6 @@ def _sample_balanced(n: int, rng: np.random.Generator) -> BooleanFunction:
 
 
 def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> BooleanFunction:
-    if n <= ENUM_MAX:
-        members = class_table(n, filt)[0]
-        if not members:
-            raise ValidationError("class filter matches no function")
-        return members[int(rng.integers(0, len(members)))]
     balanced_only = set(filt.predicates) <= {"balanced", "non_constant"} and (
         "balanced" in filt.predicates
     )
@@ -304,7 +313,15 @@ def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> Boole
     )
 
 
-def _random_search_enumerated(n, filters, d, objective, trials, rng):
+def _best_row(values: np.ndarray, triple, maximize: bool) -> int:
+    """Row of the optimum of ``values``; exact ties go to the row whose
+    ``triple(row)`` has the least packed ``(f, g, h)``."""
+    opt = values.max() if maximize else values.min()
+    rows = np.flatnonzero(values == opt)
+    return int(min(rows, key=lambda r: tuple(f.packed for f in triple(r))))
+
+
+def _random_search_enumerated(n, filters, d, maximize, trials, rng):
     # Classes are enumerable: sample member indices in bulk and evaluate
     # the closed form on gathered spectrum rows.
     classes = [class_table(n, filt) for filt in filters]
@@ -313,11 +330,33 @@ def _random_search_enumerated(n, filters, d, objective, trials, rng):
             raise ValidationError(f"class filter {filt} matches no function")
     picks = [rng.integers(0, len(members), size=trials) for members, _ in classes]
     values = w_batch(*(spectra[idx] for (_, spectra), idx in zip(classes, picks)), d)[0]
-    opt = float(values.max() if objective == "max_w" else values.min())
-    # Members are in ascending truth-table order, so member indices order
-    # ties as the packed tables do.
-    t = min(np.flatnonzero(values == opt), key=lambda s: tuple(p[s] for p in picks))
-    return opt, tuple(members[int(p[t])] for (members, _), p in zip(classes, picks))
+
+    def triple(t):
+        return tuple(members[int(p[t])] for (members, _), p in zip(classes, picks))
+
+    t = _best_row(values, triple, maximize)
+    return float(values[t]), triple(t)
+
+
+def _random_search_sampled(n, filters, d, maximize, trials, rng):
+    # Triples are sampled one after another, as many as fit in one batch,
+    # and each batch is evaluated on stacked spectra.  The best triple so
+    # far joins the next batch's candidates, so one tie-break decides.
+    rows = max(1, _SAMPLE_BATCH >> n)
+    best_w, best = np.empty(0), []
+    for start in range(0, trials, rows):
+        batch = [
+            tuple(_sample_member(n, filt, rng) for filt in filters)
+            for _ in range(min(rows, trials - start))
+        ]
+        spectra = bfn.walsh_coeffs([[fs[c].table for fs in batch] for c in range(3)])
+        for s in spectra:
+            bfn.check_boolean_spectra(s)
+        values = np.concatenate([w_batch(*spectra, d)[0], best_w])
+        batch += best
+        t = _best_row(values, batch.__getitem__, maximize)
+        best_w, best = values[t : t + 1], [batch[t]]
+    return float(best_w[0]), best[0]
 
 
 def random_search(
@@ -334,24 +373,8 @@ def random_search(
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    if n <= ENUM_MAX:
-        value, witness = _random_search_enumerated(n, filters, d, objective, trials, rng)
-    else:
-        maximize = objective == "max_w"
-        best = None
-        for _ in range(trials):
-            f = _sample_member(n, filters[0], rng)
-            g = _sample_member(n, filters[1], rng)
-            h = _sample_member(n, filters[2], rng)
-            w = w_formula(Gswf(f, g, h), d).w
-            key = (f.packed, g.packed, h.packed)
-            if best is None:
-                best = (w, key, (f, g, h))
-                continue
-            improved = w > best[0] if maximize else w < best[0]
-            if improved or (w == best[0] and key < best[1]):
-                best = (w, key, (f, g, h))
-        value, witness = best[0], best[2]
+    search = _random_search_enumerated if n <= ENUM_MAX else _random_search_sampled
+    value, witness = search(n, filters, d, objective == "max_w", trials, rng)
     return ExtremalResult(
         objective=objective,
         value=value,

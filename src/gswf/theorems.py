@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bfn, catalog
 from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
-from .dist import EvenProductDistribution, TripleDistribution, as_triple_distribution
+from .dist import EvenProductDistribution
 from .errors import HypothesisViolation, ValidationError
 from .rationality import (
     Gswf,
@@ -29,10 +29,10 @@ from .rationality import (
     w_batch,
     w_formula,
     w_from_spectra,
-    w_oracle,
+    w_oracle_batch,
     w_prime,
 )
-from .search import ClassFilter, class_table, scan_planes
+from .search import ClassFilter, all_tables, class_table, scan_planes
 
 TOL_EXACT = 1e-12
 #: For quantities accumulated over 2^n-term sums at n >= 16.
@@ -99,22 +99,12 @@ def _random_even_product(rng: np.random.Generator) -> EvenProductDistribution:
     return EvenProductDistribution(float(v[0]), float(v[1]), float(v[2]))
 
 
-def _dist_payload(dst) -> dict:
-    if isinstance(dst, EvenProductDistribution):
-        return {
-            "type": "even",
-            "alpha": dst.alpha,
-            "beta": dst.beta,
-            "gamma": dst.gamma,
-        }
-    t = as_triple_distribution(dst)
-    return {"type": "triple", "p": [float(x) for x in t.p]}
+def _dist_payload(d: EvenProductDistribution) -> dict:
+    return {"type": "even", "alpha": d.alpha, "beta": d.beta, "gamma": d.gamma}
 
 
-def _dist_from_payload(payload: dict):
-    if payload["type"] == "even":
-        return EvenProductDistribution(payload["alpha"], payload["beta"], payload["gamma"])
-    return TripleDistribution(np.asarray(payload["p"], dtype=np.float64))
+def _dist_from_payload(payload: dict) -> EvenProductDistribution:
+    return EvenProductDistribution(payload["alpha"], payload["beta"], payload["gamma"])
 
 
 def _triple_payload(fs) -> dict:
@@ -135,10 +125,6 @@ def _cross_sums(S: np.ndarray, d: EvenProductDistribution):
     return tuple(pair_matrix(S, S, delta) for delta in d.deltas)
 
 
-def _spectra(members) -> np.ndarray:
-    return bfn.walsh_coeffs(np.stack([f.table for f in members]))
-
-
 # --------------------------------------------------------------------------
 # checks
 # --------------------------------------------------------------------------
@@ -151,48 +137,42 @@ def check_formula_vs_oracle(
 
     Exhaustive over all function triples for n <= 2, random triples above,
     each against random even product distributions.  The claim is exact
-    agreement, so the margin is the worst absolute difference.
+    agreement, so the margin is the worst absolute difference; the first
+    worst in ``(n, distribution, triple)`` order is the witness.
     """
     rng = np.random.default_rng(seed)
-    worst = -1.0
-    worst_wit = None
+    worst = None
     for n in range(1, n_max + 1):
         distributions = [_random_even_product(rng) for _ in range(dists)]
         if n <= 2:
-            size = 1 << (1 << n)
-            pool = [BooleanFunction.from_packed(n, v) for v in range(size)]
-            triples = [
-                (pool[a], pool[b], pool[c])
-                for a in range(size)
-                for b in range(size)
-                for c in range(size)
-            ]
+            pool = all_tables(n)
+            picks = np.indices((len(pool),) * 3).reshape(3, -1)
+            ft, gt, ht = (pool[p] for p in picks)
         else:
-            triples = [
-                tuple(bfn.random_function(n, rng) for _ in range(3))
-                for _ in range(trials)
-            ]
+            drawn = [rng.integers(0, 2, size=1 << n, dtype=np.uint8) for _ in range(3 * trials)]
+            ft, gt, ht = np.stack(drawn).reshape(trials, 3, -1).transpose(1, 0, 2)
+        spectra = [bfn.walsh_coeffs(tables) for tables in (ft, gt, ht)]
         for d in distributions:
-            for fs in triples:
-                gswf = Gswf(*fs)
-                diff = abs(w_formula(gswf, d).w - w_oracle(gswf, d).w)
-                if diff > worst:
-                    worst = diff
-                    worst_wit = (fs, d)
-    fs, d = worst_wit
+            w = w_batch(*spectra, d)[0]
+            diff = np.abs(w - w_oracle_batch(ft, gt, ht, d))
+            t = int(np.argmax(diff))
+            if worst is None or diff[t] > worst[0]:
+                fs = tuple(BooleanFunction(n, tables[t]) for tables in (ft, gt, ht))
+                worst = (float(diff[t]), float(w[t]), fs, d)
+    value, w, fs, d = worst
     witness = {
         "kind": "w_triple",
-        "value": w_formula(Gswf(*fs), d).w,
+        "value": w,
         "method": "formula",
         "dist": _dist_payload(d),
         **_triple_payload(fs),
-        "extra": {"worst_abs_diff": worst},
+        "extra": {"worst_abs_diff": value},
     }
     return _report(
         "formula_vs_oracle",
-        lhs=worst,
+        lhs=value,
         rhs=0.0,
-        margin=-worst,
+        margin=-value,
         tolerance=TOL_EXACT,
         witness=witness,
     )
@@ -253,9 +233,9 @@ def check_monotone_bound(
 _DELTA_GRID = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 
-def _worst_scaled_pair(members, S, delta_grid):
-    """Least ``(1/delta) <<f, g>>_delta`` over member pairs and the grid,
-    as ``(value, delta, f, g)``; the first minimum wins ties."""
+def _worst_scaled_pair(S, delta_grid):
+    """Least ``(1/delta) <<f, g>>_delta`` over pairs of spectrum rows and the
+    grid, as ``(value, delta, i, j)``; the first minimum wins ties."""
     worst = None
     for delta in delta_grid:
         if delta == 0.0:
@@ -265,7 +245,7 @@ def _worst_scaled_pair(members, S, delta_grid):
         value = float(M.flat[flat])
         if worst is None or value < worst[0]:
             i, j = np.unravel_index(flat, M.shape)
-            worst = (value, delta, members[int(i)], members[int(j)])
+            worst = (value, delta, int(i), int(j))
     return worst
 
 
@@ -276,13 +256,13 @@ def check_biased_product_sign(
     if n > 4:
         raise ValidationError("exhaustive monotone-pair scan is limited to n <= 4")
     members, S = class_table(n, _MONOTONE)
-    value, delta, f, g = _worst_scaled_pair(members, S, delta_grid)
+    value, delta, i, j = _worst_scaled_pair(S, delta_grid)
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
         "n": n,
-        "f": f.hex,
-        "g": g.hex,
+        "f": members[i].hex,
+        "g": members[j].hex,
         "delta": delta,
         "extra": {"pairs": len(members) ** 2, "delta_grid": list(delta_grid)},
     }
@@ -304,15 +284,15 @@ def check_biased_product_sign_demo(
     Inverted check: passes when some non-monotone pair drives the scaled
     product at least ``required_depth`` below zero.
     """
-    all_f = [BooleanFunction.from_packed(n, v) for v in range(1 << (1 << n))]
-    members = [f for f in all_f if not bfn.is_monotone(f)]
-    value, delta, f, g = _worst_scaled_pair(members, _spectra(members), delta_grid)
+    tables = all_tables(n)
+    tables = tables[~bfn.is_monotone(tables)]
+    value, delta, i, j = _worst_scaled_pair(bfn.walsh_coeffs(tables), delta_grid)
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
         "n": n,
-        "f": f.hex,
-        "g": g.hex,
+        "f": BooleanFunction(n, tables[i]).hex,
+        "g": BooleanFunction(n, tables[j]).hex,
         "delta": delta,
         "extra": {"required_depth": required_depth},
     }
@@ -640,15 +620,14 @@ def check_dual_claim(n_max: int = 3) -> BoundReport:
     worst = None
     for n in range(1, n_max + 1):
         signs = np.where(mask_levels(n) & 1, 1.0, -1.0)  # (-1)^(|S|-1)
-        for packed in range(1 << (1 << n)):
-            f = BooleanFunction.from_packed(n, packed)
-            sf = walsh_transform(f).coeffs
-            sd = walsh_transform(bfn.dual(f)).coeffs
-            dev = np.abs(sd - signs * sf)
-            dev[0] = 0.0
-            value = float(dev.max())
-            if worst is None or value > worst[0]:
-                worst = (value, f)
+        tables = all_tables(n)
+        dual = 1 - tables[:, ::-1]  # row-wise bfn.dual
+        dev = np.abs(bfn.walsh_coeffs(dual) - signs * bfn.walsh_coeffs(tables))
+        dev[:, 0] = 0.0
+        per_function = dev.max(axis=1)
+        t = int(np.argmax(per_function))
+        if worst is None or per_function[t] > worst[0]:
+            worst = (float(per_function[t]), BooleanFunction(n, tables[t]))
     value, f = worst
     witness = {"kind": "dual_function", "value": value, "n": f.n, "f": f.hex}
     return _report(
@@ -674,11 +653,11 @@ def check_lower_bound_biased(
     """
     if n > 4:
         raise ValidationError("exhaustive pair scan is limited to n <= 4")
-    members = [BooleanFunction.from_packed(n, v) for v in range(1 << (1 << n))]
-    S = _spectra(members)
+    tables = all_tables(n)
+    S = bfn.walsh_coeffs(tables)
     p = S[:, 0]
     floor_matrix = np.minimum(np.multiply.outer(p, p), np.multiply.outer(1 - p, 1 - p))
-    nonconst = np.array([not bfn.is_constant(f) for f in members])
+    nonconst = ~bfn.is_constant(tables)
     const_mask = ~nonconst
     worst = None
     strict_min = None
@@ -689,28 +668,36 @@ def check_lower_bound_biased(
         value = float(slack.flat[flat])
         if worst is None or value < worst[0]:
             i, j = np.unravel_index(flat, slack.shape)
-            worst = (value, delta, members[int(i)], members[int(j)])
+            worst = (value, delta, int(i), int(j))
         if abs(delta) < 1.0:
             sub = slack[np.ix_(nonconst, nonconst)]
             v = float(sub.min())
             if strict_min is None or v < strict_min[0]:
                 idx = np.unravel_index(int(np.argmin(sub)), sub.shape)
                 keep = np.flatnonzero(nonconst)
-                strict_min = (v, delta, members[int(keep[idx[0]])], members[int(keep[idx[1]])])
+                strict_min = (v, delta, int(keep[idx[0]]), int(keep[idx[1]]))
         if const_mask.any():
             equality_dev = max(equality_dev, float(np.abs(slack[const_mask, :]).max()))
-    value, delta, f, g = worst
+    value, delta, i, j = worst
     margin = min(value, strict_min[0] - STRICT_FLOOR, TOL_EXACT - equality_dev)
+
+    def hex_of(row):
+        return BooleanFunction(n, tables[row]).hex
+
     witness = {
         "kind": "bounded_pair",
         "value": value,
         "n": n,
-        "f": f.hex,
-        "g": g.hex,
+        "f": hex_of(i),
+        "g": hex_of(j),
         "delta": delta,
         "extra": {
             "strict_min_nonconstant_interior": strict_min[0],
-            "strict_witness": {"f": strict_min[2].hex, "g": strict_min[3].hex, "delta": strict_min[1]},
+            "strict_witness": {
+                "f": hex_of(strict_min[2]),
+                "g": hex_of(strict_min[3]),
+                "delta": strict_min[1],
+            },
             "constant_equality_max_dev": equality_dev,
         },
     }
@@ -1018,28 +1005,21 @@ def reevaluate_witness(report: BoundReport) -> float:
     w = report.witness
     kind = w["kind"]
     if kind == "w_triple":
-        fs = _functions_from_payload(w)
-        dst = _dist_from_payload(w["dist"])
-        gswf = Gswf(*fs)
-        if w["method"] == "formula":
-            return w_formula(gswf, dst).w
-        return w_oracle(gswf, dst).w
+        return w_formula(Gswf(*_functions_from_payload(w)), _dist_from_payload(w["dist"])).w
     if kind == "cross_sum_triple":
         fs = _functions_from_payload(w)
         dst = _dist_from_payload(w["dist"])
         res = w_formula(Gswf(*fs), dst)
         return res.w - res.base
-    if kind in ("scaled_biased_pair", "biased_pair", "bounded_pair"):
+    if kind in ("scaled_biased_pair", "bounded_pair"):
         n = w["n"]
         f = BooleanFunction.from_hex(n, w["f"])
         g = BooleanFunction.from_hex(n, w["g"])
         value = biased_inner_product(walsh_transform(f), walsh_transform(g), w["delta"])
         if kind == "scaled_biased_pair":
             return value / w["delta"]
-        if kind == "bounded_pair":
-            p1, p2 = bfn.expectation(f), bfn.expectation(g)
-            return value + min(p1 * p2, (1 - p1) * (1 - p2))
-        return value
+        p1, p2 = bfn.expectation(f), bfn.expectation(g)
+        return value + min(p1 * p2, (1 - p1) * (1 - p2))
     if kind == "covariance_pair":
         n = w["n"]
         f = BooleanFunction.from_hex(n, w["f"])

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output schemas, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -13,8 +14,6 @@ SCHEMA = load_schema()
 
 
 def run_cli(*argv, env_extra=None):
-    import os
-
     env = os.environ.copy()
     if env_extra:
         env.update(env_extra)
@@ -256,6 +255,8 @@ class TestOtherCommands:
             ["rationality", "--preset", "condorcet", "--n", "60", "--uniform"],
             ["rationality", "--preset", "split_dictators", "--n", "60", "--uniform"],
             ["spectrum", "--function", "tribes:60:3"],
+            ["catalog", "list", "--out", os.path.join(os.devnull, "x.json")],
+            ["rationality", "--n", "abc"],
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, capsys):
@@ -265,3 +266,9 @@ class TestOtherCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rationality", "--help"])
+        assert exc.value.code == 0
+        assert "usage: gswf rationality" in capsys.readouterr().out

@@ -29,6 +29,7 @@ from gswf.rationality import (
     w_from_spectra,
     w_monte_carlo,
     w_oracle,
+    w_oracle_batch,
     w_prime,
 )
 from gswf.theorems import pseudo_extremal_spectra
@@ -204,6 +205,14 @@ class TestWFormula:
         with pytest.raises(ValidationError):
             Gswf(dictator(2, 1), dictator(2, 1), dictator(3, 1))
 
+    def test_repeated_function_equals_three_transforms(self, rng):
+        # one transform of a function used three times gives the same bits
+        for m in (majority(5), bfn.random_function(6, rng)):
+            d = random_even(rng)
+            got = w_formula(Gswf(m, m, m), d)
+            spectra = [walsh_transform(BooleanFunction(m.n, m.table)) for _ in range(3)]
+            assert got == w_from_spectra(*spectra, d)
+
 
 class TestWFromSpectra:
     def test_pseudo_extremal_three_eighths(self):
@@ -246,11 +255,46 @@ class TestWOracle:
             w_oracle(gswf, UNIFORM)
 
     def test_batched_path_matches_cached_path(self, rng):
-        # n = 7 runs the streaming branch; n <= 6 runs the cached branch
+        # n = 7: 6^7 profiles, one chunk for a single row
         gswf = Gswf(*(bfn.random_function(7, rng) for _ in range(3)))
         d = random_even(rng)
         got = w_oracle(gswf, d).w
         assert got == pytest.approx(w_formula(gswf, d).w, abs=1e-12)
+
+    def test_batch_rows_match_brute_force(self, rng):
+        p = np.array([0.3, 0.05, 0.15, 0.2, 0.1, 0.2])
+        t = TripleDistribution(p)
+        for n in (1, 2, 3):
+            ft, gt, ht = rng.integers(0, 2, size=(3, 12, 1 << n), dtype=np.uint8)
+            got = w_oracle_batch(ft, gt, ht, t)
+            for r in range(12):
+                expected = brute_force_w(
+                    ft[r].tolist(), gt[r].tolist(), ht[r].tolist(), n, p.tolist()
+                )
+                assert got[r] == pytest.approx(expected, abs=1e-12)
+
+    def test_multi_chunk_stack_matches_w_batch(self, rng):
+        # 1000 rows x 6^4 profiles exceed one chunk of 2^20, so the rows are
+        # split; gathered rows are not C-contiguous, as in the battery
+        n, rows = 4, 1000
+        assert rows * 6**n > 1 << 20
+        pool = rng.integers(0, 2, size=(50, 1 << n), dtype=np.uint8)
+        picks = rng.integers(0, len(pool), size=(3, rows))
+        ft, gt, ht = (pool[p] for p in picks)
+        d = random_even(rng)
+        got = w_oracle_batch(ft, gt, ht, d)
+        expected = w_batch(*(bfn.walsh_coeffs(x) for x in (ft, gt, ht)), d)[0]
+        assert np.max(np.abs(got - expected)) < 1e-12
+        for r in range(0, rows, 97):
+            gswf = Gswf(*(BooleanFunction(n, x[r]) for x in (ft, gt, ht)))
+            assert got[r] == w_oracle(gswf, d).w
+
+    def test_batch_rejects_misaligned_stacks(self):
+        tables = np.zeros((2, 4), dtype=np.uint8)
+        with pytest.raises(ValidationError):
+            w_oracle_batch(tables, tables[:1], tables, UNIFORM)
+        with pytest.raises(ValidationError):
+            w_oracle_batch(*(np.zeros((2, 6), dtype=np.uint8),) * 3, UNIFORM)
 
     def test_formula_agrees_with_oracle_randomized(self, rng):
         for n in (1, 2, 3, 4):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gswf import bfn
+from gswf import bfn, search
 from gswf.catalog import dictator, majority
 from gswf.dist import EvenProductDistribution
 from gswf.errors import CapacityError, ValidationError
@@ -11,6 +11,7 @@ from gswf.rationality import Gswf, w_formula
 from gswf.search import (
     PREDICATES,
     ClassFilter,
+    all_tables,
     class_table,
     enumerate_class,
     extremal_w,
@@ -76,6 +77,15 @@ class TestEnumeration:
 
 
 class TestClassTable:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_all_tables_in_packed_order(self, n):
+        tables = all_tables(n)
+        assert tables.dtype == np.uint8 and tables.shape == (1 << (1 << n), 1 << n)
+        for v in (0, 1, len(tables) // 3, len(tables) - 1):
+            assert np.array_equal(tables[v], bfn.BooleanFunction.from_packed(n, v).table)
+        with pytest.raises(CapacityError):
+            all_tables(search.ENUM_MAX + 1)
+
     FILTERS = [ClassFilter((name,)) for name in PREDICATES] + [
         BAL_MONO,
         ClassFilter(("non_constant",), expectation_range=(0.2, 0.7)),
@@ -159,7 +169,42 @@ class TestExtremal:
             extremal_w(2, BALANCED, BALANCED, BALANCED, UNIFORM, "median_w")
 
 
+def per_trial_balanced_search(n, d, objective, trials, seed):
+    """Random search over balanced triples one trial at a time: each
+    function is a shuffled half-ones table, and exact ties go to the least
+    packed ``(f, g, h)``."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(trials):
+        fs = []
+        for _ in range(3):
+            table = np.zeros(1 << n, dtype=np.uint8)
+            table[: 1 << (n - 1)] = 1
+            rng.shuffle(table)
+            fs.append(bfn.BooleanFunction(n, table))
+        w = w_formula(Gswf(*fs), d).w
+        rank = (-w if objective == "max_w" else w, tuple(f.packed for f in fs))
+        if best is None or rank < best[0]:
+            best = (rank, w, fs)
+    return best[1], [f.hex for f in best[2]]
+
+
 class TestRandomSearch:
+    @pytest.mark.parametrize(
+        "objective, trials, batch",
+        [("max_w", 300, None), ("min_w", 300, None), ("max_w", 301, 64 << 5), ("min_w", 100, 8 << 5)],
+    )
+    def test_sampled_path_matches_per_trial_reference(self, monkeypatch, objective, trials, batch):
+        # n = 5 is above the enumeration ceiling; a small batch splits the
+        # trials into several batches, the last one partial
+        if batch is not None:
+            monkeypatch.setattr(search, "_SAMPLE_BATCH", batch)
+        d = EvenProductDistribution(0.1, 0.15, 0.25)
+        result = random_search(5, (BALANCED,) * 3, d, objective, trials=trials, seed=13)
+        value, witness = per_trial_balanced_search(5, d, objective, trials, 13)
+        assert result.value == value
+        assert [f.hex for f in result.witness] == witness
+
     def test_deterministic_per_seed(self):
         a = random_search(3, (BALANCED,) * 3, UNIFORM, "max_w", trials=500, seed=4)
         b = random_search(3, (BALANCED,) * 3, UNIFORM, "max_w", trials=500, seed=4)

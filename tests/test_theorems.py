@@ -3,11 +3,15 @@ witness re-evaluates."""
 
 import json
 
+import numpy as np
 import pytest
 
+from gswf import bfn
+from gswf.bfn import BooleanFunction
 from gswf.catalog import eta
 from gswf.dist import EvenProductDistribution
 from gswf.errors import HypothesisViolation, ValidationError
+from gswf.rationality import Gswf, w_formula, w_oracle
 from gswf.theorems import (
     CHECKS,
     check_alpha_half_ceiling,
@@ -35,7 +39,56 @@ from gswf.theorems import (
 UNIFORM = EvenProductDistribution.uniform()
 
 
+def per_call_formula_vs_oracle(n_max, trials, dists, seed):
+    """The formula-versus-oracle comparison one triple at a time, drawing
+    from the generator in the same order as the check."""
+    rng = np.random.default_rng(seed)
+    worst, worst_wit = -1.0, None
+    for n in range(1, n_max + 1):
+        distributions = [
+            EvenProductDistribution(*(rng.dirichlet((1.0, 1.0, 1.0)) / 2.0).tolist())
+            for _ in range(dists)
+        ]
+        if n <= 2:
+            pool = [BooleanFunction.from_packed(n, v) for v in range(1 << (1 << n))]
+            triples = [(a, b, c) for a in pool for b in pool for c in pool]
+        else:
+            triples = [
+                tuple(bfn.random_function(n, rng) for _ in range(3)) for _ in range(trials)
+            ]
+        for d in distributions:
+            for fs in triples:
+                diff = abs(w_formula(Gswf(*fs), d).w - w_oracle(Gswf(*fs), d).w)
+                if diff > worst:
+                    worst, worst_wit = diff, (fs, d)
+    (f, g, h), d = worst_wit
+    return {
+        "name": "formula_vs_oracle",
+        "lhs": worst,
+        "rhs": 0.0,
+        "margin": -worst,
+        "tolerance": 1e-12,
+        "passed": worst <= 1e-12,
+        "inverted": False,
+        "witness": {
+            "kind": "w_triple",
+            "value": w_formula(Gswf(f, g, h), d).w,
+            "method": "formula",
+            "dist": {"type": "even", "alpha": d.alpha, "beta": d.beta, "gamma": d.gamma},
+            "n": f.n,
+            "f": f.hex,
+            "g": g.hex,
+            "h": h.hex,
+            "extra": {"worst_abs_diff": worst},
+        },
+    }
+
+
 class TestIndividualChecks:
+    def test_formula_vs_oracle_equals_per_call_loop(self):
+        got = check_formula_vs_oracle(n_max=3, trials=25, dists=5, seed=11).to_json_dict()
+        assert got == per_call_formula_vs_oracle(n_max=3, trials=25, dists=5, seed=11)
+
     def test_formula_vs_oracle_passes(self):
         r = check_formula_vs_oracle(n_max=3, trials=25, dists=5, seed=11)
         assert r.passed and r.lhs <= 1e-12
