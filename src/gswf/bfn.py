@@ -177,14 +177,15 @@ def check_boolean_spectra(coeffs: np.ndarray) -> None:
     mean = np.atleast_1d(coeffs[..., 0])
     gap = np.abs(total - mean) > PARSEVAL_TOL
     if gap.any():
-        r = int(np.argmax(gap))
+        # A boolean mask indexes every leading axis; the first bad spectrum
+        # in C order is reported.
         raise ValidationError(
             "coefficients are not consistent with a Boolean source: "
-            f"sum of squares {float(total[r])!r} != mean {float(mean[r])!r}"
+            f"sum of squares {float(total[gap][0])!r} != mean {float(mean[gap][0])!r}"
         )
     inside = (mean >= -PARSEVAL_TOL) & (mean <= 1.0 + PARSEVAL_TOL)
     if not inside.all():
-        bad = float(mean[int(np.argmin(inside))])
+        bad = float(mean[~inside][0])
         raise ValidationError(f"mean coefficient {bad!r} outside [0, 1]")
 
 
@@ -198,13 +199,27 @@ def _analysis_butterfly(values: np.ndarray, n: int) -> None:
         v[:, 1, :] -= low
 
 
-def _synthesis_butterfly(values: np.ndarray, n: int) -> None:
-    # Inverse of the analysis pass (up to the 2^-n scaling of the analysis).
+def per_voter_pass(values, kernel) -> np.ndarray:
+    """Apply a ``(k, 2)`` matrix to every voter's bit of each table.
+
+    ``values`` is a table of length ``2^n``, or a stack of them along the
+    last axis.  Entry ``d`` of each output row, read as ``n`` base-``k``
+    digits with voter 1 the least significant, is
+    ``sum_x v(x) prod_i kernel[d_i, x_i]``.  One pass per voter; every entry
+    is computed elementwise, so a row comes out the same in any stack.
+    """
+    kern = np.asarray(kernel, dtype=np.float64)
+    if kern.ndim != 2 or kern.shape[1] != 2:
+        raise ValidationError(f"kernel must have shape (k, 2), got {kern.shape}")
+    arr = np.asarray(values, dtype=np.float64)
+    n, k = _arity_of(arr), kern.shape[0]
+    rows = arr.size >> n
+    cur = arr.reshape(rows, 1 << n)
     for i in range(n):
-        v = values.reshape(-1, 2, 1 << i)
-        low = v[:, 0, :].copy()
-        v[:, 0, :] -= v[:, 1, :]
-        v[:, 1, :] += low
+        # Voters below i are already base-k digits; voter i's bit is axis 2.
+        v = cur.reshape(rows, 1 << (n - i - 1), 2, 1, k**i)
+        cur = v[:, :, 0] * kern[:, :1] + v[:, :, 1] * kern[:, 1:]
+    return cur.reshape(*arr.shape[:-1], k**n)
 
 
 def walsh_coeffs(values) -> np.ndarray:
@@ -252,9 +267,7 @@ def walsh_transform_naive(f: BooleanFunction) -> WalshSpectrum:
 
 def inverse_walsh_transform(s: PseudoSpectrum) -> np.ndarray:
     """Pointwise values ``sum_S coeffs[S] r_S(x)`` over all inputs ``x``."""
-    values = s.coeffs.astype(np.float64, copy=True)
-    _synthesis_butterfly(values, s.n)
-    return values
+    return per_voter_pass(s.coeffs, [[1.0, -1.0], [1.0, 1.0]])
 
 
 def evaluate(f: BooleanFunction, x: int) -> int:

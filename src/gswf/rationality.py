@@ -12,9 +12,10 @@ Two independent evaluation paths are provided:
   + <<f,g>>_{4a-1} + <<g,h>>_{4b-1} + <<h,f>>_{4c-1}``,
   valid for even product distributions, where ``<<.,.>>_d`` is the biased
   inner product of spectra and ``p_i`` are the means.
-* ``w_oracle_batch`` enumerates all ``6^n`` admissible profiles and
-  accumulates probability mass directly, for every row of three stacked
-  truth tables; ``w_oracle`` is its one-row view.  It shares no code with
+* ``w_oracle_batch`` sums the probability of every admissible profile
+  exactly, for every row of three stacked truth tables, one voter at a
+  time (the law of a profile is a product of per-voter laws); ``w_oracle``
+  is its one-row view.  It uses no Walsh characters, shares no code with
   the formula path and accepts arbitrary per-voter triple distributions.
 
 A seeded Monte Carlo estimator covers arities beyond the oracle ceiling.
@@ -31,11 +32,12 @@ from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
 from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distribution
 from .errors import CapacityError, ValidationError
 
-#: Largest arity accepted by the exhaustive profile oracle (6^9 ~ 1e7).
+#: Largest arity accepted by the exact oracle.
 ORACLE_MAX = 9
 
-#: Ceiling on rows times profiles held at once by the oracle.
-_ORACLE_BATCH = 1 << 20
+#: Ceiling on the oracle's contracted tables, ``2 rows 4^n`` float64, in
+#: bytes; the process peaks at about 2.5 times this.
+ORACLE_BYTES = 1 << 27
 
 _TRIPLE_BITS = np.array(ADMISSIBLE_TRIPLES, dtype=np.uint8)
 
@@ -158,13 +160,7 @@ def noise_operator_convolution(f: BooleanFunction, eps: float) -> np.ndarray:
         raise ValidationError(f"eps must lie in [-1, 1], got {eps!r}")
     keep = (1.0 + eps) / 2.0
     flip = (1.0 - eps) / 2.0
-    values = f.table.astype(np.float64)
-    for i in range(f.n):
-        v = values.reshape(-1, 2, 1 << i)
-        low = v[:, 0, :].copy()
-        v[:, 0, :] = keep * low + flip * v[:, 1, :]
-        v[:, 1, :] = flip * low + keep * v[:, 1, :]
-    return values
+    return bfn.per_voter_pass(f.table, [[keep, flip], [flip, keep]])
 
 
 def _base_term(p1: float, p2: float, p3: float) -> float:
@@ -220,21 +216,14 @@ def w_from_spectra(
     )
 
 
-def _irrational_indicator(
-    ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, xm, ym, zm
-) -> np.ndarray:
-    # Along the last axis, so a stack of tables gives one row per table.
-    a, b, c = ft[..., xm], gt[..., ym], ht[..., zm]
-    return (a & b & c) | ((1 - a) & (1 - b) & (1 - c))
-
-
 def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndarray:
-    """Exact ``W`` per row of three row-aligned ``uint8`` truth-table stacks,
-    by enumerating all ``6^n`` admissible profiles.
+    """Exact ``W`` per row of three row-aligned ``uint8`` truth-table stacks.
 
     Accepts any per-voter triple distribution (not only even product ones)
-    and shares no code path with :func:`w_formula`.  Rows times profiles
-    per chunk stay at most ``2^20``; each row sums its chunks in order.
+    and shares no code path with :func:`w_formula`.  With the per-voter
+    kernel ``K[2x+y, z] = p(x, y, z)`` (0 at the two cyclic corners), one
+    pass over ``[h, 1-h]`` gives ``m[(x, y)] = sum_z h(z) P(x, y, z)`` and
+    its complement, and ``W = sum f(x) g(y) m + (1-f)(1-g) m'``.
     """
     t = as_triple_distribution(t)
     if not (np.ndim(ft) == 2 and np.shape(ft) == np.shape(gt) == np.shape(ht)):
@@ -248,33 +237,22 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
         raise ValidationError(f"table length {size} is not a power of two")
     if n > ORACLE_MAX:
         raise CapacityError(
-            f"oracle enumerates 6^n profiles and is limited to n <= {ORACLE_MAX}; "
+            f"oracle contracts 4^n (x, y) inputs and is limited to n <= {ORACLE_MAX}; "
             "use w_monte_carlo for larger arities"
         )
-    total = 6**n
-    span = min(total, _ORACLE_BATCH)
-    row_step = max(1, _ORACLE_BATCH // span)
-    bits = _TRIPLE_BITS.T.astype(np.int32)  # x, y and z bit per triple
-    acc = np.zeros(rows, dtype=np.float64)
-    for start in range(0, total, span):
-        idx = np.arange(start, min(start + span, total), dtype=np.int64)
-        prob = np.ones(idx.size, dtype=np.float64)
-        xm, ym, zm = masks = np.zeros((3, idx.size), dtype=np.int32)
-        for i in range(n):
-            d = (idx % 6).astype(np.uint8)
-            idx //= 6
-            prob *= t.p[d]
-            for m, b in zip(masks, bits):
-                m |= b[d] << i
-        for r0 in range(0, rows, row_step):
-            r1 = min(r0 + row_step, rows)
-            irr = _irrational_indicator(ft[r0:r1], gt[r0:r1], ht[r0:r1], xm, ym, zm)
-            # One dot product per contiguous row: a matrix-vector product, or
-            # a strided row, rounds differently from the single-row sum.
-            irr = irr.astype(np.float64, order="C")
-            for r in range(r1 - r0):
-                acc[r0 + r] += prob @ irr[r]
-    return acc
+    if 2 * rows * 4**n * 8 > ORACLE_BYTES:
+        raise CapacityError(
+            f"oracle tables for {rows} rows at n={n} would exceed {ORACLE_BYTES >> 20} MiB"
+        )
+    x, y, z = _TRIPLE_BITS.T
+    kernel = np.zeros((4, 2))
+    kernel[2 * x + y, z] = t.p
+    m = bfn.per_voter_pass(np.concatenate([ht, 1 - ht]), kernel)
+    # Voter i is digit 2x_i + y_i of m: f spreads over the x bits, g over y.
+    fx, gy = ft.reshape(rows, *(2, 1) * n), gt.reshape(rows, *(1, 2) * n)
+    agree = np.concatenate([fx & gy, (1 - fx) & (1 - gy)]).reshape(2 * rows, -1)
+    w = (m * agree).sum(axis=-1)
+    return w[:rows] + w[rows:]
 
 
 def w_oracle(gswf: Gswf, t) -> WResult:
@@ -303,7 +281,8 @@ def w_monte_carlo(gswf: Gswf, t, samples: int, seed: int) -> WResult:
         xm = (trip[:, :, 0] << shifts).sum(axis=1)
         ym = (trip[:, :, 1] << shifts).sum(axis=1)
         zm = (trip[:, :, 2] << shifts).sum(axis=1)
-        hits += int(_irrational_indicator(ft, gt, ht, xm, ym, zm).sum())
+        a, b, c = ft[xm], gt[ym], ht[zm]
+        hits += int(((a & b & c) | ((1 - a) & (1 - b) & (1 - c))).sum())
         done += m
     w = hits / samples
     p1, p2, p3 = (bfn.expectation(fn) for fn in gswf.functions)

@@ -651,8 +651,9 @@ def check_lower_bound_biased(
     noisy average no longer mixes and disjoint-support pairs reach equality
     (e.g. the indicators of ``x = 0`` and ``x = all-ones`` at delta 1).
     """
-    if n > 4:
-        raise ValidationError("exhaustive pair scan is limited to n <= 4")
+    if n > 3:
+        # n = 4 already means 65536^2 pairs: a 32 GiB floor matrix.
+        raise ValidationError("exhaustive pair scan is limited to n <= 3")
     tables = all_tables(n)
     S = bfn.walsh_coeffs(tables)
     p = S[:, 0]

@@ -146,6 +146,32 @@ class TestTransform:
         assert np.max(np.abs(inverse_walsh_transform(s) - table)) < 1e-12
         assert abs(float(np.sum(s.coeffs**2)) - expectation(f)) < 1e-12
 
+    def test_per_voter_pass_is_the_analysis_butterfly(self, rng):
+        for n in range(1, 11):
+            tables = rng.integers(0, 2, size=(7, 1 << n)).astype(np.float64)
+            got = bfn.per_voter_pass(tables, [[1.0, 1.0], [-1.0, 1.0]]) / float(1 << n)
+            assert np.array_equal(got, bfn.walsh_coeffs(tables))
+
+    def test_per_voter_pass_digit_order(self):
+        # a 3x2 kernel on two voters: output digit d_1 + 3 d_2, voter 1 lowest
+        kernel = np.array([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])
+        values = np.array([1.0, 10.0, 100.0, 1000.0])
+        got = bfn.per_voter_pass(values, kernel)
+        for d1 in range(3):
+            for d2 in range(3):
+                expect = sum(
+                    values[x] * kernel[d1, x & 1] * kernel[d2, x >> 1] for x in range(4)
+                )
+                assert got[d1 + 3 * d2] == expect
+        with pytest.raises(ValidationError):
+            bfn.per_voter_pass(values, np.ones((2, 3)))
+
+    def test_boolean_check_on_a_stack_with_two_leading_axes(self, rng):
+        spectra = bfn.walsh_coeffs(rng.integers(0, 2, size=(3, 2, 4)))
+        spectra[2, 1] = [0.25, 0.5, 0.0, 0.0]
+        with pytest.raises(ValidationError, match=r"sum of squares 0\.3125 != mean 0\.25"):
+            bfn.check_boolean_spectra(spectra)
+
     def test_walsh_spectrum_rejects_non_boolean_consistency(self):
         with pytest.raises(ValidationError):
             WalshSpectrum(2, [0.5, 0.5, 0.5, 0.5])

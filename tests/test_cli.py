@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: output schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,17 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gswf import catalog
 from gswf.cli import load_schema, main
+from gswf.theorems import CHECKS
 
 SCHEMA = load_schema()
+# Checked once here; jsonschema.validate would re-check the schema per call.
+VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+VALIDATOR.check_schema(SCHEMA)
 
 
 def run_cli(*argv, env_extra=None):
@@ -28,7 +37,7 @@ def run_cli(*argv, env_extra=None):
 
 def validated_json(text):
     payload = json.loads(text)
-    jsonschema.validate(payload, SCHEMA)
+    VALIDATOR.validate(payload)
     return payload
 
 
@@ -272,3 +281,110 @@ class TestOtherCommands:
             main(["rationality", "--help"])
         assert exc.value.code == 0
         assert "usage: gswf rationality" in capsys.readouterr().out
+
+
+# Fast argv pieces: arities up to 9 and small sample and trial counts.  Half
+# the argvs are drawn from the good values only; the rest mix in bad values
+# and a stray token, so that every exit path is reached.
+_GOOD = {
+    "n": ["1", "2", "3", "5", "7", "9"],
+    "count": ["1", "40", "400"],
+    "seed": ["0", "3"],
+    "float": ["0", "1e-3", "0.1", "0.2", "0.25", "0.5"],
+    "spec": ["maj:3", "dict:3:2", "thr:3:2", "and:3", "or:3", "parity:3", "tribes:3:2",
+             "const:3:1", "hex:3:e8", "hex:3:96"],
+    "class": ["balanced", "monotone", "self_dual", "cyclic_invariant", "non_constant",
+              "balanced,monotone", "expectation:0.2:0.8"],
+    "method": ["formula", "oracle", "both", "monte-carlo"],
+    "check": sorted(CHECKS),
+}
+_BAD = {
+    "n": ["-1", "0", "4", "abc", "2.5", ""],
+    "count": ["-1", "0", "x"],
+    "seed": ["-1", "x"],
+    "float": ["-0.2", "1/6", "nan", "inf"],
+    "spec": ["maj:4", "dict:3:9", "tribes:5:0", "hex:2:zz", "hex:1:7", "bogus:3", "maj"],
+    "class": ["expectation:0.9:0.1", "nope", ""],
+    "method": ["exact"],
+    "check": ["bogus"],
+}
+
+
+@st.composite
+def _argv(draw):
+    valid = draw(st.booleans())
+
+    def pick(kind):
+        return draw(st.sampled_from(_GOOD[kind] + ([] if valid else _BAD[kind])))
+
+    def dist_flags():
+        kind = draw(st.sampled_from(["none", "uniform", "abc", "triples", "two"][: 4 + (not valid)]))
+        if kind == "uniform":
+            return ["--uniform"]
+        if kind == "abc":
+            abc = [("0.25", "0.125", "0.125"), ("0.5", "0", "0"), ("0.1", "0.2", "0.2")]
+            if not valid:
+                abc.append(tuple(pick("float") for _ in range(3)))
+            a, b, c = draw(st.sampled_from(abc))
+            return ["--alpha", a, "--beta", b, "--gamma", c]
+        if kind == "triples":
+            six = ["0.3,0.1,0.1,0.2,0.2,0.1", "0,0,0,0.5,0.5,0", "1,0,0,0,0,0"]
+            if not valid:
+                six.append(",".join(pick("float") for _ in range(draw(st.integers(5, 7)))))
+            return ["--triples", draw(st.sampled_from(six))]
+        if kind == "two":
+            return ["--uniform", "--alpha", "0.5"]
+        return []
+
+    command = draw(st.sampled_from(
+        ["rationality", "simulate", "spectrum", "search", "verify", "catalog"]
+    ))
+    argv = [command]
+    if command in ("rationality", "simulate"):
+        if draw(st.booleans()):
+            argv += ["--preset", draw(st.sampled_from(catalog.PRESET_NAMES)), "--n", pick("n")]
+            argv += ["--q", pick("float")] if draw(st.booleans()) else []
+            argv += ["--voter", pick("n")] if draw(st.booleans()) else []
+        else:
+            argv += ["--f", pick("spec"), "--g", pick("spec"), "--h", pick("spec")]
+        argv += dist_flags()
+        if command == "rationality":
+            argv += ["--method", pick("method")]
+        argv += ["--samples", pick("count"), "--seed", pick("seed")]
+    elif command == "spectrum":
+        argv += ["--function", pick("spec")]
+        argv += ["--full-coeffs"] if draw(st.booleans()) else []
+    elif command == "search":
+        mode = draw(st.sampled_from(["exhaustive", "random"]))
+        argv += ["--n", draw(st.sampled_from(["1", "2", "3"]))]
+        for flag in ("--class-f", "--class-g", "--class-h"):
+            argv += [flag, pick("class")]
+        argv += ["--objective", draw(st.sampled_from(["min_w", "max_w"]))]
+        argv += ["--mode", mode, "--trials", pick("count"), "--seed", pick("seed")]
+        argv += dist_flags()
+        argv += ["--exclude-dictators"] if draw(st.booleans()) else []
+    elif command == "verify":
+        argv += ["--check", pick("check")] if draw(st.booleans()) or valid else []
+        argv += ["--seed", pick("seed")]
+    else:
+        argv.append("list")
+    if not valid and draw(st.booleans()):  # one stray token after the command
+        junk = draw(st.sampled_from(["--n", "--bogus", "x", "-1", "--seed", "--uniform"]))
+        argv.insert(draw(st.integers(1, len(argv))), junk)
+    return argv
+
+
+class TestArgvProperty:
+    @given(_argv())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_every_argv_is_json_or_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        if rc in (0, 1):
+            validated_json(out.getvalue())
+        else:
+            assert rc == 2
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")

@@ -1,5 +1,6 @@
 """Biased inner products, noise averaging, and the W computations."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gswf import bfn
+from gswf import bfn, rationality
 from gswf.bfn import (
     BooleanFunction,
     PseudoSpectrum,
@@ -18,6 +19,8 @@ from gswf.catalog import conjunction, dictator, disjunction, majority, preset_gs
 from gswf.dist import EvenProductDistribution, TripleDistribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import (
+    ORACLE_BYTES,
+    ORACLE_MAX,
     Gswf,
     WResult,
     biased_inner_product,
@@ -255,7 +258,7 @@ class TestWOracle:
             w_oracle(gswf, UNIFORM)
 
     def test_batched_path_matches_cached_path(self, rng):
-        # n = 7: 6^7 profiles, one chunk for a single row
+        # n = 7: a single row contracted over 4^7 (x, y) inputs
         gswf = Gswf(*(bfn.random_function(7, rng) for _ in range(3)))
         d = random_even(rng)
         got = w_oracle(gswf, d).w
@@ -274,8 +277,8 @@ class TestWOracle:
                 assert got[r] == pytest.approx(expected, abs=1e-12)
 
     def test_multi_chunk_stack_matches_w_batch(self, rng):
-        # 1000 rows x 6^4 profiles exceed one chunk of 2^20, so the rows are
-        # split; gathered rows are not C-contiguous, as in the battery
+        # 1000 rows x 6^4 profiles, more than the old 2^20 chunk held; the
+        # rows are contracted as one stack and gathered, as in the battery
         n, rows = 4, 1000
         assert rows * 6**n > 1 << 20
         pool = rng.integers(0, 2, size=(50, 1 << n), dtype=np.uint8)
@@ -288,6 +291,50 @@ class TestWOracle:
         for r in range(0, rows, 97):
             gswf = Gswf(*(BooleanFunction(n, x[r]) for x in (ft, gt, ht)))
             assert got[r] == w_oracle(gswf, d).w
+
+    def test_batch_rows_match_brute_force_n4(self, rng):
+        p = np.array([0.05, 0.25, 0.1, 0.3, 0.2, 0.1])
+        ft, gt, ht = rng.integers(0, 2, size=(3, 4, 16), dtype=np.uint8)
+        got = w_oracle_batch(ft, gt, ht, TripleDistribution(p))
+        for r in range(4):
+            expected = brute_force_w(
+                ft[r].tolist(), gt[r].tolist(), ht[r].tolist(), 4, p.tolist()
+            )
+            assert abs(got[r] - expected) < 1e-12
+
+    def test_oracle_needs_no_spectral_code(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not use the formula's code")
+
+        for owner, name in (
+            (bfn, "walsh_coeffs"),
+            (bfn, "_analysis_butterfly"),
+            (bfn, "walsh_transform"),
+            (rationality, "w_batch"),
+            (rationality, "walsh_transform"),
+        ):
+            monkeypatch.setattr(owner, name, refuse)
+        p = np.array([0.3, 0.05, 0.15, 0.2, 0.1, 0.2])
+        ft, gt, ht = rng.integers(0, 2, size=(3, 5, 8), dtype=np.uint8)
+        got = w_oracle_batch(ft, gt, ht, TripleDistribution(p))
+        for r in range(5):
+            expected = brute_force_w(
+                ft[r].tolist(), gt[r].tolist(), ht[r].tolist(), 3, p.tolist()
+            )
+            assert abs(got[r] - expected) < 1e-12
+
+    def test_byte_ceiling_fires_before_allocating(self):
+        n = ORACLE_MAX
+        rows = ORACLE_BYTES // (2 * 4**n * 8) + 1
+        tables = np.zeros((rows, 1 << n), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="MiB"):
+                w_oracle_batch(tables, tables, tables, UNIFORM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_batch_rejects_misaligned_stacks(self):
         tables = np.zeros((2, 4), dtype=np.uint8)

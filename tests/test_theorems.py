@@ -2,6 +2,7 @@
 witness re-evaluates."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,18 @@ class TestIndividualChecks:
         extra = r.witness["extra"]
         assert extra["strict_min_nonconstant_interior"] > 0
         assert extra["constant_equality_max_dev"] <= 1e-12
+
+    def test_lower_bound_biased_refuses_n4_before_allocating(self):
+        # n = 4 would need a 65536 x 65536 floor matrix (32 GiB)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="n <= 3"):
+                check_lower_bound_biased(n=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert check_lower_bound_biased(n=3).passed
 
     def test_arrow_sum_condition(self):
         r = check_arrow_sum_condition(n=2)
