@@ -235,13 +235,81 @@ def walsh_coeffs(values) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _krawtchouk(n: int) -> np.ndarray:
+    # Entry [k, w] = sum_j C(k, j) C(n-k, w-j) (-1)^(k-j), the coefficient of
+    # t^w in (t - 1)^k (1 + t)^(n-k): the sum of r_S over the inputs of
+    # weight w, for any |S| = k.  Every row sums to at most 2^n in absolute
+    # value, so int64 is exact up to N_MAX.
+    rows = []
+    for k in range(n + 1):
+        poly = np.ones(1, dtype=np.int64)
+        for factor in [(-1, 1)] * k + [(1, 1)] * (n - k):
+            poly = np.convolve(poly, np.array(factor, dtype=np.int64))
+        rows.append(poly)
+    return _frozen(np.array(rows))
+
+
+#: Entries compared before a full comparison, so that a random table is
+#: told apart from a structured one in a few tiny checks.
+_PREFIX = 64
+
+
+def _weight_profile(table: np.ndarray, n: int) -> np.ndarray | None:
+    # F[w] = f(1^w 0^(n-w)) if f depends only on the input weight, else None.
+    profile = table[(1 << np.arange(n + 1)) - 1]
+    levels = mask_levels(n)
+    if np.array_equal(profile[levels[:_PREFIX]], table[:_PREFIX]) and np.array_equal(
+        profile[levels], table
+    ):
+        return profile
+    return None
+
+
+def _relevant_voters(table: np.ndarray, n: int) -> list[int]:
+    # Voter i matters iff the halves of some block at stride 2^i differ.
+    relevant = []
+    for i in range(n):
+        v = table.reshape(-1, 2, 1 << i)
+        head = v[: max(1, _PREFIX >> i), :, :_PREFIX]
+        if not np.array_equal(head[:, 0], head[:, 1]) or not np.array_equal(v[:, 0], v[:, 1]):
+            relevant.append(i)
+    return relevant
+
+
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Spectrum of ``f``: ``coeffs[S] = 2^-n sum_x f(x) r_S(x)``.
 
-    Computed by the in-place butterfly in ``O(n 2^n)``; agrees with the
-    quadratic summation of :func:`walsh_transform_naive`.
+    The structure is read off the table, in this order:
+
+    * symmetric ``f`` (constants included): the ``n + 1`` level
+      coefficients are one exact integer Krawtchouk product, gathered by
+      level;
+    * ``f`` depending only on the voters in ``J``, ``|J| < n``: the
+      butterfly runs on the ``2^|J|`` restriction and is scattered onto the
+      subsets of ``J``, every other coefficient being 0;
+    * otherwise the in-place butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
+
+    Every path is bit-identical to ``walsh_coeffs(f.table)``: all partial
+    sums are integers of at most ``2^n`` and each path scales once by a
+    power of two.  It agrees with :func:`walsh_transform_naive`.
     """
-    return WalshSpectrum(f.n, walsh_coeffs(f.table))
+    n, table = f.n, f.table
+    profile = _weight_profile(table, n)
+    if profile is not None:
+        level_coeffs = (_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n)
+        return WalshSpectrum(n, level_coeffs[mask_levels(n)])
+    relevant = _relevant_voters(table, n)
+    if len(relevant) == n:
+        return WalshSpectrum(n, walsh_coeffs(table))
+    # A constant is symmetric, so here 1 <= |J| < n.  The masks inside J
+    # index both the restricted inputs and the subsets S of J.
+    inside = np.zeros(1, dtype=np.int64)
+    for i in relevant:
+        inside = np.concatenate([inside, inside | (1 << i)])
+    coeffs = np.zeros(1 << n)
+    coeffs[inside] = walsh_coeffs(table[inside])
+    return WalshSpectrum(n, coeffs)
 
 
 def character_table(n: int) -> np.ndarray:

@@ -115,12 +115,13 @@ def _delta_mask_weights(n: int, delta: float) -> np.ndarray:
     return weights
 
 
-def _biased_rows(a: np.ndarray, b: np.ndarray, delta: float) -> np.ndarray:
-    # <<a, b>>_delta for each pair of rows along the last axis.  The weights
-    # broadcast over the rows, so they are applied in place: one product
-    # array is alive at a time, whatever the stack's shape.
+def _biased_rows(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # <<a, b>>_delta for each pair of rows along the last axis, given the
+    # delta's mask weights.  They broadcast over the rows, so they are
+    # applied in place: one product array is alive at a time, whatever the
+    # stack's shape.
     prod = a * b
-    prod *= _delta_mask_weights(a.shape[-1].bit_length() - 1, delta)
+    prod *= weights
     return prod.sum(axis=-1)
 
 
@@ -130,7 +131,7 @@ def biased_inner_product(sf: PseudoSpectrum, sg: PseudoSpectrum, delta: float) -
         raise ValidationError(f"arities differ: {sf.n} != {sg.n}")
     if not -1.0 <= delta <= 1.0:
         raise ValidationError(f"delta must lie in [-1, 1], got {delta!r}")
-    return float(_biased_rows(sf.coeffs, sg.coeffs, delta))
+    return float(_biased_rows(sf.coeffs, sg.coeffs, _delta_mask_weights(sf.n, delta)))
 
 
 def pair_matrix(sa: np.ndarray, sb: np.ndarray, delta: float) -> np.ndarray:
@@ -176,11 +177,18 @@ def w_batch(sf: np.ndarray, sg: np.ndarray, sh: np.ndarray, d: EvenProductDistri
     ``((base + cross[0]) + cross[1]) + cross[2]``.
     """
     base = _base_term(sf[..., 0], sg[..., 0], sh[..., 0])
-    cross = tuple(
-        _biased_rows(a, b, delta)
-        for (a, b), delta in zip(((sf, sg), (sg, sh), (sh, sf)), d.deltas)
-    )
-    return base + cross[0] + cross[1] + cross[2], base, cross
+    n = sf.shape[-1].bit_length() - 1
+    pairs = ((sf, sg), (sg, sh), (sh, sf))
+    cross = [None] * 3
+    # One weight vector per distinct delta (all three are equal under the
+    # uniform law), alive only while its cross terms are summed.
+    for delta in dict.fromkeys(d.deltas):
+        weights = _delta_mask_weights(n, delta)
+        for c, (a, b) in enumerate(pairs):
+            if d.deltas[c] == delta:
+                cross[c] = _biased_rows(a, b, weights)
+        del weights
+    return base + cross[0] + cross[1] + cross[2], base, tuple(cross)
 
 
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,8 +160,32 @@ def all_tables(n: int) -> np.ndarray:
     )
 
 
+class ClassMembers(Sequence):
+    """A read-only stack of truth tables seen as a sequence of functions.
+
+    ``tables`` is the ``uint8`` stack; a :class:`BooleanFunction` is built
+    only for a row that is indexed, so a large class costs no objects.
+    """
+
+    def __init__(self, n: int, tables: np.ndarray) -> None:
+        self.n = n
+        self.tables = tables
+        tables.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def __getitem__(self, i) -> BooleanFunction:
+        return BooleanFunction(self.n, self.tables[i])
+
+    def find(self, table) -> int | None:
+        """Index of the row equal to ``table``, or None."""
+        rows = np.flatnonzero(np.all(self.tables == table, axis=-1))
+        return int(rows[0]) if rows.size else None
+
+
 @functools.lru_cache(maxsize=64)
-def class_table(n: int, filt: ClassFilter) -> tuple[tuple[BooleanFunction, ...], np.ndarray]:
+def class_table(n: int, filt: ClassFilter) -> tuple[ClassMembers, np.ndarray]:
     """Members of a class in ascending truth-table order, with their spectra.
 
     The rows of :func:`all_tables` are filtered as one stack, and only the
@@ -172,7 +197,7 @@ def class_table(n: int, filt: ClassFilter) -> tuple[tuple[BooleanFunction, ...],
     spectra = bfn.walsh_coeffs(tables)
     bfn.check_boolean_spectra(spectra)
     spectra.setflags(write=False)
-    return tuple(BooleanFunction(n, t) for t in tables), spectra
+    return ClassMembers(n, tables), spectra
 
 
 def enumerate_class(n: int, filt: ClassFilter):
@@ -222,14 +247,11 @@ def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
     return best[0], best[1], considered
 
 
-def _is_pm_dictator(f: BooleanFunction) -> bool:
-    table = f.table
-    x = np.arange(1 << f.n, dtype=np.int64)
-    for i in range(f.n):
-        bit = ((x >> i) & 1).astype(np.uint8)
-        if np.array_equal(table, bit) or np.array_equal(table, 1 - bit):
-            return True
-    return False
+def _pm_dictator_tables(n: int) -> np.ndarray:
+    # The n dictators, then the n negated dictators, as one table stack.
+    x = np.arange(1 << n, dtype=np.int64)
+    bits = ((x >> np.arange(n)[:, None]) & 1).astype(np.uint8)
+    return np.concatenate([bits, 1 - bits])
 
 
 def extremal_w(
@@ -266,15 +288,18 @@ def extremal_w(
     planes = pair_matrix(sf, sg, d1), pair_matrix(sg, sh, d2), pair_matrix(sh, sf, d3)
     allowed = None
     if exclude_dictator_triples:
-        g_index = {f: j for j, f in enumerate(G)}
-        h_index = {f: k for k, f in enumerate(H)}
+        # Row of F -> (row of G, row of H) for each dictator in all three.
+        skip = {}
+        for table in _pm_dictator_tables(n):
+            i, j, k = (members.find(table) for members in (F, G, H))
+            if None not in (i, j, k):
+                skip[i] = (j, k)
 
         def allowed(i):
-            j, k = g_index.get(F[i]), h_index.get(F[i])
-            if j is None or k is None or not _is_pm_dictator(F[i]):
+            if i not in skip:
                 return None
             mask = np.ones((len(G), len(H)), dtype=bool)
-            mask[j, k] = False
+            mask[skip[i]] = False
             return mask
 
     value, (i, j, k), _ = scan_planes(

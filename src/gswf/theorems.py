@@ -318,6 +318,7 @@ def check_fkg(n: int = 3, trials: int = 400, seed: int = _DEFAULT_SEED) -> Bound
         idx = rng.integers(0, len(members), size=(trials, 2))
         pairs = [(members[int(a)], members[int(b)]) for a, b in idx]
     else:
+        members = list(members)
         pairs = [(f, g) for f in members for g in members]
     scale = float(1 << n)
     worst = None

@@ -25,7 +25,16 @@ from gswf.bfn import (
     walsh_transform,
     walsh_transform_naive,
 )
-from gswf.catalog import conjunction, dictator, disjunction, majority, parity, threshold
+from gswf.catalog import (
+    conjunction,
+    constant,
+    dictator,
+    disjunction,
+    majority,
+    parity,
+    threshold,
+    tribes,
+)
 from gswf.errors import CapacityError, ValidationError
 
 from conftest import fraction_spectrum
@@ -177,6 +186,99 @@ class TestTransform:
             WalshSpectrum(2, [0.5, 0.5, 0.5, 0.5])
         # the same numbers are fine as an unconstrained coefficient vector
         PseudoSpectrum(2, [0.5, 0.5, 0.5, 0.5])
+
+
+def assert_spectrum_bytes(f):
+    # walsh_transform's structured paths must reproduce the butterfly exactly.
+    got = walsh_transform(f).coeffs
+    assert got.tobytes() == bfn.walsh_coeffs(f.table).tobytes()
+
+
+def random_junta(n, voters, rng):
+    # A random table on len(voters) inputs, read off those voters of x.
+    inner = rng.integers(0, 2, size=1 << len(voters), dtype=np.uint8)
+    x = np.arange(1 << n)
+    y = sum(((x >> v) & 1) << b for b, v in enumerate(voters))
+    return BooleanFunction(n, inner[y])
+
+
+@pytest.fixture
+def butterfly_lengths(monkeypatch):
+    # Record the length of every array the dense butterfly transforms.
+    lengths = []
+    dense = bfn._analysis_butterfly
+
+    def recording(values, n):
+        lengths.append(values.size)
+        dense(values, n)
+
+    monkeypatch.setattr(bfn, "_analysis_butterfly", recording)
+    return lengths
+
+
+class TestStructuredSpectra:
+    def test_catalog_families_are_bit_identical(self):
+        for n in range(1, 13):
+            family = [threshold(n, k) for k in range(n + 2)]
+            family += [dual(f) for f in family]
+            family += [parity(n), conjunction(n), disjunction(n)]
+            family += [dictator(n, v) for v in range(1, n + 1)]
+            family += [tribes(n, size) for size in range(1, n + 1)]
+            if n % 2:
+                family.append(majority(n))
+            for f in family:
+                assert_spectrum_bytes(f)
+
+    def test_constants(self, butterfly_lengths):
+        for n in range(1, 13):
+            for bit in (0, 1):
+                f = constant(n, bit)
+                assert_spectrum_bytes(f)
+                coeffs = walsh_transform(f).coeffs
+                assert coeffs[0] == bit and not coeffs[1:].any()
+        # only the reference walsh_coeffs reached the butterfly
+        assert butterfly_lengths == [1 << n for n in range(1, 13) for _ in range(2)]
+
+    def test_random_juntas(self, rng):
+        for n in range(1, 13):
+            for size in range(1, min(4, n) + 1):
+                for _ in range(4):
+                    voters = sorted(rng.choice(n, size=size, replace=False).tolist())
+                    assert_spectrum_bytes(random_junta(n, voters, rng))
+
+    def test_flipped_symmetric_table_takes_the_dense_path(self, rng, butterfly_lengths):
+        # One entry of weight 2..n-2 flipped: every voter still matters and
+        # the weight profile no longer describes the table.  A constant
+        # profile gives a point function, whose one entry may lie past any
+        # short prefix.
+        for n in range(4, 13):
+            for profile in (
+                rng.integers(0, 2, size=n + 1, dtype=np.uint8),
+                np.zeros(n + 1, dtype=np.uint8),
+                np.ones(n + 1, dtype=np.uint8),
+            ):
+                table = profile[bfn.mask_levels(n)].copy()
+                weight = int(rng.integers(2, n - 1))
+                x = int(rng.choice(np.flatnonzero(bfn.mask_levels(n) == weight)))
+                table[x] ^= 1
+                butterfly_lengths.clear()
+                assert_spectrum_bytes(BooleanFunction(n, table))
+                assert butterfly_lengths == [1 << n, 1 << n]
+
+    def test_random_tables(self, rng):
+        for n in range(1, 13):
+            for _ in range(6):
+                assert_spectrum_bytes(bfn.random_function(n, rng))
+
+    def test_fast_paths_skip_the_full_butterfly(self, butterfly_lengths):
+        assert_spectrum_bytes(majority(21))
+        assert_spectrum_bytes(dictator(20, 7))
+        # walsh_transform ran first each time; the rest is the reference
+        assert butterfly_lengths == [1 << 21, 2, 1 << 20]
+        butterfly_lengths.clear()
+        walsh_transform(majority(21))
+        walsh_transform(dictator(20, 7))
+        assert butterfly_lengths == [2]
 
 
 class TestDerivedQuantities:

@@ -113,6 +113,27 @@ class TestClassTable:
         assert np.array_equal(spectra, np.stack([bfn.walsh_transform(f).coeffs for f in members]))
         assert not spectra.flags.writeable
 
+    def test_members_are_built_only_when_indexed(self, monkeypatch):
+        built = []
+
+        class Counting(bfn.BooleanFunction):
+            __slots__ = ()
+
+            def __init__(self, n, table):
+                built.append(n)
+                super().__init__(n, table)
+
+        monkeypatch.setattr(search, "BooleanFunction", Counting)
+        members, _ = class_table(4, NON_CONST)
+        assert len(members) == 65534 and built == []
+        # row i is the packed table i + 1: only the all-zero table is missing
+        assert members[5] == bfn.BooleanFunction.from_packed(4, 6)
+        assert [members[-2].packed, members[-1].packed] == [0xFFFD, 0xFFFE]
+        assert built == [4, 4, 4]
+        assert members.find(dictator(4, 2).table) == 0xCCCC - 1
+        assert members.find(np.zeros(16, dtype=np.uint8)) is None
+        assert not members.tables.flags.writeable
+
 
 class TestExtremal:
     def test_balanced_monotone_max_is_quarter_at_split_dictators(self):
