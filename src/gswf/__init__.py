@@ -44,7 +44,7 @@ from .rationality import (
     w_oracle,
     w_prime,
 )
-from .search import ClassFilter, ExtremalResult, enumerate_class, extremal_w, random_search
+from .search import ClassFilter, ExtremalResult, extremal_w, random_search
 from .theorems import BoundReport, run_all, suite_passed, w_prime_first_level_bound
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "biased_inner_product",
     "binary_entropy",
     "dual",
-    "enumerate_class",
     "eta",
     "evaluate",
     "expectation",

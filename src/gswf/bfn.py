@@ -20,11 +20,9 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-DEFAULT_N_MAX = 24
-
 #: Largest supported arity.  A dense spectrum at the default ceiling is
 #: ``2**24`` float64 coefficients (128 MiB); raise with care.
-N_MAX = DEFAULT_N_MAX
+N_MAX = 24
 
 #: Absolute tolerance for the sum-of-squares consistency check on spectra of
 #: Boolean functions (``sum f_hat(S)^2 == f_hat(empty)``).
@@ -135,6 +133,8 @@ class PseudoSpectrum:
     """A vector of signed-character coefficients with no Booleanity constraint.
 
     ``coeffs[mask]`` is the coefficient of ``r_S`` for the subset mask.
+    An input that is writable, or a view of another array, is copied; a
+    read-only array that owns its data is kept as it is.
     """
 
     n: int
@@ -142,7 +142,9 @@ class PseudoSpectrum:
 
     def __post_init__(self) -> None:
         check_arity(self.n)
-        arr = np.asarray(self.coeffs, dtype=np.float64).copy()
+        arr = np.asarray(self.coeffs, dtype=np.float64)
+        if arr.flags.writeable or not arr.flags.owndata:
+            arr = arr.copy()
         if arr.ndim != 1 or arr.size != 1 << self.n:
             raise ValidationError(
                 f"coefficient vector must have length 2**{self.n}, got {arr.shape}"
@@ -173,7 +175,7 @@ def check_boolean_spectra(coeffs: np.ndarray) -> None:
     For a 0/1-valued source the sum of squared coefficients equals the
     empty-set coefficient, which lies in ``[0, 1]``.
     """
-    total = np.atleast_1d(np.sum(coeffs * coeffs, axis=-1))
+    total = np.atleast_1d(np.einsum("...i,...i->...", coeffs, coeffs))
     mean = np.atleast_1d(coeffs[..., 0])
     gap = np.abs(total - mean) > PARSEVAL_TOL
     if gap.any():
@@ -298,10 +300,10 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     profile = _weight_profile(table, n)
     if profile is not None:
         level_coeffs = (_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n)
-        return WalshSpectrum(n, level_coeffs[mask_levels(n)])
+        return WalshSpectrum(n, _frozen(level_coeffs[mask_levels(n)]))
     relevant = _relevant_voters(table, n)
     if len(relevant) == n:
-        return WalshSpectrum(n, walsh_coeffs(table))
+        return WalshSpectrum(n, _frozen(walsh_coeffs(table)))
     # A constant is symmetric, so here 1 <= |J| < n.  The masks inside J
     # index both the restricted inputs and the subsets S of J.
     inside = np.zeros(1, dtype=np.int64)
@@ -309,7 +311,7 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
         inside = np.concatenate([inside, inside | (1 << i)])
     coeffs = np.zeros(1 << n)
     coeffs[inside] = walsh_coeffs(table[inside])
-    return WalshSpectrum(n, coeffs)
+    return WalshSpectrum(n, _frozen(coeffs))
 
 
 def character_table(n: int) -> np.ndarray:

@@ -318,6 +318,8 @@ def _cmd_curve(args) -> int:
         rho = args.rho
         if rho is None:
             raise ValidationError("majority-stability needs --rho")
+        if not -1.0 <= rho <= 1.0:
+            raise ValidationError(f"--rho must lie in [-1, 1], got {rho!r}")
         writer.writerow(["n", "rho", "value", "reference", "abs_err"])
         reference = math.asin(rho) / (2.0 * math.pi)
         for n in n_list:

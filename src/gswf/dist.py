@@ -8,6 +8,7 @@ order below (top row, then bottom row of the defining table).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ class TripleDistribution:
         arr = np.asarray(self.p, dtype=np.float64).copy()
         if arr.shape != (6,):
             raise ValidationError(f"expected six probabilities, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"probabilities must be finite, got {arr.tolist()}")
         if np.any(arr < 0):
             bad = TRIPLE_LABELS[int(np.argmin(arr))]
             raise ValidationError(f"probability of triple {bad} is negative")
@@ -84,6 +87,8 @@ class EvenProductDistribution:
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
             v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValidationError(f"{name} must be finite, got {v!r}")
             if v < 0:
                 raise ValidationError(f"{name} must be nonnegative, got {v!r}")
             object.__setattr__(self, name, v)

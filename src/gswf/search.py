@@ -200,10 +200,37 @@ def class_table(n: int, filt: ClassFilter) -> tuple[ClassMembers, np.ndarray]:
     return ClassMembers(n, tables), spectra
 
 
-def enumerate_class(n: int, filt: ClassFilter):
-    """All functions of arity ``n`` passing the filter, in ascending
-    truth-table order."""
-    yield from class_table(n, filt)[0]
+def first_optimum(blocks, maximize: bool):
+    """The first optimum over blocks of values, in scan order.
+
+    ``blocks`` yields ``(key, values)`` pairs and is consumed lazily, in
+    order; a block with no entries is skipped.  Returns ``(value, key,
+    index)``, ``index`` being the position inside the winning ``values``
+    as a tuple.  Ties go to the first block, and inside a block to the
+    first entry in C order: a later block wins only with a strict
+    improvement.
+    """
+    pick = np.argmax if maximize else np.argmin
+    best = None
+    for key, values in blocks:
+        values = np.asarray(values)
+        if values.size == 0:
+            continue
+        flat = int(pick(values))
+        value = float(values.flat[flat])
+        if best is None or (value > best[0] if maximize else value < best[0]):
+            best = (value, key, flat, values.shape)
+    if best is None:
+        raise ValidationError("nothing is left to scan")
+    value, key, flat, shape = best
+    return value, key, tuple(int(x) for x in np.unravel_index(flat, shape))
+
+
+def cross_planes(sf, sg, sh, d: EvenProductDistribution):
+    """The (f,g), (g,h) and (h,f) biased-product matrices of three spectrum
+    stacks under ``d``."""
+    d1, d2, d3 = d.deltas
+    return pair_matrix(sf, sg, d1), pair_matrix(sg, sh, d2), pair_matrix(sh, sf, d3)
 
 
 def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
@@ -213,38 +240,37 @@ def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
     ``((base + fg) + gh) + hf``.  ``base`` is ``p_i q_j r_k + (1-p_i)(1-q_j)(1-r_k)``
     for ``means = (p, q, r)`` and absent without it.  ``allowed(i)``, if
     given, returns a boolean plane of the triples to consider, or None for
-    all.  Returns ``(value, (i, j, k), triples considered)``; the first
-    optimum in ascending ``(i, j, k)`` order wins ties.
+    all.  Returns ``(value, (i, j, k), triples considered)``; the planes go
+    through :func:`first_optimum`, so the first optimum in ascending
+    ``(i, j, k)`` order wins ties.
     """
-    pick = np.argmax if maximize else np.argmin
     if means is not None:
         p, q, r = means
         ones, zeros = np.multiply.outer(q, r), np.multiply.outer(1 - q, 1 - r)
-    best, considered = None, 0
-    for i in range(fg.shape[0]):
-        if means is None:
-            plane = fg[i][:, None] + gh
-        else:
-            plane = p[i] * ones + (1 - p[i]) * zeros
-            plane += fg[i][:, None]
-            plane += gh
-        plane += hf[:, i][None, :]
-        mask = None if allowed is None else allowed(i)
-        if mask is None:
-            considered += plane.size
-        elif mask.any():
-            considered += int(mask.sum())
-            plane = np.where(mask, plane, -np.inf if maximize else np.inf)
-        else:
-            continue
-        flat = int(pick(plane))
-        value = float(plane.flat[flat])
-        if best is None or (value > best[0] if maximize else value < best[0]):
-            j, k = np.unravel_index(flat, plane.shape)
-            best = (value, (i, int(j), int(k)))
-    if best is None:
-        raise ValidationError("no triple is left to scan")
-    return best[0], best[1], considered
+    considered = 0
+
+    def planes():
+        nonlocal considered
+        for i in range(fg.shape[0]):
+            if means is None:
+                plane = fg[i][:, None] + gh
+            else:
+                plane = p[i] * ones + (1 - p[i]) * zeros
+                plane += fg[i][:, None]
+                plane += gh
+            plane += hf[:, i][None, :]
+            mask = None if allowed is None else allowed(i)
+            if mask is None:
+                considered += plane.size
+            elif mask.any():
+                considered += int(mask.sum())
+                plane = np.where(mask, plane, -np.inf if maximize else np.inf)
+            else:
+                continue
+            yield i, plane
+
+    value, i, (j, k) = first_optimum(planes(), maximize)
+    return value, (i, j, k), considered
 
 
 def _pm_dictator_tables(n: int) -> np.ndarray:
@@ -284,8 +310,6 @@ def extremal_w(
             f"triple space of size {count} exceeds the {TRIPLE_BUDGET} budget; "
             "use random_search"
         )
-    d1, d2, d3 = d.deltas
-    planes = pair_matrix(sf, sg, d1), pair_matrix(sg, sh, d2), pair_matrix(sh, sf, d3)
     allowed = None
     if exclude_dictator_triples:
         # Row of F -> (row of G, row of H) for each dictator in all three.
@@ -303,7 +327,10 @@ def extremal_w(
             return mask
 
     value, (i, j, k), _ = scan_planes(
-        *planes, objective == "max_w", means=(sf[:, 0], sg[:, 0], sh[:, 0]), allowed=allowed
+        *cross_planes(sf, sg, sh, d),
+        objective == "max_w",
+        means=(sf[:, 0], sg[:, 0], sh[:, 0]),
+        allowed=allowed,
     )
     return ExtremalResult(
         objective=objective,

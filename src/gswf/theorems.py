@@ -32,7 +32,15 @@ from .rationality import (
     w_oracle_batch,
     w_prime,
 )
-from .search import ClassFilter, all_tables, class_table, scan_planes
+from .search import (
+    ClassFilter,
+    all_tables,
+    class_table,
+    cross_planes,
+    first_optimum,
+    random_search,
+    scan_planes,
+)
 
 TOL_EXACT = 1e-12
 #: For quantities accumulated over 2^n-term sums at n >= 16.
@@ -118,11 +126,7 @@ def _functions_from_payload(w: dict):
 
 
 _MONOTONE = ClassFilter(("monotone",))
-
-
-def _cross_sums(S: np.ndarray, d: EvenProductDistribution):
-    """The (f,g), (g,h), (h,f) biased-product matrices of one class under ``d``."""
-    return tuple(pair_matrix(S, S, delta) for delta in d.deltas)
+_BALANCED = ClassFilter(("balanced",))
 
 
 # --------------------------------------------------------------------------
@@ -141,28 +145,26 @@ def check_formula_vs_oracle(
     worst in ``(n, distribution, triple)`` order is the witness.
     """
     rng = np.random.default_rng(seed)
-    worst = None
-    for n in range(1, n_max + 1):
-        distributions = [_random_even_product(rng) for _ in range(dists)]
-        if n <= 2:
-            pool = all_tables(n)
-            picks = np.indices((len(pool),) * 3).reshape(3, -1)
-            ft, gt, ht = (pool[p] for p in picks)
-        else:
-            drawn = [rng.integers(0, 2, size=1 << n, dtype=np.uint8) for _ in range(3 * trials)]
-            ft, gt, ht = np.stack(drawn).reshape(trials, 3, -1).transpose(1, 0, 2)
-        spectra = [bfn.walsh_coeffs(tables) for tables in (ft, gt, ht)]
-        for d in distributions:
-            w = w_batch(*spectra, d)[0]
-            diff = np.abs(w - w_oracle_batch(ft, gt, ht, d))
-            t = int(np.argmax(diff))
-            if worst is None or diff[t] > worst[0]:
-                fs = tuple(BooleanFunction(n, tables[t]) for tables in (ft, gt, ht))
-                worst = (float(diff[t]), float(w[t]), fs, d)
-    value, w, fs, d = worst
+
+    def blocks():
+        for n in range(1, n_max + 1):
+            distributions = [_random_even_product(rng) for _ in range(dists)]
+            if n <= 2:
+                pool = all_tables(n)
+                tables = pool[np.indices((len(pool),) * 3).reshape(3, -1)]
+            else:
+                drawn = [rng.integers(0, 2, size=1 << n, dtype=np.uint8) for _ in range(3 * trials)]
+                tables = np.stack(drawn).reshape(trials, 3, -1).transpose(1, 0, 2)
+            spectra = [bfn.walsh_coeffs(t) for t in tables]
+            for d in distributions:
+                w = w_batch(*spectra, d)[0]
+                yield (n, d, w, tables), np.abs(w - w_oracle_batch(*tables, d))
+
+    value, (n, d, w, tables), (t,) = first_optimum(blocks(), True)
+    fs = tuple(BooleanFunction(n, rows[t]) for rows in tables)
     witness = {
         "kind": "w_triple",
-        "value": w,
+        "value": float(w[t]),
         "method": "formula",
         "dist": _dist_payload(d),
         **_triple_payload(fs),
@@ -178,9 +180,7 @@ def check_formula_vs_oracle(
     )
 
 
-def check_monotone_bound(
-    n: int = 3, d: EvenProductDistribution | None = None, mode: str = "exhaustive"
-) -> BoundReport:
+def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -> BoundReport:
     """For monotone triples, ``W`` never exceeds the independent-base term.
 
     Requires ``alpha, beta, gamma <= 1/4`` (all noise parameters
@@ -195,10 +195,8 @@ def check_monotone_bound(
             "monotone bound requires alpha, beta, gamma <= 1/4; "
             f"got ({d.alpha}, {d.beta}, {d.gamma})"
         )
-    if mode != "exhaustive":
-        raise ValidationError(f"unsupported mode {mode!r}")
     members, S = class_table(n, _MONOTONE)
-    planes = _cross_sums(S, d)
+    planes = cross_planes(S, S, S, d)
     value, (i, j, k), _ = scan_planes(*planes, True)
     worst_triple = (members[i], members[j], members[k])
     sel = np.flatnonzero(S[:, 0] == 0.5)  # the balanced members
@@ -235,18 +233,9 @@ _DELTA_GRID = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 
 def _worst_scaled_pair(S, delta_grid):
     """Least ``(1/delta) <<f, g>>_delta`` over pairs of spectrum rows and the
-    grid, as ``(value, delta, i, j)``; the first minimum wins ties."""
-    worst = None
-    for delta in delta_grid:
-        if delta == 0.0:
-            continue
-        M = pair_matrix(S, S, delta) / delta
-        flat = int(np.argmin(M))
-        value = float(M.flat[flat])
-        if worst is None or value < worst[0]:
-            i, j = np.unravel_index(flat, M.shape)
-            worst = (value, delta, int(i), int(j))
-    return worst
+    grid, as ``(value, delta, (i, j))``; the first minimum wins ties."""
+    blocks = ((delta, pair_matrix(S, S, delta) / delta) for delta in delta_grid if delta != 0.0)
+    return first_optimum(blocks, False)
 
 
 def check_biased_product_sign(
@@ -256,7 +245,7 @@ def check_biased_product_sign(
     if n > 4:
         raise ValidationError("exhaustive monotone-pair scan is limited to n <= 4")
     members, S = class_table(n, _MONOTONE)
-    value, delta, i, j = _worst_scaled_pair(S, delta_grid)
+    value, delta, (i, j) = _worst_scaled_pair(S, delta_grid)
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
@@ -286,7 +275,7 @@ def check_biased_product_sign_demo(
     """
     tables = all_tables(n)
     tables = tables[~bfn.is_monotone(tables)]
-    value, delta, i, j = _worst_scaled_pair(bfn.walsh_coeffs(tables), delta_grid)
+    value, delta, (i, j) = _worst_scaled_pair(bfn.walsh_coeffs(tables), delta_grid)
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
@@ -310,45 +299,33 @@ def check_biased_product_sign_demo(
 def check_fkg(n: int = 3, trials: int = 400, seed: int = _DEFAULT_SEED) -> BoundReport:
     """Monotone increasing pairs correlate nonnegatively; mixed pairs reverse.
 
-    Exhaustive over monotone pairs for n <= 3, sampled above.
+    Exhaustive over monotone pairs for n <= 3, sampled above.  Row ``t``
+    of the pair scan holds ``[cov, rev]`` of pair ``t``, the reversed
+    orientation realizing ``g`` decreasing as ``1 - g``.
     """
     members = class_table(n, _MONOTONE)[0]
+    m = len(members)
     if n > 3:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, len(members), size=(trials, 2))
-        pairs = [(members[int(a)], members[int(b)]) for a, b in idx]
+        a, b = np.random.default_rng(seed).integers(0, m, size=(trials, 2)).T
     else:
-        members = list(members)
-        pairs = [(f, g) for f in members for g in members]
+        a, b = np.indices((m, m)).reshape(2, -1)
+    tables = members.tables.astype(np.int64)
+    ones = tables.sum(axis=1)
+    both = (tables @ tables.T)[a, b]
     scale = float(1 << n)
-    worst = None
-    for f, g in pairs:
-        ef = bfn.expectation(f)
-        eg = bfn.expectation(g)
-        efg = float(np.dot(f.table.astype(np.float64), g.table.astype(np.float64))) / scale
-        cov = efg - ef * eg
-        # reversed orientation: g decreasing realized as 1 - g
-        g_dec = BooleanFunction(n, 1 - g.table)
-        efg_mixed = (
-            float(np.dot(f.table.astype(np.float64), g_dec.table.astype(np.float64)))
-            / scale
-        )
-        rev = ef * bfn.expectation(g_dec) - efg_mixed
-        for orientation, value, other in (
-            ("increasing", cov, g),
-            ("reversed", rev, g_dec),
-        ):
-            if worst is None or value < worst[0]:
-                worst = (value, orientation, f, other)
-    value, orientation, f, g = worst
+    ef, eg = ones[a] / scale, ones[b] / scale
+    cov = both / scale - ef * eg
+    rev = ef * ((tables.shape[1] - ones[b]) / scale) - (ones[a] - both) / scale
+    value, _, (t, o) = first_optimum([(None, np.stack([cov, rev], axis=1))], False)
+    g = members.tables[b[t]]
     witness = {
         "kind": "covariance_pair",
         "value": value,
         "n": n,
-        "f": f.hex,
-        "g": g.hex,
-        "orientation": orientation,
-        "extra": {"pairs": len(pairs)},
+        "f": members[a[t]].hex,
+        "g": BooleanFunction(n, g if o == 0 else 1 - g).hex,
+        "orientation": ("increasing", "reversed")[o],
+        "extra": {"pairs": len(a)},
     }
     return _report(
         "fkg",
@@ -411,19 +388,14 @@ def check_balanced_bound(
     examples (first-level and second-level) reaching exactly 1/3.
     """
     d = _uniform()
-    members, S = class_table(n, ClassFilter(("balanced",)))
     if mode == "exhaustive":
-        value, (i, j, k), count = scan_planes(*_cross_sums(S, d), True)
+        members, S = class_table(n, _BALANCED)
+        value, (i, j, k), count = scan_planes(*cross_planes(S, S, S, d), True)
         best = (members[i], members[j], members[k])
         max_w = 0.25 + value
     elif mode == "random":
-        rng = np.random.default_rng(seed)
-        picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
-        w = w_batch(*(S[p] for p in picks), d)[0]
-        t = int(np.argmax(w))
-        max_w = float(w[t])
-        best = tuple(members[int(p[t])] for p in picks)
-        count = trials
+        res = random_search(n, (_BALANCED,) * 3, d, "max_w", trials, seed)
+        max_w, best, count = res.value, res.witness, trials
     else:
         raise ValidationError(f"unsupported mode {mode!r}")
     pseudo_w = w_from_spectra(*pseudo_extremal_spectra(max(n, 3)), d).w
@@ -467,27 +439,22 @@ def check_lemma_power_sums(k_max: int = 6, grid_steps: int = 200) -> BoundReport
     ok = np.abs(Z) <= 1.0 + 1e-15
     x, y, z = X[ok], Y[ok], Z[ok]
     cubes = x**3 + y**3 + z**3
-    worst = None
-    for k in range(1, k_max + 1):
-        e = 2 * k + 1
-        diff = cubes - (x**e + y**e + z**e)
-        t = int(np.argmin(diff))
-        value = float(diff[t])
-        if worst is None or value < worst[0]:
-            worst = (value, k, float(x[t]), float(y[t]), float(z[t]))
-    value, k, wx, wy, wz = worst
-    # boundary family x = 1, y = t, z = -t: both sides collapse to 1
-    t = np.arange(-grid_steps, grid_steps + 1, dtype=np.float64) / grid_steps
+    value, k, (t,) = first_optimum(
+        ((k, cubes - (x ** (2 * k + 1) + y ** (2 * k + 1) + z ** (2 * k + 1)))
+         for k in range(1, k_max + 1)),
+        False,
+    )
+    # boundary family x = 1, y = s, z = -s for s on the axis: both sides collapse to 1
     e = 2 * k_max + 1
     boundary_dev = float(
-        np.max(np.abs((1.0 + t**3 + (-t) ** 3) - (1.0 + t**e + (-t) ** e)))
+        np.max(np.abs((1.0 + axis**3 + (-axis) ** 3) - (1.0 + axis**e + (-axis) ** e)))
     )
     witness = {
         "kind": "power_sum_point",
         "value": value,
-        "x": wx,
-        "y": wy,
-        "z": wz,
+        "x": float(x[t]),
+        "y": float(y[t]),
+        "z": float(z[t]),
         "k": k,
         "extra": {
             "grid_points": int(ok.sum()),
@@ -527,19 +494,18 @@ def check_neutral_symmetric_bound(
     d1, d2, d3 = d.deltas
     factor = 1.0 + d1**3 + d2**3 + d3**3
     rows = []
-    worst = None
     for n in n_list:
-        gswf = catalog.preset_gswf("condorcet", n)
-        w = w_formula(gswf, d).w
+        s = walsh_transform(catalog.majority(n))
         dm = majority_first_level_mass(n)
-        spectral_dm = float(bfn.level_weights(walsh_transform(gswf.f))[1])
-        rhs = (0.25 - dm) * factor
-        rows.append(
-            {"n": n, "w": w, "rhs": rhs, "d_m": dm, "d_m_spectral": spectral_dm}
-        )
-        if worst is None or (w - rhs) < worst[0]:
-            worst = (w - rhs, n, w, rhs)
-    margin, n_star, w_star, rhs_star = worst
+        rows.append({
+            "n": n,
+            "w": w_from_spectra(s, s, s, d).w,
+            "rhs": (0.25 - dm) * factor,
+            "d_m": dm,
+            "d_m_spectral": float(bfn.level_weights(s)[1]),
+        })
+    margin, row, _ = first_optimum(((row, row["w"] - row["rhs"]) for row in rows), False)
+    n_star, w_star, rhs_star = row["n"], row["w"], row["rhs"]
     asymptotic = (0.25 - 1.0 / (2.0 * math.pi)) * factor
     witness = {
         "kind": "eq_floor_row",
@@ -618,18 +584,18 @@ def check_majority_stability(
 def check_dual_claim(n_max: int = 3) -> BoundReport:
     """Dual-function spectra obey ``coeff'(S) = (-1)^(|S|-1) coeff(S)``
     for nonempty ``S``; exhaustive over all functions up to ``n_max``."""
-    worst = None
-    for n in range(1, n_max + 1):
-        signs = np.where(mask_levels(n) & 1, 1.0, -1.0)  # (-1)^(|S|-1)
-        tables = all_tables(n)
-        dual = 1 - tables[:, ::-1]  # row-wise bfn.dual
-        dev = np.abs(bfn.walsh_coeffs(dual) - signs * bfn.walsh_coeffs(tables))
-        dev[:, 0] = 0.0
-        per_function = dev.max(axis=1)
-        t = int(np.argmax(per_function))
-        if worst is None or per_function[t] > worst[0]:
-            worst = (float(per_function[t]), BooleanFunction(n, tables[t]))
-    value, f = worst
+
+    def blocks():
+        for n in range(1, n_max + 1):
+            signs = np.where(mask_levels(n) & 1, 1.0, -1.0)  # (-1)^(|S|-1)
+            tables = all_tables(n)
+            dual = 1 - tables[:, ::-1]  # row-wise bfn.dual
+            dev = np.abs(bfn.walsh_coeffs(dual) - signs * bfn.walsh_coeffs(tables))
+            dev[:, 0] = 0.0
+            yield (n, tables), dev.max(axis=1)
+
+    value, (n, tables), (t,) = first_optimum(blocks(), True)
+    f = BooleanFunction(n, tables[t])
     witness = {"kind": "dual_function", "value": value, "n": f.n, "f": f.hex}
     return _report(
         "dual_claim",
@@ -659,29 +625,15 @@ def check_lower_bound_biased(
     S = bfn.walsh_coeffs(tables)
     p = S[:, 0]
     floor_matrix = np.minimum(np.multiply.outer(p, p), np.multiply.outer(1 - p, 1 - p))
-    nonconst = ~bfn.is_constant(tables)
-    const_mask = ~nonconst
-    worst = None
-    strict_min = None
-    equality_dev = 0.0
-    for delta in delta_grid:
-        slack = pair_matrix(S, S, delta) + floor_matrix
-        flat = int(np.argmin(slack))
-        value = float(slack.flat[flat])
-        if worst is None or value < worst[0]:
-            i, j = np.unravel_index(flat, slack.shape)
-            worst = (value, delta, int(i), int(j))
-        if abs(delta) < 1.0:
-            sub = slack[np.ix_(nonconst, nonconst)]
-            v = float(sub.min())
-            if strict_min is None or v < strict_min[0]:
-                idx = np.unravel_index(int(np.argmin(sub)), sub.shape)
-                keep = np.flatnonzero(nonconst)
-                strict_min = (v, delta, int(keep[idx[0]]), int(keep[idx[1]]))
-        if const_mask.any():
-            equality_dev = max(equality_dev, float(np.abs(slack[const_mask, :]).max()))
-    value, delta, i, j = worst
-    margin = min(value, strict_min[0] - STRICT_FLOOR, TOL_EXACT - equality_dev)
+    constant = bfn.is_constant(tables)
+    keep = np.flatnonzero(~constant)
+    slacks = [(delta, pair_matrix(S, S, delta) + floor_matrix) for delta in delta_grid]
+    value, delta, (i, j) = first_optimum(slacks, False)
+    strict, strict_delta, (si, sj) = first_optimum(
+        ((dl, slack[np.ix_(keep, keep)]) for dl, slack in slacks if abs(dl) < 1.0), False
+    )
+    equality_dev = max([0.0] + [float(np.abs(slack[constant, :]).max()) for _, slack in slacks])
+    margin = min(value, strict - STRICT_FLOOR, TOL_EXACT - equality_dev)
 
     def hex_of(row):
         return BooleanFunction(n, tables[row]).hex
@@ -694,11 +646,11 @@ def check_lower_bound_biased(
         "g": hex_of(j),
         "delta": delta,
         "extra": {
-            "strict_min_nonconstant_interior": strict_min[0],
+            "strict_min_nonconstant_interior": strict,
             "strict_witness": {
-                "f": hex_of(strict_min[2]),
-                "g": hex_of(strict_min[3]),
-                "delta": strict_min[1],
+                "f": hex_of(keep[si]),
+                "g": hex_of(keep[sj]),
+                "delta": strict_delta,
             },
             "constant_equality_max_dev": equality_dev,
         },
@@ -720,7 +672,7 @@ def check_arrow_sum_condition(n: int = 2) -> BoundReport:
     p = S[:, 0]
     sum_ok = p[:, None, None] + p[None, :, None] + p[None, None, :] <= 1.0 + 1e-15
     value, (i, j, k), eligible = scan_planes(
-        *_cross_sums(S, d), False, means=(p, p, p), allowed=lambda i: sum_ok[i]
+        *cross_planes(S, S, S, d), False, means=(p, p, p), allowed=lambda i: sum_ok[i]
     )
     fs = (members[i], members[j], members[k])
     witness = {
@@ -804,10 +756,6 @@ def check_w_prime_negative(
     )
 
 
-def _exact_expectations(gswf: Gswf) -> tuple[float, float, float]:
-    return tuple(bfn.expectation(fn) for fn in gswf.functions)
-
-
 def check_instability_example(
     n_list=(5, 7, 9, 11, 13, 15),
     q: float = 0.2,
@@ -843,7 +791,6 @@ def check_instability_example(
     rows = []
     for n in n_list:
         gswf = catalog.preset_gswf("threshold_instability", n, q=q)
-        ps = _exact_expectations(gswf)
         w = w_formula(gswf, d).w
         e = catalog.eta(n, q)
         row = {
@@ -852,7 +799,7 @@ def check_instability_example(
             "w": w,
             "eta": e,
             "ratio": w / e,
-            "min_expectation": min(ps),
+            "min_expectation": min(bfn.expectation(fn) for fn in gswf.functions),
             "floor_asserted": math.floor(q * n) >= 1,
         }
         rows.append(row)
@@ -919,20 +866,13 @@ def check_alpha_half_ceiling(
     picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
     rows = [S[p] for p in picks]
     grid = _even_product_grid()
-    worst = None
-    for d in grid:
-        w = w_batch(*rows, d)[0]
-        t = int(np.argmax(w))
-        value = float(w[t])
-        if worst is None or value > worst[0]:
-            worst = (value, d, tuple(members[int(p[t])] for p in picks))
+    value, d, (t,) = first_optimum(((d, w_batch(*rows, d)[0]) for d in grid), True)
+    fs = tuple(members[int(p[t])] for p in picks)
     corner = EvenProductDistribution(0.5, 0.0, 0.0)
     extremal_gswf = catalog.preset_gswf("alpha_half_extremal", n)
     extremal = w_formula(extremal_gswf, corner).w
-    if extremal >= worst[0]:
+    if extremal >= value:
         value, d, fs = extremal, corner, extremal_gswf.functions
-    else:
-        value, d, fs = worst
     max_w = value
     witness = {
         "kind": "w_triple",

@@ -187,6 +187,23 @@ class TestTransform:
         # the same numbers are fine as an unconstrained coefficient vector
         PseudoSpectrum(2, [0.5, 0.5, 0.5, 0.5])
 
+    def test_a_caller_held_array_is_copied(self):
+        coeffs = np.array([0.5, 0.5, 0.0, 0.0])
+        s = WalshSpectrum(2, coeffs)
+        coeffs[:] = 7.0
+        assert s.coeffs.tolist() == [0.5, 0.5, 0.0, 0.0]
+        assert not s.coeffs.flags.writeable
+        # a read-only view is copied too: its base may still be written
+        view = np.array([0.0, 0.25, 0.25, 0.0, 0.0])[1:]
+        view.setflags(write=False)
+        s = PseudoSpectrum(2, view)
+        view.base[1:] = 7.0
+        assert s.coeffs.tolist() == [0.25, 0.25, 0.0, 0.0]
+        # a frozen array that owns its data is kept as it is
+        frozen = np.array([0.5, 0.0, 0.5, 0.0])
+        frozen.setflags(write=False)
+        assert WalshSpectrum(2, frozen).coeffs is frozen
+
 
 def assert_spectrum_bytes(f):
     # walsh_transform's structured paths must reproduce the butterfly exactly.

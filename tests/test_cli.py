@@ -266,6 +266,14 @@ class TestOtherCommands:
             ["spectrum", "--function", "tribes:60:3"],
             ["catalog", "list", "--out", os.path.join(os.devnull, "x.json")],
             ["rationality", "--n", "abc"],
+            ["rationality", "--preset", "condorcet", "--n", "3", "--alpha", "nan",
+             "--beta", "0.1", "--gamma", "0.1"],
+            ["simulate", "--preset", "condorcet", "--n", "3", "--triples", "nan,0,0,0,0,1",
+             "--samples", "10", "--seed", "1"],
+            ["search", "--n", "2", "--class-f", "balanced", "--class-g", "balanced",
+             "--class-h", "balanced", "--objective", "max_w", "--alpha", "nan",
+             "--beta", "0.1", "--gamma", "0.1"],
+            ["curve", "--check", "majority-stability", "--rho", "2", "--n-list", "3"],
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, capsys):

@@ -62,6 +62,10 @@ class TestEvenProduct:
         with pytest.raises(ValidationError):
             EvenProductDistribution(-0.01, 0.25, 0.26)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="finite"):
+            EvenProductDistribution(float("nan"), 0.1, 0.1)
+
     def test_triple_order_is_canonical(self):
         labels = tuple("".join(map(str, t)) for t in ADMISSIBLE_TRIPLES)
         assert labels == ("110", "011", "101", "001", "100", "010")
@@ -82,6 +86,10 @@ class TestTripleDistribution:
             TripleDistribution(np.array([0.5, 0.5, 0.1, -0.1, 0, 0]))
         with pytest.raises(ValidationError):
             TripleDistribution(np.array([0.5, 0.5, 0.1, 0, 0, 0]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValidationError, match="finite"):
+            TripleDistribution(np.array([np.nan, 0, 0, 0, 0, 1.0]))
 
     def test_profile_probability(self):
         uniform = EvenProductDistribution.uniform().to_triple_distribution()

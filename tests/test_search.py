@@ -13,8 +13,8 @@ from gswf.search import (
     ClassFilter,
     all_tables,
     class_table,
-    enumerate_class,
     extremal_w,
+    first_optimum,
     random_search,
 )
 
@@ -50,25 +50,25 @@ class TestClassFilter:
 
 class TestEnumeration:
     def test_known_counts(self):
-        assert len(list(enumerate_class(2, BALANCED))) == 6
-        assert len(list(enumerate_class(3, MONOTONE))) == 20
-        assert len(list(enumerate_class(4, MONOTONE))) == 168
-        assert len(list(enumerate_class(4, BAL_MONO))) == 24
+        assert len(list(class_table(2, BALANCED)[0])) == 6
+        assert len(list(class_table(3, MONOTONE)[0])) == 20
+        assert len(list(class_table(4, MONOTONE)[0])) == 168
+        assert len(list(class_table(4, BAL_MONO)[0])) == 24
 
     def test_balanced_monotone_n3_contains_dictators(self):
-        members = set(enumerate_class(3, BAL_MONO))
+        members = set(class_table(3, BAL_MONO)[0])
         for i in (1, 2, 3):
             assert dictator(3, i) in members
         assert majority(3) in members
         assert len(members) == 4
 
     def test_ascending_order(self):
-        packed = [f.packed for f in enumerate_class(3, MONOTONE)]
+        packed = [f.packed for f in class_table(3, MONOTONE)[0]]
         assert packed == sorted(packed)
 
     def test_enumeration_capacity(self):
         with pytest.raises(CapacityError):
-            list(enumerate_class(5, BALANCED))
+            list(class_table(5, BALANCED)[0])
 
     def test_witnesses_satisfy_their_filter(self):
         result = extremal_w(3, BAL_MONO, BAL_MONO, BAL_MONO, UNIFORM, "max_w")
@@ -133,6 +133,51 @@ class TestClassTable:
         assert members.find(dictator(4, 2).table) == 0xCCCC - 1
         assert members.find(np.zeros(16, dtype=np.uint8)) is None
         assert not members.tables.flags.writeable
+
+
+class TestFirstOptimum:
+    def test_ties_go_to_the_first_block(self):
+        blocks = [("a", [1.0, 3.0]), ("b", [3.0, 0.0]), ("c", [2.0])]
+        assert first_optimum(blocks, True) == (3.0, "a", (1,))
+        assert first_optimum(blocks, False) == (0.0, "b", (1,))
+
+    def test_a_later_block_needs_a_strict_improvement(self):
+        blocks = [("a", [2.0, 5.0]), ("b", [5.0]), ("c", [5.5]), ("d", [5.5, 6.0])]
+        assert first_optimum(blocks, True) == (6.0, "d", (1,))
+        assert first_optimum(blocks[:3], True) == (5.5, "c", (0,))
+        assert first_optimum([("a", [-1.0]), ("b", [-1.0])], False) == (-1.0, "a", (0,))
+
+    def test_ties_inside_a_block_go_to_the_first_entry_in_c_order(self):
+        values = np.array([[0.0, 7.0, 1.0], [7.0, -2.0, 7.0]])
+        assert first_optimum([("m", values)], True) == (7.0, "m", (0, 1))
+        # the transpose holds 7 at (0, 1), (1, 0) and (2, 1): C order, not column order
+        assert first_optimum([("m", values.T)], True) == (7.0, "m", (0, 1))
+        assert first_optimum([("m", -values)], False) == (-7.0, "m", (0, 1))
+
+    def test_zero_dimensional_blocks(self):
+        blocks = ((k, v) for k, v in [(3, 0.5), (4, np.float64(0.25)), (5, 0.25)])
+        value, key, index = first_optimum(blocks, False)
+        assert (value, key, index) == (0.25, 4, ())
+        assert type(value) is float
+
+    def test_blocks_are_consumed_lazily_and_in_order(self):
+        seen = []
+
+        def blocks():
+            for k in range(4):
+                seen.append(k)
+                yield k, np.full((2, 2), float(k % 2))
+
+        it = blocks()
+        assert seen == []
+        assert first_optimum(it, True) == (1.0, 1, (0, 0))
+        assert seen == [0, 1, 2, 3]
+
+    def test_no_blocks_is_an_error(self):
+        with pytest.raises(ValidationError):
+            first_optimum([], True)
+        with pytest.raises(ValidationError):
+            first_optimum(iter([("a", np.empty((0, 3)))]), False)
 
 
 class TestExtremal:

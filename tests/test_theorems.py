@@ -13,6 +13,7 @@ from gswf.catalog import eta
 from gswf.dist import EvenProductDistribution
 from gswf.errors import HypothesisViolation, ValidationError
 from gswf.rationality import Gswf, w_formula, w_oracle
+from gswf.search import ClassFilter, class_table
 from gswf.theorems import (
     CHECKS,
     check_alpha_half_ceiling,
@@ -85,6 +86,48 @@ def per_call_formula_vs_oracle(n_max, trials, dists, seed):
     }
 
 
+def per_pair_fkg(n, trials, seed):
+    """The FKG check one monotone pair at a time, covariance then its
+    reversal, the first minimum winning."""
+    members = list(class_table(n, ClassFilter(("monotone",)))[0])
+    if n > 3:
+        idx = np.random.default_rng(seed).integers(0, len(members), size=(trials, 2))
+        pairs = [(members[int(a)], members[int(b)]) for a, b in idx]
+    else:
+        pairs = [(f, g) for f in members for g in members]
+    scale = float(1 << n)
+    worst = None
+    for f, g in pairs:
+        ef, eg = bfn.expectation(f), bfn.expectation(g)
+        cov = float(np.dot(f.table.astype(np.float64), g.table.astype(np.float64))) / scale
+        cov -= ef * eg
+        g_dec = BooleanFunction(n, 1 - g.table)
+        mixed = float(np.dot(f.table.astype(np.float64), g_dec.table.astype(np.float64))) / scale
+        rev = ef * bfn.expectation(g_dec) - mixed
+        for orientation, value, other in (("increasing", cov, g), ("reversed", rev, g_dec)):
+            if worst is None or value < worst[0]:
+                worst = (value, orientation, f, other)
+    value, orientation, f, g = worst
+    return {
+        "name": "fkg",
+        "lhs": value,
+        "rhs": 0.0,
+        "margin": value,
+        "tolerance": 1e-12,
+        "passed": value >= -1e-12,
+        "inverted": False,
+        "witness": {
+            "kind": "covariance_pair",
+            "value": value,
+            "n": n,
+            "f": f.hex,
+            "g": g.hex,
+            "orientation": orientation,
+            "extra": {"pairs": len(pairs)},
+        },
+    }
+
+
 class TestIndividualChecks:
     def test_formula_vs_oracle_equals_per_call_loop(self):
         got = check_formula_vs_oracle(n_max=3, trials=25, dists=5, seed=11).to_json_dict()
@@ -123,6 +166,13 @@ class TestIndividualChecks:
         assert r.passed
         r4 = check_fkg(n=4, trials=150, seed=3)
         assert r4.passed
+
+    @pytest.mark.parametrize(
+        "n, trials, seed", [(2, 400, 1), (3, 400, 1), (4, 150, 3), (4, 400, 7)]
+    )
+    def test_fkg_equals_per_pair_loop(self, n, trials, seed):
+        got = check_fkg(n=n, trials=trials, seed=seed).to_json_dict()
+        assert got == per_pair_fkg(n, trials, seed)
 
     def test_balanced_bound_exhaustive_n2(self):
         r = check_balanced_bound(n=2)
