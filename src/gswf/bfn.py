@@ -253,7 +253,9 @@ def _krawtchouk(n: int) -> np.ndarray:
 
 
 #: Entries compared before a full comparison, so that a random table is
-#: told apart from a structured one in a few tiny checks.
+#: told apart from a structured one in a few tiny checks.  A table of at
+#: most this many entries goes straight to the butterfly, which costs less
+#: than the checks.
 _PREFIX = 64
 
 
@@ -282,7 +284,9 @@ def _relevant_voters(table: np.ndarray, n: int) -> list[int]:
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Spectrum of ``f``: ``coeffs[S] = 2^-n sum_x f(x) r_S(x)``.
 
-    The structure is read off the table, in this order:
+    A table of at most 64 entries (``n <= 6``) goes straight to the
+    butterfly of :func:`walsh_coeffs`.  Otherwise the structure is read off
+    the table, in this order:
 
     * symmetric ``f`` (constants included): the ``n + 1`` level
       coefficients are one exact integer Krawtchouk product, gathered by
@@ -297,6 +301,8 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     power of two.  It agrees with :func:`walsh_transform_naive`.
     """
     n, table = f.n, f.table
+    if (1 << n) <= _PREFIX:
+        return WalshSpectrum(n, _frozen(walsh_coeffs(table)))
     profile = _weight_profile(table, n)
     if profile is not None:
         level_coeffs = (_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n)

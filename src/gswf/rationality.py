@@ -39,7 +39,17 @@ ORACLE_MAX = 9
 #: bytes; the process peaks at about 2.5 times this.
 ORACLE_BYTES = 1 << 27
 
+#: Largest sample count accepted by the Monte Carlo estimator.
+SAMPLES_MAX = 10**9
+
+#: Uniform draws per Monte Carlo chunk; the estimate does not depend on it.
+MC_CHUNK_DRAWS = 1 << 16
+
 _TRIPLE_BITS = np.array(ADMISSIBLE_TRIPLES, dtype=np.uint8)
+
+# Per pairwise bit, the i at which the canonical order flips it between
+# triples i and i + 1.
+_BIT_FLIPS = [np.flatnonzero(bits[1:] != bits[:-1]) for bits in _TRIPLE_BITS.T]
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,28 +280,47 @@ def w_oracle(gswf: Gswf, t) -> WResult:
     return WResult(w=float(w[0]), base=_base_term(p1, p2, p3), method="oracle", n=gswf.n)
 
 
+def _profile_masks(rng: np.random.Generator, t, samples: int, n: int):
+    # Yields, chunk by chunk, the (A,B), (B,C) and (C,A) input masks of the
+    # profiles of rng.choice(6, (samples, n), p=t.p) as uint32 arrays, voter
+    # i at bit i.  Triple j is drawn iff cdf[j-1] <= u < cdf[j], so a pairwise
+    # bit is its value at triple 0 XOR u >= cdf[i] at each of its flips i.
+    cdf = t.p.cumsum()
+    cdf /= cdf[-1]
+    starts = np.where(_TRIPLE_BITS[0], (1 << n) - 1, 0).astype(np.uint32)
+    rows = max(1, min(samples, MC_CHUNK_DRAWS // n))
+    # Plane j holds voter i's u >= cdf[j] in column i, zero padded to 32
+    # columns (n <= N_MAX = 24): one flat packbits gives a uint32 per row.
+    above = np.zeros((5, rows, 32), dtype=bool)
+    for done in range(0, samples, rows):
+        m = min(rows, samples - done)
+        u = rng.random((m, n))
+        for j in range(5):
+            np.greater_equal(u, cdf[j], out=above[j, :m, :n])
+        words = np.packbits(above[:, :m], bitorder="little").view("<u4").reshape(5, m)
+        yield [np.bitwise_xor.reduce(words[flips]) ^ start for flips, start in zip(_BIT_FLIPS, starts)]
+
+
 def w_monte_carlo(gswf: Gswf, t, samples: int, seed: int) -> WResult:
-    """Unbiased sampled estimate of ``W``, deterministic for a given seed."""
+    """Unbiased sampled estimate of ``W``, deterministic for a given seed.
+
+    The profiles are those of ``rng.choice(6, (samples, n), p=t.p)`` on
+    ``numpy.random.default_rng(seed)``: one ``rng.random`` uniform ``u`` per
+    voter picks the triple ``#{j : cdf[j] <= u}`` of the normalized
+    cumulative law, and the input masks are read off the thresholds
+    ``u >= cdf[j]``.  ``rng.random`` fills its output in C order, so the
+    estimate does not depend on how the profiles are split into chunks.
+    """
     t = as_triple_distribution(t)
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
+    if samples > SAMPLES_MAX:
+        raise CapacityError(f"samples limited to {SAMPLES_MAX}, got {samples}")
     n = gswf.n
-    ft, gt, ht = (fn.table for fn in gswf.functions)
-    rng = np.random.default_rng(seed)
-    shifts = np.arange(n, dtype=np.int64)
-    chunk = max(1, min(samples, (1 << 22) // max(n, 1)))
     hits = 0
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        draws = rng.choice(6, size=(m, n), p=t.p)
-        trip = _TRIPLE_BITS[draws].astype(np.int64)
-        xm = (trip[:, :, 0] << shifts).sum(axis=1)
-        ym = (trip[:, :, 1] << shifts).sum(axis=1)
-        zm = (trip[:, :, 2] << shifts).sum(axis=1)
-        a, b, c = ft[xm], gt[ym], ht[zm]
-        hits += int(((a & b & c) | ((1 - a) & (1 - b) & (1 - c))).sum())
-        done += m
+    for masks in _profile_masks(np.random.default_rng(seed), t, samples, n):
+        a, b, c = (fn.table[mask] for fn, mask in zip(gswf.functions, masks))
+        hits += int(np.count_nonzero((a == b) & (b == c)))
     w = hits / samples
     p1, p2, p3 = (bfn.expectation(fn) for fn in gswf.functions)
     return WResult(

@@ -270,6 +270,8 @@ class TestOtherCommands:
              "--beta", "0.1", "--gamma", "0.1"],
             ["simulate", "--preset", "condorcet", "--n", "3", "--triples", "nan,0,0,0,0,1",
              "--samples", "10", "--seed", "1"],
+            ["simulate", "--preset", "condorcet", "--n", "3", "--uniform", "--seed", "1",
+             "--samples", "100000000000000000000000"],
             ["search", "--n", "2", "--class-f", "balanced", "--class-g", "balanced",
              "--class-h", "balanced", "--objective", "max_w", "--alpha", "nan",
              "--beta", "0.1", "--gamma", "0.1"],

@@ -16,7 +16,7 @@ from gswf.bfn import (
     walsh_transform,
 )
 from gswf.catalog import conjunction, dictator, disjunction, majority, preset_gswf
-from gswf.dist import EvenProductDistribution, TripleDistribution
+from gswf.dist import EvenProductDistribution, TripleDistribution, as_triple_distribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import (
     ORACLE_BYTES,
@@ -37,7 +37,7 @@ from gswf.rationality import (
 )
 from gswf.theorems import pseudo_extremal_spectra
 
-from conftest import brute_force_w, fraction_biased_product, fraction_spectrum
+from conftest import TRIPLES, brute_force_w, fraction_biased_product, fraction_spectrum
 
 UNIFORM = EvenProductDistribution.uniform()
 EPS_GRID = np.linspace(-1.0, 1.0, 9)
@@ -351,7 +351,65 @@ class TestWOracle:
                 assert abs(w_formula(gswf, d).w - w_oracle(gswf, d).w) < 1e-12
 
 
+def choice_masks(t, samples, n, seed):
+    # The profiles of rng.choice(6, (samples, n), p=t.p) as the (A,B), (B,C)
+    # and (C,A) input masks, by the int64 shift-sums the sampler was first
+    # written with.
+    draws = np.random.default_rng(seed).choice(6, size=(samples, n), p=t.p)
+    trip = np.array(TRIPLES, dtype=np.int64)[draws]
+    return [(trip[:, :, k] << np.arange(n)).sum(axis=1) for k in range(3)]
+
+
+def choice_monte_carlo_w(gswf, t, samples, seed):
+    # The reference estimate: the choice profiles, one hit test per profile.
+    masks = choice_masks(as_triple_distribution(t), samples, gswf.n, seed)
+    a, b, c = (fn.table[m] for fn, m in zip(gswf.functions, masks))
+    return int(((a & b & c) | ((1 - a) & (1 - b) & (1 - c))).sum()) / samples
+
+
+MC_LAWS = {
+    "uniform": UNIFORM,
+    "gamma0": EvenProductDistribution(0.25, 0.25, 0.0),
+    "two_triples": TripleDistribution([0.5, 0, 0, 0.5, 0, 0]),
+    "dirichlet": TripleDistribution(np.random.default_rng(2024).dirichlet(np.ones(6))),
+}
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("n", [1, 7, 15, 20])
+    @pytest.mark.parametrize("law", MC_LAWS)
+    def test_equals_choice_reference_bit_for_bit(self, n, law):
+        # three full chunks and a remainder
+        samples = 3 * (rationality.MC_CHUNK_DRAWS // n) + 17
+        rng = np.random.default_rng(n)
+        gswf = Gswf(*(bfn.random_function(n, rng) for _ in range(3)))
+        for seed in (0, 31):
+            got = w_monte_carlo(gswf, MC_LAWS[law], samples=samples, seed=seed).w
+            assert got == choice_monte_carlo_w(gswf, MC_LAWS[law], samples, seed)
+
+    @pytest.mark.parametrize(
+        "p", [*(as_triple_distribution(t).p for t in MC_LAWS.values()), [0, 0.5, 0, 0, 0.5, 0]]
+    )
+    def test_threshold_decode_is_choice(self, p):
+        # Decode the package's masks back to triple indices voter by voter:
+        # they are the indices rng.choice draws from the same seed.
+        t, n, samples, seed = TripleDistribution(p), 5, 30_011, 4
+        chunks = rationality._profile_masks(np.random.default_rng(seed), t, samples, n)
+        masks = [np.concatenate(parts).astype(np.int64) for parts in zip(*chunks)]
+        bits = [(m[:, None] >> np.arange(n)) & 1 for m in masks]
+        index_of = np.full(8, -1)
+        index_of[[x | y << 1 | z << 2 for x, y, z in TRIPLES]] = np.arange(6)
+        decoded = index_of[bits[0] | bits[1] << 1 | bits[2] << 2]
+        drawn = np.random.default_rng(seed).choice(6, size=(samples, n), p=t.p)
+        assert np.array_equal(decoded, drawn)
+
+    def test_independent_of_chunk_size(self, monkeypatch):
+        gswf = preset_gswf("condorcet", 7)
+        expected = w_monte_carlo(gswf, UNIFORM, samples=4001, seed=3).w
+        for draws in (1, 7, 50):
+            monkeypatch.setattr(rationality, "MC_CHUNK_DRAWS", draws)
+            assert w_monte_carlo(gswf, UNIFORM, samples=4001, seed=3).w == expected
+
     def test_dictator_triple_exact_zero(self):
         gswf = preset_gswf("dictator_triple", 5)
         res = w_monte_carlo(gswf, UNIFORM, samples=2000, seed=123)
@@ -380,6 +438,10 @@ class TestMonteCarlo:
     def test_rejects_bad_sample_count(self):
         with pytest.raises(ValidationError):
             w_monte_carlo(preset_gswf("condorcet", 3), UNIFORM, samples=0, seed=1)
+        with pytest.raises(CapacityError):
+            w_monte_carlo(
+                preset_gswf("condorcet", 3), UNIFORM, samples=rationality.SAMPLES_MAX + 1, seed=1
+            )
 
 
 class TestWPrime:
