@@ -258,63 +258,94 @@ def _krawtchouk(n: int) -> np.ndarray:
 #: than the checks.
 _PREFIX = 64
 
-
-def _weight_profile(table: np.ndarray, n: int) -> np.ndarray | None:
-    # F[w] = f(1^w 0^(n-w)) if f depends only on the input weight, else None.
-    profile = table[(1 << np.arange(n + 1)) - 1]
-    levels = mask_levels(n)
-    if np.array_equal(profile[levels[:_PREFIX]], table[:_PREFIX]) and np.array_equal(
-        profile[levels], table
-    ):
-        return profile
-    return None
+# Per voter 0..2, the bits of a packed byte whose partner across that voter
+# sits 1, 2 or 4 bits higher in the same byte.
+_IN_BYTE = (0x55, 0x33, 0x0F)
 
 
-def _relevant_voters(table: np.ndarray, n: int) -> list[int]:
-    # Voter i matters iff the halves of some block at stride 2^i differ.
+def _relevant_voters(table: np.ndarray, n: int) -> tuple[int, ...]:
+    # Voter i matters iff table[x] != table[x ^ 2^i] for some x.  On the
+    # little-endian packed bytes (n > 6, so at least 16 of them) voters 0..2
+    # pair bits inside a byte and voter i >= 3 pairs bytes at stride
+    # 2^(i-3).  Pairs among the first _PREFIX entries are compared first.
+    packed = np.packbits(table, bitorder="little")
+    step = _PREFIX >> 3
     relevant = []
     for i in range(n):
-        v = table.reshape(-1, 2, 1 << i)
-        head = v[: max(1, _PREFIX >> i), :, :_PREFIX]
-        if not np.array_equal(head[:, 0], head[:, 1]) or not np.array_equal(v[:, 0], v[:, 1]):
+        if i < 3:
+            shift, low = 1 << i, _IN_BYTE[i]
+            moves = any(((p ^ (p >> shift)) & low).any() for p in (packed[:step], packed))
+        else:
+            v = packed.reshape(-1, 2, 1 << (i - 3))
+            head = v[: max(1, step >> (i - 3)), :, :step]
+            moves = any(not np.array_equal(u[:, 0], u[:, 1]) for u in (head, v))
+        if moves:
             relevant.append(i)
-    return relevant
+    return tuple(relevant)
 
 
-def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
+def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ...]]:
+    """``(levels, relevant)``: the structure that ``f``'s spectrum and ``W``
+    are built on.
+
+    ``levels[k]`` is the coefficient of every ``|S| = k`` of a symmetric
+    ``f`` (constants included), one exact integer Krawtchouk product scaled
+    by ``2^-n``, else ``None``; ``relevant`` is the increasing tuple of
+    0-based voters ``f`` depends on.  A table of at most 64 entries
+    (``n <= 6``) is not read: ``(None, every voter)``.
+    """
+    n, table = f.n, f.table
+    if (1 << n) <= _PREFIX:
+        return None, tuple(range(n))
+    # F[w] = f(1^w 0^(n-w)) describes f iff f depends only on the input weight.
+    profile, weights = table[(1 << np.arange(n + 1)) - 1], mask_levels(n)
+    if not (
+        np.array_equal(profile[weights[:_PREFIX]], table[:_PREFIX])
+        and np.array_equal(profile[weights], table)
+    ):
+        return None, _relevant_voters(table, n)
+    levels = _frozen((_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n))
+    return levels, () if profile.min() == profile.max() else tuple(range(n))
+
+
+def _subcube(voters) -> np.ndarray:
+    # The masks inside the increasing voters: the inputs of a restriction
+    # and the subsets S of the voters alike.
+    inside = np.zeros(1, dtype=np.int64)
+    for i in voters:
+        inside = np.concatenate([inside, inside | (1 << i)])
+    return inside
+
+
+def restrict(f: BooleanFunction, voters) -> BooleanFunction:
+    """``f`` on its increasing 0-based ``voters`` (renumbered from 0), the rest 0."""
+    return BooleanFunction(len(voters), f.table[_subcube(voters)])
+
+
+def walsh_transform(f: BooleanFunction, structure=None) -> WalshSpectrum:
     """Spectrum of ``f``: ``coeffs[S] = 2^-n sum_x f(x) r_S(x)``.
 
-    A table of at most 64 entries (``n <= 6``) goes straight to the
-    butterfly of :func:`walsh_coeffs`.  Otherwise the structure is read off
-    the table, in this order:
+    Built on ``structure = read_structure(f)``, read here unless given:
 
-    * symmetric ``f`` (constants included): the ``n + 1`` level
-      coefficients are one exact integer Krawtchouk product, gathered by
-      level;
+    * symmetric ``f``: the level coefficients gathered by level;
     * ``f`` depending only on the voters in ``J``, ``|J| < n``: the
       butterfly runs on the ``2^|J|`` restriction and is scattered onto the
       subsets of ``J``, every other coefficient being 0;
-    * otherwise the in-place butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
+    * otherwise, and for every table of at most 64 entries, the in-place
+      butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
 
     Every path is bit-identical to ``walsh_coeffs(f.table)``: all partial
     sums are integers of at most ``2^n`` and each path scales once by a
     power of two.  It agrees with :func:`walsh_transform_naive`.
     """
     n, table = f.n, f.table
-    if (1 << n) <= _PREFIX:
-        return WalshSpectrum(n, _frozen(walsh_coeffs(table)))
-    profile = _weight_profile(table, n)
-    if profile is not None:
-        level_coeffs = (_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n)
-        return WalshSpectrum(n, _frozen(level_coeffs[mask_levels(n)]))
-    relevant = _relevant_voters(table, n)
+    levels, relevant = read_structure(f) if structure is None else structure
+    if levels is not None:
+        return WalshSpectrum(n, _frozen(levels[mask_levels(n)]))
     if len(relevant) == n:
         return WalshSpectrum(n, _frozen(walsh_coeffs(table)))
-    # A constant is symmetric, so here 1 <= |J| < n.  The masks inside J
-    # index both the restricted inputs and the subsets S of J.
-    inside = np.zeros(1, dtype=np.int64)
-    for i in relevant:
-        inside = np.concatenate([inside, inside | (1 << i)])
+    # A constant is symmetric, so here 1 <= |J| < n.
+    inside = _subcube(relevant)
     coeffs = np.zeros(1 << n)
     coeffs[inside] = walsh_coeffs(table[inside])
     return WalshSpectrum(n, _frozen(coeffs))

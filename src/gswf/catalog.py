@@ -52,8 +52,9 @@ def dictator(n: int, voter: int) -> BooleanFunction:
     bfn.check_arity(n)
     if not 1 <= voter <= n:
         raise ValidationError(f"voter index must be in 1..{n}, got {voter}")
-    x = np.arange(1 << n, dtype=np.int64)
-    return BooleanFunction(n, ((x >> (voter - 1)) & 1).astype(np.uint8))
+    # Runs of 2^(voter-1) zeros then as many ones, repeated.
+    half = np.repeat(np.array([0, 1], dtype=np.uint8), 1 << (voter - 1))
+    return BooleanFunction(n, np.tile(half, 1 << (n - voter)))
 
 
 def threshold(n: int, k: int) -> BooleanFunction:

@@ -23,7 +23,8 @@ A seeded Monte Carlo estimator covers arities beyond the oracle ceiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distrib
 from .errors import CapacityError, ValidationError
 
 #: Largest arity accepted by the exact oracle.
-ORACLE_MAX = 9
+ORACLE_MAX = 11
 
 #: Ceiling on the oracle's contracted tables, ``2 rows 4^n`` float64, in
 #: bytes; the process peaks at about 2.5 times this.
@@ -116,11 +117,14 @@ class WResult:
 PAIR_CACHE_BYTES = 1 << 30
 
 
+def _level_powers(n: int, delta: float) -> np.ndarray:
+    return np.power(float(delta), np.arange(n + 1, dtype=np.float64))
+
+
 def _delta_mask_weights(n: int, delta: float) -> np.ndarray:
     # delta^{|S|} per mask with the empty set zeroed out; the n+1 level
     # powers are computed once and gathered.
-    powers = np.power(float(delta), np.arange(n + 1, dtype=np.float64))
-    weights = powers[mask_levels(n)]
+    weights = _level_powers(n, delta)[mask_levels(n)]
     weights[0] = 0.0
     return weights
 
@@ -156,8 +160,7 @@ def noise_operator_spectral(s: PseudoSpectrum, eps: float) -> PseudoSpectrum:
     """Attenuate level-``k`` coefficients by ``eps^k``."""
     if not -1.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [-1, 1], got {eps!r}")
-    powers = np.power(float(eps), np.arange(s.n + 1, dtype=np.float64))
-    return PseudoSpectrum(s.n, s.coeffs * powers[mask_levels(s.n)])
+    return PseudoSpectrum(s.n, s.coeffs * _level_powers(s.n, eps)[mask_levels(s.n)])
 
 
 def noise_operator_convolution(f: BooleanFunction, eps: float) -> np.ndarray:
@@ -201,13 +204,45 @@ def w_batch(sf: np.ndarray, sg: np.ndarray, sh: np.ndarray, d: EvenProductDistri
     return base + cross[0] + cross[1] + cross[2], base, tuple(cross)
 
 
+def level_inner_product(a: np.ndarray, b: np.ndarray, delta: float) -> float:
+    """``<<f, g>>_delta`` of two symmetric functions from their level
+    coefficients (see :func:`bfn.read_structure`):
+    ``sum over k >= 1 of C(n, k) a_k b_k delta^k``, ``O(n)``."""
+    if not -1.0 <= delta <= 1.0:
+        raise ValidationError(f"delta must lie in [-1, 1], got {delta!r}")
+    n = len(a) - 1
+    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
+    return math.fsum((a * b * binomials * _level_powers(n, delta))[1:])
+
+
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
     """Closed-form ``W`` for an even product distribution.
 
-    Each distinct function of the triple is transformed once.
+    The structure of each distinct function is read once
+    (:func:`bfn.read_structure`) and picks the route:
+
+    * all three symmetric: every cross term by :func:`level_inner_product`,
+      ``O(n)``, summed ``((base + c0) + c1) + c2`` as in :func:`w_batch`;
+    * the union ``J`` of the relevant voters smaller than ``n``: ``W`` of
+      the triple restricted to ``J`` (the other voters integrate out of a
+      product law), reported at arity ``n``;
+    * otherwise the dense spectra, through :func:`w_from_spectra`.
     """
-    spectra = {fn: walsh_transform(fn) for fn in set(gswf.functions)}
-    return w_from_spectra(*(spectra[fn] for fn in gswf.functions), d)
+    fns = gswf.functions
+    found = {fn: bfn.read_structure(fn) for fn in set(fns)}
+    levels = [found[fn][0] for fn in fns]
+    if all(a is not None for a in levels):
+        base = _base_term(*(a[0] for a in levels))
+        pairs = zip(levels, levels[1:] + levels[:1], d.deltas)
+        cross = tuple(level_inner_product(a, b, delta) for a, b, delta in pairs)
+        w = float(base + cross[0] + cross[1] + cross[2])
+        return WResult(w, float(base), "formula", gswf.n, cross, d.deltas)
+    union = sorted(set().union(*(relevant for _, relevant in found.values())))
+    if len(union) < gswf.n:
+        sub = Gswf(*(bfn.restrict(fn, union) for fn in fns))
+        return replace(w_formula(sub, d), n=gswf.n)
+    spectra = {fn: walsh_transform(fn, s) for fn, s in found.items()}
+    return w_from_spectra(*(spectra[fn] for fn in fns), d)
 
 
 def w_from_spectra(

@@ -25,6 +25,7 @@ from .errors import HypothesisViolation, ValidationError
 from .rationality import (
     Gswf,
     biased_inner_product,
+    level_inner_product,
     pair_matrix,
     w_batch,
     w_formula,
@@ -495,14 +496,13 @@ def check_neutral_symmetric_bound(
     factor = 1.0 + d1**3 + d2**3 + d3**3
     rows = []
     for n in n_list:
-        s = walsh_transform(catalog.majority(n))
         dm = majority_first_level_mass(n)
         rows.append({
             "n": n,
-            "w": w_from_spectra(s, s, s, d).w,
+            "w": w_formula(catalog.preset_gswf("condorcet", n), d).w,
             "rhs": (0.25 - dm) * factor,
             "d_m": dm,
-            "d_m_spectral": float(bfn.level_weights(s)[1]),
+            "d_m_spectral": float(n * _majority_levels(n)[1] ** 2),
         })
     margin, row, _ = first_optimum(((row, row["w"] - row["rhs"]) for row in rows), False)
     n_star, w_star, rhs_star = row["n"], row["w"], row["rhs"]
@@ -528,10 +528,16 @@ def check_neutral_symmetric_bound(
     )
 
 
+def _majority_levels(n: int) -> np.ndarray:
+    # Majority is symmetric: its level-k coefficient sits at every |S| = k,
+    # among them the mask of voters 1..k.
+    return walsh_transform(catalog.majority(n)).coeffs[(1 << np.arange(n + 1)) - 1]
+
+
 def majority_self_correlation(n: int, rho: float) -> float:
-    """``<<maj_n, maj_n>>_rho`` from the spectrum."""
-    s = walsh_transform(catalog.majority(n))
-    return biased_inner_product(s, s, rho)
+    """``<<maj_n, maj_n>>_rho`` from the level coefficients."""
+    a = _majority_levels(n)
+    return level_inner_product(a, a, rho)
 
 
 def check_majority_stability(
@@ -545,9 +551,9 @@ def check_majority_stability(
     """
     errs = {}
     for n in n_list:
-        s = walsh_transform(catalog.majority(n))
+        a = _majority_levels(n)
         errs[n] = [
-            abs(biased_inner_product(s, s, r) - math.asin(r) / (2.0 * math.pi))
+            abs(level_inner_product(a, a, r) - math.asin(r) / (2.0 * math.pi))
             for r in rho_grid
         ]
     ns = list(n_list)

@@ -12,6 +12,8 @@ from math import comb
 import numpy as np
 import pytest
 
+from gswf.bfn import BooleanFunction
+
 # canonical admissible triples (x, y, z), same order the package documents
 TRIPLES = ((1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 0, 1), (1, 0, 0), (0, 1, 0))
 
@@ -48,14 +50,13 @@ def fraction_spectrum(table, n):
     return out
 
 
-def symmetric_uniform_w(profiles, n):
-    """Exact ``W`` under the uniform distribution for symmetric functions.
+def level_sums(profiles, n):
+    """Exact integer Krawtchouk level sums of symmetric functions.
 
-    ``profiles`` holds three 0/1 lists indexed by Hamming weight ``0..n``.
-    Every coefficient at level ``k`` of a symmetric function equals
-    ``2^-n`` times the integer Krawtchouk sum
-    ``sum_w F(w) sum_j C(k,j) C(n-k,w-j) (-1)^(k-j)``, so each cross term
-    collapses to ``sum_k C(n,k) a_k b_k (-1/3)^k``.  Returns a ``Fraction``.
+    ``profiles`` holds 0/1 lists indexed by Hamming weight ``0..n``.  Every
+    coefficient at level ``k`` of a symmetric function equals ``2^-n``
+    times ``sum_w F(w) sum_j C(k,j) C(n-k,w-j) (-1)^(k-j)``; entry ``k`` of
+    each returned list is that integer sum.
     """
     kraw = [
         [
@@ -67,10 +68,20 @@ def symmetric_uniform_w(profiles, n):
         ]
         for k in range(n + 1)
     ]
-    levels = [
+    return [
         [sum(prof[w] * kraw[k][w] for w in range(n + 1)) for k in range(n + 1)]
         for prof in profiles
     ]
+
+
+def symmetric_uniform_w(profiles, n):
+    """Exact ``W`` under the uniform distribution for symmetric functions.
+
+    ``profiles`` holds three 0/1 lists indexed by Hamming weight ``0..n``.
+    With the level sums of :func:`level_sums` each cross term collapses to
+    ``sum_k C(n,k) a_k b_k (-1/3)^k``.  Returns a ``Fraction``.
+    """
+    levels = level_sums(profiles, n)
     size = 1 << n
     p1, p2, p3 = (Fraction(a[0], size) for a in levels)
     base = p1 * p2 * p3 + (1 - p1) * (1 - p2) * (1 - p3)
@@ -81,6 +92,32 @@ def symmetric_uniform_w(profiles, n):
         for k in range(1, n + 1)
     )
     return base + Fraction(cross, size * size * 3**n)
+
+
+def symmetric_w(profiles, n, deltas):
+    """Exact ``W`` of three symmetric functions under an even product law.
+
+    As :func:`symmetric_uniform_w`, with each cross term's ``delta`` taken
+    as ``Fraction(delta)`` of the given (float) deltas.  Returns a
+    ``Fraction``.
+    """
+    size = 1 << n
+    levels = [[Fraction(c, size) for c in a] for a in level_sums(profiles, n)]
+    p1, p2, p3 = (a[0] for a in levels)
+    total = p1 * p2 * p3 + (1 - p1) * (1 - p2) * (1 - p3)
+    pairs = ((levels[0], levels[1]), (levels[1], levels[2]), (levels[2], levels[0]))
+    for (a, b), delta in zip(pairs, deltas):
+        d = Fraction(delta)
+        total += sum(comb(n, k) * a[k] * b[k] * d**k for k in range(1, n + 1))
+    return total
+
+
+def random_junta(n, voters, rng):
+    """A random table on ``len(voters)`` inputs, read off those voters of x."""
+    inner = rng.integers(0, 2, size=1 << len(voters), dtype=np.uint8)
+    x = np.arange(1 << n)
+    y = sum(((x >> v) & 1) << b for b, v in enumerate(voters))
+    return BooleanFunction(n, inner[y])
 
 
 def fraction_biased_product(sa, sb, delta: Fraction):

@@ -37,7 +37,7 @@ from gswf.catalog import (
 )
 from gswf.errors import CapacityError, ValidationError
 
-from conftest import fraction_spectrum
+from conftest import fraction_spectrum, random_junta
 
 
 def all_functions(n):
@@ -211,14 +211,6 @@ def assert_spectrum_bytes(f):
     assert got.tobytes() == bfn.walsh_coeffs(f.table).tobytes()
 
 
-def random_junta(n, voters, rng):
-    # A random table on len(voters) inputs, read off those voters of x.
-    inner = rng.integers(0, 2, size=1 << len(voters), dtype=np.uint8)
-    x = np.arange(1 << n)
-    y = sum(((x >> v) & 1) << b for b, v in enumerate(voters))
-    return BooleanFunction(n, inner[y])
-
-
 @pytest.fixture
 def butterfly_lengths(monkeypatch):
     # Record the length of every array the dense butterfly transforms.
@@ -289,6 +281,29 @@ class TestStructuredSpectra:
         for n in range(1, 13):
             for _ in range(6):
                 assert_spectrum_bytes(bfn.random_function(n, rng))
+
+    def test_relevant_voters_match_the_flip_rule(self, rng):
+        # Voter i is relevant iff table[x] != table[x ^ 2^i] for some x.
+        for n in range(7, 15):
+            x = np.arange(1 << n)
+            fs = [bfn.random_function(n, rng), threshold(n, n // 2), constant(n, 1)]
+            for size in range(1, 7):
+                voters = sorted(rng.choice(n, size=size, replace=False).tolist())
+                fs.append(random_junta(n, voters, rng))
+            for f in fs:
+                t = f.table
+                expected = tuple(i for i in range(n) if np.any(t != t[x ^ (1 << i)]))
+                assert bfn.read_structure(f)[1] == expected
+
+    def test_structure_of_symmetric_tables(self):
+        for n in range(7, 13):
+            for f in (constant(n, 0), constant(n, 1), threshold(n, 3), parity(n)):
+                levels, relevant = bfn.read_structure(f)
+                coeffs = walsh_transform(f).coeffs
+                assert levels.tobytes() == coeffs[(1 << np.arange(n + 1)) - 1].tobytes()
+                assert relevant == (() if bfn.is_constant(f) else tuple(range(n)))
+        # Up to 64 entries nothing is read.
+        assert bfn.read_structure(dictator(6, 2)) == (None, tuple(range(6)))
 
     def test_fast_paths_skip_the_full_butterfly(self, butterfly_lengths):
         assert_spectrum_bytes(majority(21))

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gswf import bfn
@@ -47,6 +48,15 @@ class TestFamilies:
             dictator(3, 4)
         with pytest.raises(ValidationError):
             dictator(3, 0)
+
+    def test_dictator_tables_match_the_shift_formula(self):
+        # The table of voter v is bit v-1 of every input mask, byte for byte.
+        for n in range(1, 13):
+            x = np.arange(1 << n, dtype=np.int64)
+            for v in range(1, n + 1):
+                table = dictator(n, v).table
+                assert table.dtype == np.uint8
+                assert table.tobytes() == ((x >> (v - 1)) & 1).astype(np.uint8).tobytes()
 
     def test_majority_rejects_even(self):
         with pytest.raises(ValidationError):

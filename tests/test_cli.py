@@ -242,7 +242,7 @@ class TestOtherCommands:
 
     def test_capacity_error_is_actionable(self):
         proc = run_cli(
-            "rationality", "--preset", "condorcet", "--n", "11", "--uniform",
+            "rationality", "--preset", "condorcet", "--n", "13", "--uniform",
             "--method", "oracle",
         )
         assert proc.returncode == 2

@@ -15,7 +15,7 @@ from gswf.bfn import (
     is_monotone_values,
     walsh_transform,
 )
-from gswf.catalog import conjunction, dictator, disjunction, majority, preset_gswf
+from gswf.catalog import constant, conjunction, dictator, disjunction, majority, preset_gswf
 from gswf.dist import EvenProductDistribution, TripleDistribution, as_triple_distribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import (
@@ -37,7 +37,14 @@ from gswf.rationality import (
 )
 from gswf.theorems import pseudo_extremal_spectra
 
-from conftest import TRIPLES, brute_force_w, fraction_biased_product, fraction_spectrum
+from conftest import (
+    TRIPLES,
+    brute_force_w,
+    fraction_biased_product,
+    fraction_spectrum,
+    random_junta,
+    symmetric_w,
+)
 
 UNIFORM = EvenProductDistribution.uniform()
 EPS_GRID = np.linspace(-1.0, 1.0, 9)
@@ -217,6 +224,72 @@ class TestWFormula:
             assert got == w_from_spectra(*spectra, d)
 
 
+LAWS = (UNIFORM, EvenProductDistribution(0.2, 0.1, 0.2), EvenProductDistribution(0.3, 0.15, 0.05))
+
+
+@pytest.fixture
+def dense_sizes(monkeypatch):
+    # Record the spectrum length of every w_batch call.
+    sizes = []
+    dense = rationality.w_batch
+
+    def recording(sf, sg, sh, d):
+        sizes.append(sf.shape[-1])
+        return dense(sf, sg, sh, d)
+
+    monkeypatch.setattr(rationality, "w_batch", recording)
+    return sizes
+
+
+def dense_w(gswf, d):
+    return w_from_spectra(*(walsh_transform(fn) for fn in gswf.functions), d)
+
+
+class TestWFormulaRoutes:
+    @pytest.mark.parametrize("n", [7, 9, 15, 21, 23])
+    @pytest.mark.parametrize("name", ["condorcet", "threshold_instability", "and_dual_majority"])
+    def test_level_route_against_exact_rationals(self, name, n, dense_sizes):
+        gswf = preset_gswf(name, n, q=0.2)
+        profiles = [fn.table[(1 << np.arange(n + 1)) - 1].tolist() for fn in gswf.functions]
+        for d in LAWS:
+            got = w_formula(gswf, d)
+            assert abs(Fraction(got.w) - symmetric_w(profiles, n, d.deltas)) <= 1e-16
+            assert got.n == n and got.deltas == d.deltas
+        assert dense_sizes == []
+
+    @pytest.mark.parametrize("n", [7, 10, 16, 22])
+    @pytest.mark.parametrize("name", ["split_dictators", "dictator_triple", "alpha_half_extremal"])
+    def test_junta_route_is_bit_identical_to_the_dense_path(self, name, n, dense_sizes):
+        gswf = preset_gswf(name, n, voter=n)
+        spectra = [walsh_transform(fn) for fn in gswf.functions]
+        for d in LAWS:
+            dense_sizes.clear()
+            got = w_formula(gswf, d)
+            assert max(dense_sizes) <= 8
+            ref = w_from_spectra(*spectra, d)
+            assert (got.w, got.base, got.cross_terms, got.n) == (
+                ref.w, ref.base, ref.cross_terms, ref.n
+            )
+
+    def test_random_juntas_agree_with_the_dense_path(self, rng):
+        # At most 6 relevant voters in all, so every triple takes the junta
+        # route; the second one holds a constant.
+        for n in range(7, 17):
+            pool = rng.choice(n, size=int(rng.integers(1, 7)), replace=False)
+
+            def junta():
+                size = int(rng.integers(1, pool.size + 1))
+                return random_junta(n, rng.choice(pool, size=size, replace=False).tolist(), rng)
+
+            f, g, h = junta(), junta(), junta()
+            for gswf in (Gswf(f, g, h), Gswf(constant(n, 1), g, h)):
+                for d in LAWS:
+                    got, ref = w_formula(gswf, d), dense_w(gswf, d)
+                    assert got.n == n
+                    assert abs(got.w - ref.w) <= 1e-15
+                    assert np.allclose(got.cross_terms, ref.cross_terms, rtol=0, atol=1e-15)
+
+
 class TestWFromSpectra:
     def test_pseudo_extremal_three_eighths(self):
         spectra = pseudo_extremal_spectra(3)
@@ -253,9 +326,16 @@ class TestWOracle:
             assert w_oracle(gswf, random_even(rng)).w == pytest.approx(0.0, abs=1e-12)
 
     def test_capacity_error_mentions_monte_carlo(self):
-        gswf = preset_gswf("condorcet", 11)
+        gswf = preset_gswf("condorcet", ORACLE_MAX + 2)
         with pytest.raises(CapacityError, match="monte_carlo"):
             w_oracle(gswf, UNIFORM)
+
+    @pytest.mark.parametrize("law", [UNIFORM, EvenProductDistribution(0.3, 0.15, 0.05)])
+    def test_oracle_at_its_ceiling_checks_the_level_route(self, law):
+        # majority(11) takes the level route of w_formula
+        gswf = preset_gswf("condorcet", ORACLE_MAX)
+        assert ORACLE_MAX == 11
+        assert abs(w_oracle(gswf, law).w - w_formula(gswf, law).w) <= 1e-12
 
     def test_batched_path_matches_cached_path(self, rng):
         # n = 7: a single row contracted over 4^7 (x, y) inputs
