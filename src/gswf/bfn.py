@@ -284,28 +284,40 @@ def _relevant_voters(table: np.ndarray, n: int) -> tuple[int, ...]:
     return tuple(relevant)
 
 
-def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ...]]:
-    """``(levels, relevant)``: the structure that ``f``'s spectrum and ``W``
-    are built on.
+def symmetric_levels(f: BooleanFunction) -> np.ndarray | None:
+    """``levels[k]``, the coefficient of every ``|S| = k``, if ``f``
+    depends only on the input weight (constants included), else ``None``.
 
-    ``levels[k]`` is the coefficient of every ``|S| = k`` of a symmetric
-    ``f`` (constants included), one exact integer Krawtchouk product scaled
-    by ``2^-n``, else ``None``; ``relevant`` is the increasing tuple of
-    0-based voters ``f`` depends on.  A table of at most 64 entries
-    (``n <= 6``) is not read: ``(None, every voter)``.
+    One exact integer Krawtchouk product scaled by ``2^-n``, at any arity;
+    it is bit-identical to gathering :func:`walsh_coeffs` by level.
     """
     n, table = f.n, f.table
-    if (1 << n) <= _PREFIX:
-        return None, tuple(range(n))
     # F[w] = f(1^w 0^(n-w)) describes f iff f depends only on the input weight.
     profile, weights = table[(1 << np.arange(n + 1)) - 1], mask_levels(n)
     if not (
         np.array_equal(profile[weights[:_PREFIX]], table[:_PREFIX])
         and np.array_equal(profile[weights], table)
     ):
-        return None, _relevant_voters(table, n)
-    levels = _frozen((_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n))
-    return levels, () if profile.min() == profile.max() else tuple(range(n))
+        return None
+    return _frozen((_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n))
+
+
+def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ...]]:
+    """``(levels, relevant)``: the structure that ``f``'s spectrum and ``W``
+    are built on.
+
+    ``levels`` is :func:`symmetric_levels`; ``relevant`` is the increasing
+    tuple of 0-based voters ``f`` depends on.  A table of at most 64
+    entries (``n <= 6``) is not read: ``(None, every voter)``.
+    """
+    n = f.n
+    if (1 << n) <= _PREFIX:
+        return None, tuple(range(n))
+    levels = symmetric_levels(f)
+    if levels is None:
+        return None, _relevant_voters(f.table, n)
+    # Only a constant has no weight on the levels k >= 1.
+    return levels, tuple(range(n)) if levels[1:].any() else ()
 
 
 def _subcube(voters) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,26 +12,6 @@ from . import bfn
 from .bfn import BooleanFunction, mask_levels
 from .errors import ValidationError
 from .rationality import Gswf
-
-FAMILY_NAMES = (
-    "dictator",
-    "majority",
-    "and",
-    "or",
-    "threshold",
-    "parity",
-    "tribes",
-    "constant",
-)
-
-PRESET_NAMES = (
-    "condorcet",
-    "dictator_triple",
-    "split_dictators",
-    "and_dual_majority",
-    "threshold_instability",
-    "alpha_half_extremal",
-)
 
 
 @dataclass(frozen=True)
@@ -109,34 +90,52 @@ def tribes(n: int, tribe_size: int) -> BooleanFunction:
     return BooleanFunction(n, out)
 
 
+@dataclass(frozen=True)
+class Family:
+    """One row of :data:`FAMILIES`.
+
+    ``build`` takes ``n`` and, when ``field`` names the :class:`FamilySpec`
+    field holding it, one extra integer parameter.  ``spec`` is the CLI
+    syntax, whose head is also accepted as the family name; ``parameters``
+    is what ``gswf catalog list`` shows.
+    """
+
+    build: Callable[..., BooleanFunction]
+    spec: str
+    parameters: tuple[str, ...]
+    field: str | None = None
+
+    @property
+    def head(self) -> str:
+        return self.spec.split(":", 1)[0]
+
+
+FAMILIES = {
+    "dictator": Family(dictator, "dict:<n>:<voter>", ("n", "voter"), "voter"),
+    "majority": Family(majority, "maj:<n>", ("n (odd)",)),
+    "and": Family(conjunction, "and:<n>", ("n",)),
+    "or": Family(disjunction, "or:<n>", ("n",)),
+    "threshold": Family(threshold, "thr:<n>:<k>", ("n", "k in 0..n+1"), "threshold"),
+    "parity": Family(parity, "parity:<n>", ("n",)),
+    "tribes": Family(tribes, "tribes:<n>:<size>", ("n", "tribe size"), "tribe_size"),
+    "constant": Family(constant, "const:<n>:<bit>", ("n", "bit"), "bit"),
+}
+
+FAMILY_NAMES = tuple(FAMILIES)
+
+# A spec head is a family's short head or its name.
+_BY_HEAD = {key: fam for name, fam in FAMILIES.items() for key in (fam.head, name)}
+
+
 def make(spec: FamilySpec) -> BooleanFunction:
     """Build the truth table described by a family spec."""
-    fam, n = spec.family, spec.n
-    if fam == "dictator":
-        if spec.voter is None:
-            raise ValidationError("dictator requires a voter index")
-        return dictator(n, spec.voter)
-    if fam == "majority":
-        return majority(n)
-    if fam == "and":
-        return conjunction(n)
-    if fam == "or":
-        return disjunction(n)
-    if fam == "threshold":
-        if spec.threshold is None:
-            raise ValidationError("threshold requires a cutoff")
-        return threshold(n, spec.threshold)
-    if fam == "parity":
-        return parity(n)
-    if fam == "tribes":
-        if spec.tribe_size is None:
-            raise ValidationError("tribes requires a tribe size")
-        return tribes(n, spec.tribe_size)
-    if fam == "constant":
-        if spec.bit is None:
-            raise ValidationError("constant requires a bit")
-        return constant(n, spec.bit)
-    raise ValidationError(f"unknown family {fam!r}; known: {', '.join(FAMILY_NAMES)}")
+    fam = FAMILIES.get(spec.family)
+    if fam is None:
+        raise ValidationError(f"unknown family {spec.family!r}; known: {', '.join(FAMILY_NAMES)}")
+    args = () if fam.field is None else (getattr(spec, fam.field),)
+    if None in args:
+        raise ValidationError(f"{spec.family} requires {fam.field}")
+    return fam.build(spec.n, *args)
 
 
 def instability_cutoff(n: int, q: float) -> int:
@@ -146,6 +145,19 @@ def instability_cutoff(n: int, q: float) -> int:
     epsilon keeps decimal float noise from bumping an integer target up.
     """
     return math.ceil((1.0 - q) * n - 1e-9)
+
+
+#: The parameters ``gswf catalog list`` shows for each preset of :func:`preset_gswf`.
+PRESETS = {
+    "condorcet": ("n (odd)",),
+    "dictator_triple": ("n", "voter"),
+    "split_dictators": ("n >= 3",),
+    "and_dual_majority": ("n (odd)",),
+    "threshold_instability": ("n (odd)", "q in (0, 1/2)"),
+    "alpha_half_extremal": ("n >= 2",),
+}
+
+PRESET_NAMES = tuple(PRESETS)
 
 
 def preset_gswf(name: str, n: int, *, voter: int = 1, q: float | None = None) -> Gswf:
@@ -199,9 +211,10 @@ def eta(n: int, q: float) -> float:
 def parse_function_spec(text: str) -> BooleanFunction:
     """Parse compact CLI function specs.
 
-    Forms: ``maj:15``, ``thr:15:12``, ``dict:15:1``, ``and:3``, ``or:3``,
-    ``parity:4``, ``tribes:9:3``, ``const:3:1`` and ``hex:3:e8`` (arity,
-    then the packed truth table in hex).
+    Forms: the ``spec`` of each row of :data:`FAMILIES`, e.g. ``maj:15``,
+    ``thr:15:12`` or ``tribes:9:3``, with the family name accepted as the
+    head (``majority:15``), and ``hex:3:e8`` (arity, then the packed truth
+    table in hex).
     """
     parts = text.split(":")
     head = parts[0].lower()
@@ -214,28 +227,11 @@ def parse_function_spec(text: str) -> BooleanFunction:
         args = [int(p) for p in parts[2:]]
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed function spec {text!r}") from exc
-    zero_arg = {
-        "maj": majority,
-        "majority": majority,
-        "and": conjunction,
-        "or": disjunction,
-        "parity": parity,
-    }
-    one_arg = {
-        "thr": threshold,
-        "threshold": threshold,
-        "dict": dictator,
-        "dictator": dictator,
-        "tribes": tribes,
-        "const": constant,
-        "constant": constant,
-    }
-    if head in zero_arg:
-        if args:
-            raise ValidationError(f"{head} spec takes no extra parameter: {text!r}")
-        return zero_arg[head](n)
-    if head in one_arg:
-        if len(args) != 1:
-            raise ValidationError(f"{head} spec needs exactly one parameter: {text!r}")
-        return one_arg[head](n, args[0])
-    raise ValidationError(f"unknown function spec {text!r}")
+    fam = _BY_HEAD.get(head)
+    if fam is None:
+        raise ValidationError(f"unknown function spec {text!r}")
+    if fam.field is None and args:
+        raise ValidationError(f"{head} spec takes no extra parameter: {text!r}")
+    if fam.field is not None and len(args) != 1:
+        raise ValidationError(f"{head} spec needs exactly one parameter: {text!r}")
+    return fam.build(n, *args)

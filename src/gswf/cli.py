@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bfn, catalog, theorems
 from .bfn import level_weights, walsh_transform
-from .dist import EvenProductDistribution, TripleDistribution
+from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution
 from .errors import GswfError, ValidationError
 from .rationality import Gswf, w_formula, w_monte_carlo, w_oracle
 from .search import ClassFilter, extremal_w, random_search
@@ -51,13 +51,13 @@ def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--triples",
         type=str,
-        help="six probabilities p110,p011,p101,p001,p100,p010 "
+        help=f"six probabilities {','.join('p' + t for t in TRIPLE_LABELS)} "
         "(general distributions run the oracle or Monte Carlo paths only)",
     )
 
 
-def _parse_dist(args) -> tuple[object, bool]:
-    """Returns (distribution, is_even_family). Defaults to uniform."""
+def _parse_dist(args) -> EvenProductDistribution | TripleDistribution:
+    """The distribution the flags choose; uniform by default."""
     chosen = [
         bool(args.uniform),
         args.alpha is not None or args.beta is not None or args.gamma is not None,
@@ -72,13 +72,12 @@ def _parse_dist(args) -> tuple[object, bool]:
             raise ValidationError(f"--triples takes six numbers, got {args.triples!r}") from exc
         if len(parts) != 6:
             raise ValidationError("--triples needs exactly six comma-separated values")
-        t = TripleDistribution(np.asarray(parts))
-        return t, False
+        return TripleDistribution(np.asarray(parts))
     if chosen[1]:
         if None in (args.alpha, args.beta, args.gamma):
             raise ValidationError("--alpha, --beta and --gamma must be given together")
-        return EvenProductDistribution(args.alpha, args.beta, args.gamma), True
-    return EvenProductDistribution.uniform(), True
+        return EvenProductDistribution(args.alpha, args.beta, args.gamma)
+    return EvenProductDistribution.uniform()
 
 
 def _add_function_flags(parser: argparse.ArgumentParser) -> None:
@@ -154,9 +153,9 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _run_methods(gswf, dist, even, args) -> list:
+def _run_methods(gswf, dist, args) -> list:
     method = args.method
-    if not even and method in ("formula", "both"):
+    if not isinstance(dist, EvenProductDistribution) and method in ("formula", "both"):
         raise ValidationError(
             "the closed form only applies to even product distributions; "
             "use --method oracle or monte-carlo with --triples"
@@ -175,8 +174,8 @@ def _run_methods(gswf, dist, even, args) -> list:
 
 def _cmd_rationality(args) -> int:
     gswf, preset = _parse_gswf(args)
-    dist, even = _parse_dist(args)
-    results = _run_methods(gswf, dist, even, args)
+    dist = _parse_dist(args)
+    results = _run_methods(gswf, dist, args)
     payload = {
         "kind": "rationality_report",
         "n": gswf.n,
@@ -233,8 +232,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    dist, even = _parse_dist(args)
-    if not even:
+    dist = _parse_dist(args)
+    if not isinstance(dist, EvenProductDistribution):
         raise ValidationError("search evaluates the closed form; use an even product distribution")
     filters = tuple(
         ClassFilter.parse(text) for text in (args.class_f, args.class_g, args.class_h)
@@ -263,23 +262,13 @@ def _cmd_catalog(args) -> int:
     payload = {
         "kind": "catalog_listing",
         "families": [
-            {"name": "dictator", "spec": "dict:<n>:<voter>", "parameters": ["n", "voter"]},
-            {"name": "majority", "spec": "maj:<n>", "parameters": ["n (odd)"]},
-            {"name": "and", "spec": "and:<n>", "parameters": ["n"]},
-            {"name": "or", "spec": "or:<n>", "parameters": ["n"]},
-            {"name": "threshold", "spec": "thr:<n>:<k>", "parameters": ["n", "k in 0..n+1"]},
-            {"name": "parity", "spec": "parity:<n>", "parameters": ["n"]},
-            {"name": "tribes", "spec": "tribes:<n>:<size>", "parameters": ["n", "tribe size"]},
-            {"name": "constant", "spec": "const:<n>:<bit>", "parameters": ["n", "bit"]},
-            {"name": "hex table", "spec": "hex:<n>:<digits>", "parameters": ["n", "packed table"]},
-        ],
+            {"name": name, "spec": fam.spec, "parameters": list(fam.parameters)}
+            for name, fam in catalog.FAMILIES.items()
+        ]
+        # hex is a table format, not a family
+        + [{"name": "hex table", "spec": "hex:<n>:<digits>", "parameters": ["n", "packed table"]}],
         "presets": [
-            {"name": "condorcet", "parameters": ["n (odd)"]},
-            {"name": "dictator_triple", "parameters": ["n", "voter"]},
-            {"name": "split_dictators", "parameters": ["n >= 3"]},
-            {"name": "and_dual_majority", "parameters": ["n (odd)"]},
-            {"name": "threshold_instability", "parameters": ["n (odd)", "q in (0, 1/2)"]},
-            {"name": "alpha_half_extremal", "parameters": ["n >= 2"]},
+            {"name": name, "parameters": list(params)} for name, params in catalog.PRESETS.items()
         ],
     }
     if args.format == "pretty":

@@ -12,7 +12,7 @@ from . import bfn
 from .bfn import BooleanFunction
 from .dist import EvenProductDistribution
 from .errors import CapacityError, ValidationError
-from .rationality import Gswf, pair_matrix, w_batch
+from .rationality import pair_matrix, w_batch
 
 #: Largest arity for full class enumeration (2^16 candidate tables at n=4).
 ENUM_MAX = 4
@@ -112,9 +112,6 @@ class ExtremalResult:
     mode: str = "exhaustive"
     trials: int | None = None
     seed: int | None = None
-
-    def witness_gswf(self) -> Gswf:
-        return Gswf(*self.witness)
 
     def to_json_dict(self) -> dict:
         return {

@@ -99,10 +99,6 @@ def _report(name, lhs, rhs, margin, tolerance, witness, inverted=False) -> Bound
     )
 
 
-def _uniform() -> EvenProductDistribution:
-    return EvenProductDistribution.uniform()
-
-
 def _random_even_product(rng: np.random.Generator) -> EvenProductDistribution:
     v = rng.dirichlet((1.0, 1.0, 1.0)) / 2.0
     return EvenProductDistribution(float(v[0]), float(v[1]), float(v[2]))
@@ -190,7 +186,7 @@ def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -
     exactly 1/4, so the same scan certifies that rationality holds with
     probability at least 3/4 there.
     """
-    d = d or _uniform()
+    d = d or EvenProductDistribution.uniform()
     if max(d.alpha, d.beta, d.gamma) > 0.25 + TOL_EXACT:
         raise HypothesisViolation(
             "monotone bound requires alpha, beta, gamma <= 1/4; "
@@ -388,7 +384,7 @@ def check_balanced_bound(
     coefficient pattern reaching exactly 3/8, and the two balanced Boolean
     examples (first-level and second-level) reaching exactly 1/3.
     """
-    d = _uniform()
+    d = EvenProductDistribution.uniform()
     if mode == "exhaustive":
         members, S = class_table(n, _BALANCED)
         value, (i, j, k), count = scan_planes(*cross_planes(S, S, S, d), True)
@@ -491,7 +487,7 @@ def check_neutral_symmetric_bound(
     uniform distribution the two sides agree exactly (majority has mass
     only on levels 1 and 3).
     """
-    d = d or _uniform()
+    d = d or EvenProductDistribution.uniform()
     d1, d2, d3 = d.deltas
     factor = 1.0 + d1**3 + d2**3 + d3**3
     rows = []
@@ -529,9 +525,7 @@ def check_neutral_symmetric_bound(
 
 
 def _majority_levels(n: int) -> np.ndarray:
-    # Majority is symmetric: its level-k coefficient sits at every |S| = k,
-    # among them the mask of voters 1..k.
-    return walsh_transform(catalog.majority(n)).coeffs[(1 << np.arange(n + 1)) - 1]
+    return bfn.symmetric_levels(catalog.majority(n))
 
 
 def majority_self_correlation(n: int, rho: float) -> float:
@@ -673,7 +667,7 @@ def check_lower_bound_biased(
 
 def check_arrow_sum_condition(n: int = 2) -> BoundReport:
     """Non-constant triples with ``p1 + p2 + p3 <= 1`` have ``W > 0``."""
-    d = _uniform()
+    d = EvenProductDistribution.uniform()
     members, S = class_table(n, ClassFilter(("non_constant",)))
     p = S[:, 0]
     sum_ok = p[:, None, None] + p[None, :, None] + p[None, None, :] <= 1.0 + 1e-15
@@ -783,7 +777,7 @@ def check_instability_example(
     oscillate, which breaks monotonicity at small arity; a failure here is
     reported, not masked.
     """
-    d = _uniform()
+    d = EvenProductDistribution.uniform()
     margins = []
     # (i) AND / dual / majority decay envelope
     and_rows = []
@@ -1001,7 +995,7 @@ def reevaluate_witness(report: BoundReport) -> float:
     if kind == "instability_ratio_pair":
         if w["from_n"] is None:
             return 0.0
-        d = _uniform()
+        d = EvenProductDistribution.uniform()
 
         def ratio(n):
             gswf = catalog.preset_gswf("threshold_instability", n, q=w["q"])

@@ -12,6 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from gswf import bfn
 from gswf.bfn import BooleanFunction
 
 # canonical admissible triples (x, y, z), same order the package documents
@@ -132,3 +133,17 @@ def fraction_biased_product(sa, sb, delta: Fraction):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def butterfly_lengths(monkeypatch):
+    # Record the length of every array the dense butterfly transforms.
+    lengths = []
+    dense = bfn._analysis_butterfly
+
+    def recording(values, n):
+        lengths.append(values.size)
+        dense(values, n)
+
+    monkeypatch.setattr(bfn, "_analysis_butterfly", recording)
+    return lengths

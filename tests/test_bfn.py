@@ -211,20 +211,6 @@ def assert_spectrum_bytes(f):
     assert got.tobytes() == bfn.walsh_coeffs(f.table).tobytes()
 
 
-@pytest.fixture
-def butterfly_lengths(monkeypatch):
-    # Record the length of every array the dense butterfly transforms.
-    lengths = []
-    dense = bfn._analysis_butterfly
-
-    def recording(values, n):
-        lengths.append(values.size)
-        dense(values, n)
-
-    monkeypatch.setattr(bfn, "_analysis_butterfly", recording)
-    return lengths
-
-
 class TestStructuredSpectra:
     def test_catalog_families_are_bit_identical(self):
         for n in range(1, 13):
@@ -304,6 +290,22 @@ class TestStructuredSpectra:
                 assert relevant == (() if bfn.is_constant(f) else tuple(range(n)))
         # Up to 64 entries nothing is read.
         assert bfn.read_structure(dictator(6, 2)) == (None, tuple(range(6)))
+
+    def test_symmetric_levels_at_every_arity(self, rng):
+        for n in range(1, 13):
+            family = [threshold(n, k) for k in range(n + 2)]
+            family += [dual(f) for f in family]
+            family += [parity(n), conjunction(n), disjunction(n), constant(n, 0), constant(n, 1)]
+            if n % 2:
+                family.append(majority(n))
+            for f in family:
+                gathered = bfn.walsh_coeffs(f.table)[(1 << np.arange(n + 1)) - 1]
+                assert bfn.symmetric_levels(f).tobytes() == gathered.tobytes()
+            others = [dictator(n, v) for v in range(1, n + 1) if n > 1]
+            others += [tribes(n, size) for size in range(2, n)]
+            others += [bfn.random_function(n, rng) for _ in range(3) if n > 4]
+            for f in others:
+                assert bfn.symmetric_levels(f) is None, f
 
     def test_fast_paths_skip_the_full_butterfly(self, butterfly_lengths):
         assert_spectrum_bytes(majority(21))

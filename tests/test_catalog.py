@@ -8,6 +8,8 @@ import pytest
 
 from gswf import bfn
 from gswf.catalog import (
+    FAMILIES,
+    PRESETS,
     FamilySpec,
     binary_entropy,
     conjunction,
@@ -97,6 +99,27 @@ class TestFamilies:
             parse_function_spec("warp:3")
         with pytest.raises(ValidationError):
             parse_function_spec("thr:15")
+
+
+class TestRegistry:
+    def test_every_family_parses_under_its_head_and_name(self):
+        extra = {"voter": 2, "threshold": 3, "tribe_size": 2, "bit": 1}
+        for name, fam in FAMILIES.items():
+            value = extra.get(fam.field)
+            spec = FamilySpec(name, 5, **({} if value is None else {fam.field: value}))
+            expected = make(spec)
+            tail = "" if value is None else f":{value}"
+            for head in (fam.head, name):
+                assert parse_function_spec(f"{head}:5{tail}") == expected, (head, name)
+
+    def test_every_listed_preset_builds(self):
+        for name in PRESETS:
+            assert preset_gswf(name, 5, q=0.2).n == 5
+
+    def test_make_needs_the_family_field(self):
+        with pytest.raises(ValidationError, match="dictator requires voter"):
+            make(FamilySpec("dictator", 3))
+        assert make(FamilySpec("majority", 3, voter=2)) == majority(3)
 
 
 class TestPresets:

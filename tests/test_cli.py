@@ -213,6 +213,64 @@ class TestOtherCommands:
         names = {p["name"] for p in payload["presets"]}
         assert "condorcet" in names and "threshold_instability" in names
 
+    def test_catalog_list_is_pinned(self, capsys):
+        assert main(["catalog", "list"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "kind": "catalog_listing",
+            "families": [
+                {"name": "dictator", "spec": "dict:<n>:<voter>", "parameters": ["n", "voter"]},
+                {"name": "majority", "spec": "maj:<n>", "parameters": ["n (odd)"]},
+                {"name": "and", "spec": "and:<n>", "parameters": ["n"]},
+                {"name": "or", "spec": "or:<n>", "parameters": ["n"]},
+                {"name": "threshold", "spec": "thr:<n>:<k>", "parameters": ["n", "k in 0..n+1"]},
+                {"name": "parity", "spec": "parity:<n>", "parameters": ["n"]},
+                {"name": "tribes", "spec": "tribes:<n>:<size>", "parameters": ["n", "tribe size"]},
+                {"name": "constant", "spec": "const:<n>:<bit>", "parameters": ["n", "bit"]},
+                {"name": "hex table", "spec": "hex:<n>:<digits>", "parameters": ["n", "packed table"]},
+            ],
+            "presets": [
+                {"name": "condorcet", "parameters": ["n (odd)"]},
+                {"name": "dictator_triple", "parameters": ["n", "voter"]},
+                {"name": "split_dictators", "parameters": ["n >= 3"]},
+                {"name": "and_dual_majority", "parameters": ["n (odd)"]},
+                {"name": "threshold_instability", "parameters": ["n (odd)", "q in (0, 1/2)"]},
+                {"name": "alpha_half_extremal", "parameters": ["n >= 2"]},
+            ],
+        }
+        assert main(["catalog", "list", "--format", "pretty"]) == 0
+        assert capsys.readouterr().out == (
+            "families:\n"
+            "  dict:<n>:<voter>       params: n, voter\n"
+            "  maj:<n>                params: n (odd)\n"
+            "  and:<n>                params: n\n"
+            "  or:<n>                 params: n\n"
+            "  thr:<n>:<k>            params: n, k in 0..n+1\n"
+            "  parity:<n>             params: n\n"
+            "  tribes:<n>:<size>      params: n, tribe size\n"
+            "  const:<n>:<bit>        params: n, bit\n"
+            "  hex:<n>:<digits>       params: n, packed table\n"
+            "presets:\n"
+            "  condorcet              params: n (odd)\n"
+            "  dictator_triple        params: n, voter\n"
+            "  split_dictators        params: n >= 3\n"
+            "  and_dual_majority      params: n (odd)\n"
+            "  threshold_instability  params: n (odd), q in (0, 1/2)\n"
+            "  alpha_half_extremal    params: n >= 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "spec, line",
+        [
+            ("maj:3:1", "maj spec takes no extra parameter: 'maj:3:1'"),
+            ("thr:15", "thr spec needs exactly one parameter: 'thr:15'"),
+            ("warp:3", "unknown function spec 'warp:3'"),
+            ("hex:3", "malformed function spec 'hex:3'"),
+        ],
+    )
+    def test_bad_spec_error_lines(self, spec, line, capsys):
+        assert main(["spectrum", "--function", spec]) == 2
+        assert capsys.readouterr() == ("", f"error: {line}\n")
+
     def test_curve_majority_stability(self, tmp_path):
         out = tmp_path / "curve.csv"
         proc = run_cli(

@@ -216,6 +216,19 @@ class TestIndividualChecks:
         # per-rho error shrinks with the arity
         assert errors["11"][1] < errors["3"][1]
 
+    def test_majority_checks_read_levels(self, butterfly_lengths):
+        # Majority's levels come from its weight profile: no dense spectrum
+        # is transformed past 64 entries, or held (2^19 float64 = 4 MiB).
+        for check in (check_majority_stability, check_neutral_symmetric_bound):
+            tracemalloc.start()
+            try:
+                assert check().passed
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 << 20, check.__name__
+        assert max(butterfly_lengths, default=0) <= 64
+
     def test_dual_claim(self):
         r = check_dual_claim(n_max=3)
         assert r.passed and r.lhs <= 1e-12
