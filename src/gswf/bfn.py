@@ -21,7 +21,8 @@ import numpy as np
 from .errors import CapacityError, ValidationError
 
 #: Largest supported arity.  A dense spectrum at the default ceiling is
-#: ``2**24`` float64 coefficients (128 MiB); raise with care.
+#: ``2**24`` float64 coefficients (128 MiB); raise with care, and never to
+#: 31, where the int32 butterfly's partial sums of up to ``2^n`` overflow.
 N_MAX = 24
 
 #: Absolute tolerance for the sum-of-squares consistency check on spectra of
@@ -192,13 +193,35 @@ def check_boolean_spectra(coeffs: np.ndarray) -> None:
 
 
 def _analysis_butterfly(values: np.ndarray, n: int) -> None:
-    # In place: entry S becomes sum_x v(x) r_S(x); bit i pairs at stride 2^i.
-    # A C-contiguous stack of rows works too: pairs never straddle two rows.
-    for i in range(n):
-        v = values.reshape(values.size >> (i + 1), 2, 1 << i)
-        low = v[:, 0, :].copy()
-        v[:, 0, :] += v[:, 1, :]
-        v[:, 1, :] -= low
+    # In place on a C-contiguous int32 array: entry S becomes
+    # sum_x v(x) r_S(x).  Each radix-4 pass takes voters i and i + 1,
+    # whose bits pair the quarters a, b, c, d at stride 2^i, through two
+    # half-size scratch buffers; an odd n ends with one radix-2 pass.  A
+    # stack of rows works too: no quadruple straddles two rows.  The
+    # buffers are halves of one allocation: two separate 32 MiB ones at
+    # n = 24, once freed, raise glibc's mmap threshold, and the n = 24
+    # formula's peak RSS grew by 12 MiB.
+    size = values.size
+    scratch = np.empty(size, dtype=np.int32)
+    sums, diffs = scratch[: size >> 1], scratch[size >> 1 :]
+    for i in range(0, n - 1, 2):
+        v = values.reshape(size >> (i + 2), 4, 1 << i)
+        s = sums.reshape(size >> (i + 2), 2, 1 << i)
+        d = diffs.reshape(size >> (i + 2), 2, 1 << i)
+        np.add(v[:, 0], v[:, 1], out=s[:, 0])  # a + b
+        np.add(v[:, 2], v[:, 3], out=s[:, 1])  # c + d
+        np.subtract(v[:, 1], v[:, 0], out=d[:, 0])  # b - a
+        np.subtract(v[:, 3], v[:, 2], out=d[:, 1])  # d - c
+        np.add(s[:, 0], s[:, 1], out=v[:, 0])
+        np.add(d[:, 0], d[:, 1], out=v[:, 1])
+        np.subtract(s[:, 1], s[:, 0], out=v[:, 2])
+        np.subtract(d[:, 1], d[:, 0], out=v[:, 3])
+    if n % 2:
+        v = values.reshape(size >> n, 2, 1 << (n - 1))
+        low = sums.reshape(size >> n, 1 << (n - 1))
+        np.copyto(low, v[:, 0])
+        np.add(v[:, 0], v[:, 1], out=v[:, 0])
+        np.subtract(v[:, 1], low, out=v[:, 1])
 
 
 def per_voter_pass(values, kernel) -> np.ndarray:
@@ -224,17 +247,36 @@ def per_voter_pass(values, kernel) -> np.ndarray:
     return cur.reshape(*arr.shape[:-1], k**n)
 
 
+def _zero_one(arr: np.ndarray) -> bool:
+    # A bool array, or an integer one whose entries are all 0 or 1.
+    kind = arr.dtype.kind
+    if kind == "b":
+        return True
+    if kind not in "iu":
+        return False
+    return not arr.size or (arr.max() <= 1 and (kind == "u" or arr.min() >= 0))
+
+
 def walsh_coeffs(values) -> np.ndarray:
     """``2^-n sum_x v(x) r_S(x)`` for each table ``v`` along the last axis.
 
-    One butterfly pass over the whole stack, with no Booleanity check; row
-    by row it is bit-identical to :func:`walsh_transform`.
+    A table of 0/1 entries (bool, or an integer dtype, or nested lists of
+    them) goes through one exact int32 butterfly over the whole stack:
+    every partial sum is an integer of magnitude at most ``2^n``.  The
+    result is converted to float64 and scaled by ``2^-n`` once.  Any other
+    input, a float table or an integer one with an entry outside {0, 1}
+    (whose partial sums could overflow int32), takes the float route
+    ``per_voter_pass(values, [[1, 1], [-1, 1]]) / 2^n`` instead.  No
+    Booleanity check is made; row by row the result is bit-identical to
+    :func:`walsh_transform`.
     """
-    out = np.array(values, dtype=np.float64, order="C")
-    n = _arity_of(out)
+    arr = np.asarray(values)
+    n = _arity_of(arr)
+    if not _zero_one(arr):
+        return per_voter_pass(arr, [[1.0, 1.0], [-1.0, 1.0]]) / float(1 << n)
+    out = arr.astype(np.int32, order="C")
     _analysis_butterfly(out, n)
-    out /= float(1 << n)
-    return out
+    return out / float(1 << n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -343,8 +385,8 @@ def walsh_transform(f: BooleanFunction, structure=None) -> WalshSpectrum:
     * ``f`` depending only on the voters in ``J``, ``|J| < n``: the
       butterfly runs on the ``2^|J|`` restriction and is scattered onto the
       subsets of ``J``, every other coefficient being 0;
-    * otherwise, and for every table of at most 64 entries, the in-place
-      butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
+    * otherwise, and for every table of at most 64 entries, the exact
+      int32 butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
 
     Every path is bit-identical to ``walsh_coeffs(f.table)``: all partial
     sums are integers of at most ``2^n`` and each path scales once by a

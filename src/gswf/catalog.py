@@ -219,14 +219,16 @@ def parse_function_spec(text: str) -> BooleanFunction:
     parts = text.split(":")
     head = parts[0].lower()
     try:
-        if head == "hex":
-            if len(parts) != 3:
-                raise ValidationError("hex spec is hex:<n>:<digits>")
-            return BooleanFunction.from_hex(int(parts[1]), parts[2])
         n = int(parts[1])
-        args = [int(p) for p in parts[2:]]
+        if head == "hex":
+            (digits,) = parts[2:]
+            packed = int(digits, 16)
+        else:
+            args = [int(p) for p in parts[2:]]
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed function spec {text!r}") from exc
+    if head == "hex":
+        return BooleanFunction.from_packed(n, packed)
     fam = _BY_HEAD.get(head)
     if fam is None:
         raise ValidationError(f"unknown function spec {text!r}")

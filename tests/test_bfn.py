@@ -88,6 +88,14 @@ class TestTables:
             assert BooleanFunction.from_packed(2, v).packed == v
 
 
+def float_reference(tables):
+    # The float per-voter pass; products by +-1 are exact, so it adds and
+    # subtracts exactly like a float butterfly.
+    n = tables.shape[-1].bit_length() - 1
+    kernel = [[1.0, 1.0], [-1.0, 1.0]]
+    return bfn.per_voter_pass(tables.astype(np.float64), kernel) / float(1 << n)
+
+
 class TestTransform:
     def test_dictator_n1(self):
         s = walsh_transform(dictator(1, 1))
@@ -156,10 +164,42 @@ class TestTransform:
         assert abs(float(np.sum(s.coeffs**2)) - expectation(f)) < 1e-12
 
     def test_per_voter_pass_is_the_analysis_butterfly(self, rng):
-        for n in range(1, 11):
-            tables = rng.integers(0, 2, size=(7, 1 << n)).astype(np.float64)
-            got = bfn.per_voter_pass(tables, [[1.0, 1.0], [-1.0, 1.0]]) / float(1 << n)
-            assert np.array_equal(got, bfn.walsh_coeffs(tables))
+        # The float pass is the independent reference for the int32 kernel
+        # that walsh_coeffs runs on 0/1 tables.
+        for n in range(1, 15):
+            for rows in (7, 8):
+                tables = rng.integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
+                got = bfn.walsh_coeffs(tables)
+                assert got.tobytes() == float_reference(tables).tobytes()
+        tables = rng.integers(0, 2, size=(3, 5, 64), dtype=np.uint8)
+        expected = float_reference(tables).tobytes()
+        assert bfn.walsh_coeffs(tables.astype(bool)).tobytes() == expected
+        # nested lists of uint8 rows, as the sampled search stacks them
+        assert bfn.walsh_coeffs([list(stack) for stack in tables]).tobytes() == expected
+
+    @pytest.mark.parametrize("n", [23, 24])
+    def test_int32_kernel_headroom(self, rng, n):
+        # The all-ones table reaches the largest partial sum, 2^n.
+        for table in (
+            rng.integers(0, 2, size=1 << n, dtype=np.uint8),
+            np.ones(1 << n, dtype=np.uint8),
+        ):
+            expected = float_reference(table).tobytes()
+            assert bfn.walsh_coeffs(table).tobytes() == expected
+
+    def test_integer_entries_outside_zero_one_take_the_float_route(self, butterfly_lengths):
+        # 255 * 2^24 would overflow int32; no entry may wrap.
+        n = 24
+        expected = np.zeros(1 << n)
+        expected[0] = 255.0
+        got = bfn.walsh_coeffs(np.full(1 << n, 255, dtype=np.uint8))
+        assert got.tobytes() == expected.tobytes()
+        del got, expected
+        row = np.array([-3, 1, 0, -7, 2, 5, -1, 4], dtype=np.int64)
+        got = bfn.walsh_coeffs(row)
+        assert got.tobytes() == float_reference(row).tobytes()
+        assert np.array_equal(got, bfn.character_table(3) @ row / 8.0)
+        assert butterfly_lengths == []
 
     def test_per_voter_pass_digit_order(self):
         # a 3x2 kernel on two voters: output digit d_1 + 3 d_2, voter 1 lowest

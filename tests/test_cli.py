@@ -265,6 +265,9 @@ class TestOtherCommands:
             ("thr:15", "thr spec needs exactly one parameter: 'thr:15'"),
             ("warp:3", "unknown function spec 'warp:3'"),
             ("hex:3", "malformed function spec 'hex:3'"),
+            ("hex:3:zz", "malformed function spec 'hex:3:zz'"),
+            ("hex:60:0", "arity 60 exceeds N_MAX=24"),
+            ("hex:3:1ff", "packed value out of range for n=3"),
         ],
     )
     def test_bad_spec_error_lines(self, spec, line, capsys):
