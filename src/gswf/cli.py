@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bfn, catalog, theorems
 from .bfn import level_weights, walsh_transform
-from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution
+from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution, as_even_product
 from .errors import GswfError, ValidationError
 from .rationality import Gswf, w_formula, w_monte_carlo, w_oracle
 from .search import ClassFilter, extremal_w, random_search
@@ -52,7 +52,8 @@ def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
         "--triples",
         type=str,
         help=f"six probabilities {','.join('p' + t for t in TRIPLE_LABELS)} "
-        "(general distributions run the oracle or Monte Carlo paths only)",
+        "(the closed form needs each triple as likely as its complement; "
+        "other laws run the oracle or Monte Carlo paths only)",
     )
 
 
@@ -155,14 +156,15 @@ def _cmd_spectrum(args) -> int:
 
 def _run_methods(gswf, dist, args) -> list:
     method = args.method
-    if not isinstance(dist, EvenProductDistribution) and method in ("formula", "both"):
-        raise ValidationError(
-            "the closed form only applies to even product distributions; "
-            "use --method oracle or monte-carlo with --triples"
-        )
     results = []
     if method in ("formula", "both"):
-        results.append(w_formula(gswf, dist))
+        even = as_even_product(dist)
+        if even is None:
+            raise ValidationError(
+                "the closed form only applies to even product distributions; "
+                "use --method oracle or monte-carlo with --triples"
+            )
+        results.append(w_formula(gswf, even))
     if method in ("oracle", "both"):
         results.append(w_oracle(gswf, dist))
     if method == "monte-carlo":
@@ -232,9 +234,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    dist = _parse_dist(args)
-    if not isinstance(dist, EvenProductDistribution):
+    dist = as_even_product(_parse_dist(args))
+    if dist is None:
         raise ValidationError("search evaluates the closed form; use an even product distribution")
+    if args.mode == "exhaustive" and (args.trials is not None or args.seed is not None):
+        raise ValidationError("--trials and --seed apply only to --mode random")
+    if args.mode == "random" and args.exclude_dictators:
+        raise ValidationError("--exclude-dictators applies only to --mode exhaustive")
     filters = tuple(
         ClassFilter.parse(text) for text in (args.class_f, args.class_g, args.class_h)
     )

@@ -132,6 +132,22 @@ def as_triple_distribution(dist) -> TripleDistribution:
     raise ValidationError(f"not a distribution: {dist!r}")
 
 
+def as_even_product(dist) -> EvenProductDistribution | None:
+    """The even product law ``dist`` is, or None if it is not one.
+
+    A six-probability law that :func:`is_even_product` accepts becomes
+    ``D(alpha, beta, gamma)`` with each parameter the mean of a triple's and
+    its complement's probability, so ``--triples a,b,c,a,b,c`` gives the
+    same law as ``--alpha a --beta b --gamma c``.
+    """
+    if isinstance(dist, EvenProductDistribution):
+        return dist
+    t = as_triple_distribution(dist)
+    if not is_even_product(t):
+        return None
+    return EvenProductDistribution(*((t.p[:3] + t.p[3:]) / 2))
+
+
 def per_voter_spectrum(t: TripleDistribution) -> np.ndarray:
     """Signed-character coefficients of the per-voter mass function.
 

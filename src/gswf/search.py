@@ -17,9 +17,9 @@ from .rationality import pair_matrix, w_batch
 #: Largest arity for full class enumeration (2^16 candidate tables at n=4).
 ENUM_MAX = 4
 
-#: Ceiling on sampled rows times ``2^n`` evaluated at once by the random
-#: search above ``ENUM_MAX``; one row is always allowed.
-_SAMPLE_BATCH = 1 << 20
+#: Ceiling on rows times ``2^n`` of the triples the random search samples
+#: or evaluates at once; one row is always allowed.
+_SAMPLE_BATCH = 1 << 16
 
 #: Ceiling on |F| * |G| * |H| for the exhaustive triple scan.
 TRIPLE_BUDGET = 10**9
@@ -339,27 +339,49 @@ def extremal_w(
     )
 
 
-def _sample_balanced(n: int, rng: np.random.Generator) -> BooleanFunction:
-    table = np.zeros(1 << n, dtype=np.uint8)
-    table[: 1 << (n - 1)] = 1
-    rng.shuffle(table)
-    return BooleanFunction(n, table)
+def _balanced_only(filt: ClassFilter) -> bool:
+    # Every balanced table passes such a filter or none does: its other
+    # tests are non-constancy and a window on the mean, which is 1/2.
+    return "balanced" in filt.predicates and set(filt.predicates) <= {"balanced", "non_constant"}
 
 
-def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> BooleanFunction:
-    balanced_only = set(filt.predicates) <= {"balanced", "non_constant"} and (
-        "balanced" in filt.predicates
-    )
-    attempts = 0
-    while attempts < 10_000:
-        cand = _sample_balanced(n, rng) if balanced_only else bfn.random_function(n, rng)
-        if filt.accepts(cand):
-            return cand
-        attempts += 1
-    raise CapacityError(
+def _rejection_error(filt: ClassFilter, n: int) -> CapacityError:
+    return CapacityError(
         f"rejection sampling failed for filter {filt} at n={n}; "
         "no direct sampler is available for this class"
     )
+
+
+def _half_ones(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    # count shuffled half-ones tables; one rng.permuted call draws them
+    # exactly as one rng.shuffle per table would, row after row.
+    tables = np.zeros((count, 1 << n), dtype=np.uint8)
+    tables[:, : 1 << (n - 1)] = 1
+    return rng.permuted(tables, axis=1, out=tables)
+
+
+def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> np.ndarray:
+    # One table of the class by rejection: a shuffled half-ones table for a
+    # balanced-only filter, a uniformly random one otherwise.
+    balanced_only = _balanced_only(filt)
+    for _ in range(10_000):
+        table = _half_ones(n, 1, rng)[0] if balanced_only else bfn.random_function(n, rng).table
+        if filt.select(table[None]).size:
+            return table
+    raise _rejection_error(filt, n)
+
+
+def _sample_tables(n, filters, rows, rng) -> np.ndarray:
+    """The tables of ``rows`` sampled triples in trial order ``(f, g, h)``,
+    shape ``(rows, 3, 2^n)``: in one draw when every filter is
+    balanced-only, else member by member by rejection."""
+    if not all(map(_balanced_only, filters)):
+        return np.array([[_sample_member(n, filt, rng) for filt in filters] for _ in range(rows)])
+    tables = _half_ones(n, 3 * rows, rng).reshape(rows, 3, -1)
+    for c, filt in enumerate(filters):
+        if filt.select(tables[:, c]).size < rows:
+            raise _rejection_error(filt, n)
+    return tables
 
 
 def _best_row(values: np.ndarray, triple, maximize: bool) -> int:
@@ -372,13 +394,18 @@ def _best_row(values: np.ndarray, triple, maximize: bool) -> int:
 
 def _random_search_enumerated(n, filters, d, maximize, trials, rng):
     # Classes are enumerable: sample member indices in bulk and evaluate
-    # the closed form on gathered spectrum rows.
+    # the closed form on gathered spectrum rows, one block at a time.
     classes = [class_table(n, filt) for filt in filters]
     for filt, (members, _) in zip(filters, classes):
         if not members:
             raise ValidationError(f"class filter {filt} matches no function")
     picks = [rng.integers(0, len(members), size=trials) for members, _ in classes]
-    values = w_batch(*(spectra[idx] for (_, spectra), idx in zip(classes, picks)), d)[0]
+    values = np.empty(trials)
+    rows = max(1, _SAMPLE_BATCH >> n)
+    for start in range(0, trials, rows):
+        block = slice(start, start + rows)
+        gathered = (spectra[idx[block]] for (_, spectra), idx in zip(classes, picks))
+        values[block] = w_batch(*gathered, d)[0]
 
     def triple(t):
         return tuple(members[int(p[t])] for (members, _), p in zip(classes, picks))
@@ -388,24 +415,26 @@ def _random_search_enumerated(n, filters, d, maximize, trials, rng):
 
 
 def _random_search_sampled(n, filters, d, maximize, trials, rng):
-    # Triples are sampled one after another, as many as fit in one batch,
-    # and each batch is evaluated on stacked spectra.  The best triple so
-    # far joins the next batch's candidates, so one tie-break decides.
+    # Triples are sampled as many at a time as fit in one batch, and each
+    # batch is evaluated on stacked spectra.  The best triple so far joins
+    # the next batch's candidates, so one tie-break decides.
     rows = max(1, _SAMPLE_BATCH >> n)
-    best_w, best = np.empty(0), []
+    best_w, best = np.empty(0), None
     for start in range(0, trials, rows):
-        batch = [
-            tuple(_sample_member(n, filt, rng) for filt in filters)
-            for _ in range(min(rows, trials - start))
-        ]
-        spectra = bfn.walsh_coeffs([[fs[c].table for fs in batch] for c in range(3)])
-        for s in spectra:
-            bfn.check_boolean_spectra(s)
-        values = np.concatenate([w_batch(*spectra, d)[0], best_w])
-        batch += best
-        t = _best_row(values, batch.__getitem__, maximize)
-        best_w, best = values[t : t + 1], [batch[t]]
-    return float(best_w[0]), best[0]
+        tables = _sample_tables(n, filters, min(rows, trials - start), rng)
+        spectra = bfn.walsh_coeffs(tables)
+        bfn.check_boolean_spectra(spectra)
+        values = np.concatenate([w_batch(*spectra.transpose(1, 0, 2), d)[0], best_w])
+
+        def triple(t):
+            # functions are built only for tied rows and the winner
+            if t == len(tables):
+                return best
+            return tuple(BooleanFunction(n, table) for table in tables[t])
+
+        t = _best_row(values, triple, maximize)
+        best_w, best = values[t : t + 1], triple(t)
+    return float(best_w[0]), best
 
 
 def random_search(
@@ -416,7 +445,17 @@ def random_search(
     trials: int,
     seed: int,
 ) -> ExtremalResult:
-    """Best ``W`` over ``trials`` sampled triples, deterministic per seed."""
+    """Best ``W`` over ``trials`` sampled triples, deterministic per seed.
+
+    Exact ties go to the least packed ``(f, g, h)``.  Triples are drawn and
+    evaluated in blocks of ``_SAMPLE_BATCH >> n`` rows (at least one).  At
+    ``n <= ENUM_MAX`` each function is a uniform member index of its class
+    table; above it, every function is drawn in trial order ``(f, g, h)``
+    by its filter's sampler, and a block of balanced-only filters takes one
+    ``rng.permuted`` call, which consumes the generator exactly as one
+    ``rng.shuffle`` per table does.  So the result does not depend on the
+    block size.
+    """
     if objective not in ("min_w", "max_w"):
         raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
     if trials < 1:

@@ -80,6 +80,34 @@ class TestRationalityCommand:
         assert proc.returncode == 2
         assert "even product" in proc.stderr
 
+    def test_even_triples_take_the_closed_form(self):
+        # each triple as likely as its complement: the --alpha form's law
+        abc = run_cli(
+            "rationality", "--preset", "condorcet", "--n", "5",
+            "--alpha", "0.3", "--beta", "0.15", "--gamma", "0.05", "--method", "formula",
+        )
+        even = run_cli(
+            "rationality", "--preset", "condorcet", "--n", "5",
+            "--triples", "0.3,0.15,0.05,0.3,0.15,0.05", "--method", "both",
+        )
+        assert abc.returncode == 0 and even.returncode == 0, even.stderr
+        expected = validated_json(abc.stdout)["results"][0]
+        formula, oracle = validated_json(even.stdout)["results"]
+        assert (formula["method"], oracle["method"]) == ("formula", "oracle")
+        assert formula["w"] == expected["w"]
+        assert abs(formula["w"] - oracle["w"]) <= 1e-12
+
+    def test_even_triples_search_the_alpha_law(self):
+        classes = ["--class-f", "balanced", "--class-g", "monotone", "--class-h", "balanced"]
+        argv = ["search", "--n", "3", *classes, "--objective", "max_w"]
+        abc = run_cli(*argv, "--alpha", "0.3", "--beta", "0.15", "--gamma", "0.05")
+        even = run_cli(*argv, "--triples", "0.3,0.15,0.05,0.3,0.15,0.05")
+        assert even.returncode == 0, even.stderr
+        assert even.stdout == abc.stdout
+        odd = run_cli(*argv, "--triples", "0.3,0.1,0.1,0.2,0.2,0.1")
+        assert odd.returncode == 2
+        assert odd.stderr == "error: search evaluates the closed form; use an even product distribution\n"
+
     def test_general_triples_oracle_path(self):
         proc = run_cli(
             "rationality", "--preset", "condorcet", "--n", "3",
@@ -337,6 +365,15 @@ class TestOtherCommands:
              "--class-h", "balanced", "--objective", "max_w", "--alpha", "nan",
              "--beta", "0.1", "--gamma", "0.1"],
             ["curve", "--check", "majority-stability", "--rho", "2", "--n-list", "3"],
+            # flags the chosen search mode would silently ignore
+            ["search", "--n", "3", "--class-f", "balanced", "--class-g", "balanced",
+             "--class-h", "balanced", "--objective", "max_w", "--mode", "random",
+             "--trials", "500", "--seed", "1", "--exclude-dictators"],
+            ["search", "--n", "3", "--class-f", "balanced", "--class-g", "balanced",
+             "--class-h", "balanced", "--objective", "max_w", "--trials", "500"],
+            ["search", "--n", "3", "--class-f", "balanced", "--class-g", "balanced",
+             "--class-h", "balanced", "--objective", "max_w", "--mode", "exhaustive",
+             "--seed", "1"],
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, capsys):
@@ -431,9 +468,13 @@ def _argv(draw):
         for flag in ("--class-f", "--class-g", "--class-h"):
             argv += [flag, pick("class")]
         argv += ["--objective", draw(st.sampled_from(["min_w", "max_w"]))]
-        argv += ["--mode", mode, "--trials", pick("count"), "--seed", pick("seed")]
+        argv += ["--mode", mode]
+        # the flags of the other mode are an error, drawn only for bad argvs
+        if mode == "random" or not valid:
+            argv += ["--trials", pick("count"), "--seed", pick("seed")]
         argv += dist_flags()
-        argv += ["--exclude-dictators"] if draw(st.booleans()) else []
+        if mode == "exhaustive" or not valid:
+            argv += ["--exclude-dictators"] if draw(st.booleans()) else []
     elif command == "verify":
         argv += ["--check", pick("check")] if draw(st.booleans()) or valid else []
         argv += ["--seed", pick("seed")]

@@ -9,6 +9,7 @@ from gswf.dist import (
     ADMISSIBLE_TRIPLES,
     EvenProductDistribution,
     TripleDistribution,
+    as_even_product,
     is_even_product,
     per_voter_spectrum,
     profile_probability,
@@ -169,3 +170,11 @@ class TestPerVoterSpectrum:
         # broken symmetry is never classified as even product
         p = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
         assert not is_even_product(TripleDistribution(p))
+
+    def test_as_even_product_round_trips_the_six_values(self, rng):
+        for _ in range(50):
+            d = EvenProductDistribution(*(rng.dirichlet(np.ones(3)) / 2))
+            assert as_even_product(d) is d
+            assert as_even_product(d.to_triple_distribution()) == d
+        p = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
+        assert as_even_product(TripleDistribution(p)) is None

@@ -1,5 +1,7 @@
 """Class enumeration and extremal search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -235,19 +237,30 @@ class TestExtremal:
             extremal_w(2, BALANCED, BALANCED, BALANCED, UNIFORM, "median_w")
 
 
-def per_trial_balanced_search(n, d, objective, trials, seed):
-    """Random search over balanced triples one trial at a time: each
-    function is a shuffled half-ones table, and exact ties go to the least
-    packed ``(f, g, h)``."""
+def half_ones(n, rng):
+    """The balanced sampler: a shuffled half-ones table."""
+    table = np.zeros(1 << n, dtype=np.uint8)
+    table[: 1 << (n - 1)] = 1
+    rng.shuffle(table)
+    return table
+
+
+def rejected_until_non_constant(n, rng):
+    """The non_constant sampler: uniform tables until one is not constant."""
+    while True:
+        table = rng.integers(0, 2, size=1 << n, dtype=np.uint8)
+        if 0 < table.sum() < table.size:
+            return table
+
+
+def per_trial_search(n, samplers, d, objective, trials, seed):
+    """Random search one trial at a time: each of f, g, h is drawn by its
+    own sampler in that order, and exact ties go to the least packed
+    ``(f, g, h)``."""
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(trials):
-        fs = []
-        for _ in range(3):
-            table = np.zeros(1 << n, dtype=np.uint8)
-            table[: 1 << (n - 1)] = 1
-            rng.shuffle(table)
-            fs.append(bfn.BooleanFunction(n, table))
+        fs = [bfn.BooleanFunction(n, sample(n, rng)) for sample in samplers]
         w = w_formula(Gswf(*fs), d).w
         rank = (-w if objective == "max_w" else w, tuple(f.packed for f in fs))
         if best is None or rank < best[0]:
@@ -267,9 +280,70 @@ class TestRandomSearch:
             monkeypatch.setattr(search, "_SAMPLE_BATCH", batch)
         d = EvenProductDistribution(0.1, 0.15, 0.25)
         result = random_search(5, (BALANCED,) * 3, d, objective, trials=trials, seed=13)
-        value, witness = per_trial_balanced_search(5, d, objective, trials, 13)
+        value, witness = per_trial_search(5, (half_ones,) * 3, d, objective, trials, 13)
         assert result.value == value
         assert [f.hex for f in result.witness] == witness
+
+    def test_mixed_filters_match_per_trial_reference(self, monkeypatch):
+        # a filter that is not balanced-only sends every member through its
+        # own rejection loop, interleaved in trial order f, g, h
+        monkeypatch.setattr(search, "_SAMPLE_BATCH", 64 << 5)
+        d = EvenProductDistribution(0.1, 0.15, 0.25)
+        samplers = (half_ones, rejected_until_non_constant, half_ones)
+        result = random_search(5, (BALANCED, NON_CONST, BALANCED), d, "max_w", trials=150, seed=21)
+        value, witness = per_trial_search(5, samplers, d, "max_w", 150, 21)
+        assert result.value == value
+        assert [f.hex for f in result.witness] == witness
+
+    def test_enumerated_blocks_equal_one_unblocked_batch(self, monkeypatch):
+        # 1050 trials in blocks of 100 rows: the last block is partial
+        seen, rows = [], []
+        best_row, real_w_batch = search._best_row, search.w_batch
+
+        def recording_best_row(values, triple, maximize):
+            seen.append(values.copy())
+            return best_row(values, triple, maximize)
+
+        def counting_w_batch(sf, sg, sh, d):
+            rows.append(len(sf))
+            return real_w_batch(sf, sg, sh, d)
+
+        monkeypatch.setattr(search, "_SAMPLE_BATCH", 100 << 4)
+        monkeypatch.setattr(search, "_best_row", recording_best_row)
+        monkeypatch.setattr(search, "w_batch", counting_w_batch)
+        d = EvenProductDistribution(0.3, 0.15, 0.05)
+        filters = (BALANCED, MONOTONE, NON_CONST)
+        result = random_search(4, filters, d, "min_w", trials=1050, seed=5)
+        assert rows == [100] * 10 + [50]
+        rng = np.random.default_rng(5)
+        classes = [class_table(4, filt) for filt in filters]
+        picks = [rng.integers(0, len(members), size=1050) for members, _ in classes]
+        expected = real_w_batch(*(spectra[p] for (_, spectra), p in zip(classes, picks)), d)[0]
+        assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+        assert result.value == float(expected.min())
+
+    def test_enumerated_path_memory_is_bounded_by_the_block(self):
+        # gathering all 200k spectrum rows of f, g and h at once peaked at
+        # about 109 MiB; blocks keep the picks, the values and one block
+        class_table(4, BALANCED)
+        tracemalloc.start()
+        try:
+            random_search(4, (BALANCED,) * 3, UNIFORM, "max_w", trials=200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+
+    def test_balanced_window_without_balanced_tables_is_a_capacity_error(self):
+        # every balanced table has mean 1/2, so this filter rejects them all
+        window = ClassFilter(("balanced",), expectation_range=(0.6, 0.9))
+        message = (
+            f"rejection sampling failed for filter {window} at n=5; "
+            "no direct sampler is available for this class"
+        )
+        with pytest.raises(CapacityError) as exc:
+            random_search(5, (BALANCED, window, BALANCED), UNIFORM, "max_w", trials=10, seed=1)
+        assert str(exc.value) == message
 
     def test_deterministic_per_seed(self):
         a = random_search(3, (BALANCED,) * 3, UNIFORM, "max_w", trials=500, seed=4)
