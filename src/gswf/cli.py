@@ -18,7 +18,7 @@ from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution, as
 from .errors import GswfError, ValidationError
 from .rationality import Gswf, w_formula, w_monte_carlo, w_oracle
 from .search import ClassFilter, extremal_w, random_search
-from .theorems import CHECKS, run_all, suite_passed
+from .theorems import AND_ENVELOPE, CHECKS, run_all, suite_passed
 
 
 def load_schema() -> dict:
@@ -184,7 +184,7 @@ def _cmd_rationality(args) -> int:
         "functions": {"f": gswf.f.hex, "g": gswf.g.hex, "h": gswf.h.hex},
         "distribution": dist.as_dict(),
         "preset": preset,
-        "reference_bound": 0.471**gswf.n if preset == "and_dual_majority" else None,
+        "reference_bound": AND_ENVELOPE**gswf.n if preset == "and_dual_majority" else None,
         "results": [r.to_json_dict() for r in results],
     }
     if args.format == "pretty":
@@ -192,17 +192,12 @@ def _cmd_rationality(args) -> int:
         if preset:
             head.append(f"preset: {preset}")
         if payload["reference_bound"] is not None:
-            head.append(f"decay envelope 0.471^n = {payload['reference_bound']:.6e}")
+            head.append(f"decay envelope {AND_ENVELOPE}^n = {payload['reference_bound']:.6e}")
         body = [_pretty_wresult(r) for r in results]
         _write_output("\n".join(head + body) + "\n", args.out)
     else:
         _write_output(_json_text(payload), args.out)
     return 0
-
-
-def _cmd_simulate(args) -> int:
-    args.method = "monte-carlo"
-    return _cmd_rationality(args)
 
 
 def _cmd_verify(args) -> int:
@@ -263,8 +258,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    if args.action != "list":
-        raise ValidationError(f"unknown catalog action {args.action!r}")
     payload = {
         "kind": "catalog_listing",
         "families": [
@@ -295,14 +288,18 @@ def _parse_n_list(text: str) -> list[int]:
     try:
         if len(parts) > 1:
             step = int(parts[2]) if len(parts) == 3 else 1
-            values = list(range(int(parts[0]), int(parts[1]) + 1, step))
+            values = range(int(parts[0]), int(parts[1]) + 1, step)
         else:
             values = [int(x) for x in text.split(",") if x]
     except ValueError as exc:  # a non-integer, or a zero step
         raise ValidationError(f"malformed n list {text!r}: {exc}") from exc
     if not values:
         raise ValidationError("empty n list")
-    return values
+    # Every curve needs each n in 1..N_MAX.  A range is monotone, so its two
+    # ends bound it, and they are checked before it is built.
+    bfn.check_arity(values[0])
+    bfn.check_arity(values[-1])
+    return list(values)
 
 
 def _cmd_curve(args) -> int:
@@ -320,19 +317,14 @@ def _cmd_curve(args) -> int:
         for n in n_list:
             value = theorems.majority_self_correlation(n, rho)
             writer.writerow([n, rho, repr(value), repr(reference), repr(abs(value - reference))])
-    elif args.check == "instability":
+    else:  # instability
         q = args.q
         if q is None:
             raise ValidationError("instability needs --q")
         writer.writerow(["n", "q", "w", "eta", "ratio"])
-        d = EvenProductDistribution.uniform()
         for n in n_list:
-            gswf = catalog.preset_gswf("threshold_instability", n, q=q)
-            w = w_formula(gswf, d).w
-            e = catalog.eta(n, q)
-            writer.writerow([n, q, repr(w), repr(e), repr(w / e)])
-    else:
-        raise ValidationError(f"unknown curve {args.check!r}")
+            row = theorems.instability_row(n, q)
+            writer.writerow([n, q, *(repr(row[k]) for k in ("w", "eta", "ratio"))])
     _write_output(buffer.getvalue(), args.out)
     return 0
 
@@ -388,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
     p.add_argument("--out", **common_out)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_rationality, method="monte-carlo")
 
     p = sub.add_parser("verify", help="run the bound-verification battery")
     p.add_argument("--all", action="store_true")

@@ -33,12 +33,13 @@ from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
 from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distribution
 from .errors import CapacityError, ValidationError
 
-#: Largest arity accepted by the exact oracle.
-ORACLE_MAX = 11
-
-#: Ceiling on the oracle's contracted tables, ``2 rows 4^n`` float64, in
-#: bytes; the process peaks at about 2.5 times this.
+#: Ceiling on the oracle's contracted tables, two ``4^n`` float64 tables
+#: per row, in bytes; the process peaks at about 2.5 times this.
 ORACLE_BYTES = 1 << 27
+
+#: Largest arity accepted by the exact oracle: the largest ``n`` whose one
+#: row, ``16 4^n`` bytes, fits in :data:`ORACLE_BYTES`.
+ORACLE_MAX = ((ORACLE_BYTES // 16).bit_length() - 1) // 2
 
 #: Largest sample count accepted by the Monte Carlo estimator.
 SAMPLES_MAX = 10**9
@@ -288,14 +289,10 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
     n = size.bit_length() - 1
     if size != 1 << n:
         raise ValidationError(f"table length {size} is not a power of two")
-    if n > ORACLE_MAX:
+    if rows * 16 * 4**n > ORACLE_BYTES:
         raise CapacityError(
-            f"oracle contracts 4^n (x, y) inputs and is limited to n <= {ORACLE_MAX}; "
-            "use w_monte_carlo for larger arities"
-        )
-    if 2 * rows * 4**n * 8 > ORACLE_BYTES:
-        raise CapacityError(
-            f"oracle tables for {rows} rows at n={n} would exceed {ORACLE_BYTES >> 20} MiB"
+            f"oracle tables for {rows} rows at n={n} would exceed {ORACLE_BYTES >> 20} MiB "
+            f"(one row fits up to n = {ORACLE_MAX}); use w_monte_carlo for larger arities"
         )
     x, y, z = _TRIPLE_BITS.T
     kernel = np.zeros((4, 2))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bfn
+from . import bfn, catalog
 from .bfn import BooleanFunction
 from .dist import EvenProductDistribution
 from .errors import CapacityError, ValidationError
@@ -23,6 +23,10 @@ _SAMPLE_BATCH = 1 << 16
 
 #: Ceiling on |F| * |G| * |H| for the exhaustive triple scan.
 TRIPLE_BUDGET = 10**9
+
+#: Ceiling on the random search's trial count: 320 MB of up-front draws at
+#: n <= ENUM_MAX, minutes of sampling above it.
+TRIALS_MAX = 10**7
 
 PREDICATES = {
     "balanced": bfn.is_balanced,
@@ -270,13 +274,6 @@ def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
     return value, (i, j, k), considered
 
 
-def _pm_dictator_tables(n: int) -> np.ndarray:
-    # The n dictators, then the n negated dictators, as one table stack.
-    x = np.arange(1 << n, dtype=np.int64)
-    bits = ((x >> np.arange(n)[:, None]) & 1).astype(np.uint8)
-    return np.concatenate([bits, 1 - bits])
-
-
 def extremal_w(
     n: int,
     filter_f: ClassFilter,
@@ -309,12 +306,15 @@ def extremal_w(
         )
     allowed = None
     if exclude_dictator_triples:
-        # Row of F -> (row of G, row of H) for each dictator in all three.
+        # Row of F -> (row of G, row of H) for each dictator or negated
+        # dictator in all three.
         skip = {}
-        for table in _pm_dictator_tables(n):
-            i, j, k = (members.find(table) for members in (F, G, H))
-            if None not in (i, j, k):
-                skip[i] = (j, k)
+        for voter in range(1, n + 1):
+            table = catalog.dictator(n, voter).table
+            for signed in (table, 1 - table):
+                i, j, k = (members.find(signed) for members in (F, G, H))
+                if None not in (i, j, k):
+                    skip[i] = (j, k)
 
         def allowed(i):
             if i not in skip:
@@ -460,6 +460,8 @@ def random_search(
         raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > TRIALS_MAX:
+        raise CapacityError(f"trials limited to {TRIALS_MAX}, got {trials}")
     rng = np.random.default_rng(seed)
     search = _random_search_enumerated if n <= ENUM_MAX else _random_search_sampled
     value, witness = search(n, filters, d, objective == "max_w", trials, rng)

@@ -239,8 +239,6 @@ def check_biased_product_sign(
     n: int = 3, delta_grid=_DELTA_GRID
 ) -> BoundReport:
     """``(1/delta) <<f, g>>_delta >= 0`` for monotone increasing pairs."""
-    if n > 4:
-        raise ValidationError("exhaustive monotone-pair scan is limited to n <= 4")
     members, S = class_table(n, _MONOTONE)
     value, delta, (i, j) = _worst_scaled_pair(S, delta_grid)
     witness = {
@@ -293,36 +291,31 @@ def check_biased_product_sign_demo(
     )
 
 
-def check_fkg(n: int = 3, trials: int = 400, seed: int = _DEFAULT_SEED) -> BoundReport:
+def check_fkg(n: int = 3) -> BoundReport:
     """Monotone increasing pairs correlate nonnegatively; mixed pairs reverse.
 
-    Exhaustive over monotone pairs for n <= 3, sampled above.  Only the
-    covariances are scanned: a mixed pair realizes ``g`` decreasing as
-    ``1 - g``, and ``cov(f, 1-g) = -cov(f, g)``, so its reversed inequality
-    is the same number (bit for bit, all terms being exact dyadic
-    rationals) and needs no scan of its own.
+    Exhaustive over every ordered pair of monotone functions, at every
+    arity :func:`class_table` enumerates (168^2 pairs at n = 4, one
+    168x16 matrix product).  Only the covariances are scanned: a mixed
+    pair realizes ``g`` decreasing as ``1 - g``, and
+    ``cov(f, 1-g) = -cov(f, g)``, so its reversed inequality is the same
+    number (bit for bit, all terms being exact dyadic rationals) and needs
+    no scan of its own.
     """
     members = class_table(n, _MONOTONE)[0]
-    m = len(members)
-    if n > 3:
-        a, b = np.random.default_rng(seed).integers(0, m, size=(trials, 2)).T
-    else:
-        a, b = np.indices((m, m)).reshape(2, -1)
     tables = members.tables.astype(np.int64)
-    ones = tables.sum(axis=1)
-    both = (tables @ tables.T)[a, b]
     scale = float(1 << n)
-    ef, eg = ones[a] / scale, ones[b] / scale
-    cov = both / scale - ef * eg
-    value, _, (t,) = first_optimum([(None, cov)], False)
+    means = tables.sum(axis=1) / scale
+    cov = (tables @ tables.T) / scale - np.multiply.outer(means, means)
+    value, _, (i, j) = first_optimum([(None, cov)], False)
     witness = {
         "kind": "covariance_pair",
         "value": value,
         "n": n,
-        "f": members[a[t]].hex,
-        "g": members[b[t]].hex,
+        "f": members[i].hex,
+        "g": members[j].hex,
         "orientation": "increasing",
-        "extra": {"pairs": len(a)},
+        "extra": {"pairs": cov.size},
     }
     return _report(
         "fkg",
@@ -756,21 +749,45 @@ def check_w_prime_negative(
     )
 
 
-def check_instability_example(
-    n_list=(5, 7, 9, 11, 13, 15),
-    q: float = 0.2,
-    and_n_list=(3, 5, 7, 9, 11, 13, 15),
-    q_grid=tuple(round(0.05 * i, 2) for i in range(1, 10)),
-) -> BoundReport:
+#: The AND / dual / majority triple's ``W`` decays below ``AND_ENVELOPE^n``.
+AND_ENVELOPE = 0.471
+
+_AND_N_LIST = (3, 5, 7, 9, 11, 13, 15)
+_THRESHOLD_N_LIST = (5, 7, 9, 11, 13, 15)
+_THRESHOLD_Q = 0.2
+_EXPONENT_Q_GRID = tuple(round(0.05 * i, 2) for i in range(1, 10))
+
+
+def instability_row(n: int, q: float) -> dict:
+    """The threshold instability construction at ``n`` voters and fraction
+    ``q`` under the uniform distribution: its cutoff, ``W``, the expectation
+    floor ``eta``, ``W / eta``, the least component expectation, and whether
+    the floor is asserted (``q n >= 1``, where the binomial entropy estimate
+    has content)."""
+    gswf = catalog.preset_gswf("threshold_instability", n, q=q)
+    w = w_formula(gswf, EvenProductDistribution.uniform()).w
+    e = catalog.eta(n, q)
+    return {
+        "n": n,
+        "cutoff": catalog.instability_cutoff(n, q),
+        "w": w,
+        "eta": e,
+        "ratio": w / e,
+        "min_expectation": min(bfn.expectation(fn) for fn in gswf.functions),
+        "floor_asserted": math.floor(q * n) >= 1,
+    }
+
+
+def check_instability_example() -> BoundReport:
     """Arbitrarily unstable rules: small ``W`` despite non-trivial margins.
 
     Three parts: (i) the AND / dual / majority triple has
-    ``0 < W <= 0.471^n``; (ii) the threshold construction keeps every
-    component expectation above ``eta = 2^{n (H(q) - 1)} / (n + 1)``
-    (asserted where ``q n >= 1``, the range where the binomial entropy
-    estimate has content), and the ratio ``W / eta`` is required to
-    decrease strictly along ``n_list``; (iii) the exponent comparison
-    ``q - 1.08 < H(q) - 1`` holds on the ``q`` grid.
+    ``0 < W <= AND_ENVELOPE^n``; (ii) the threshold construction
+    (:func:`instability_row`) keeps every component expectation above
+    ``eta = 2^{n (H(q) - 1)} / (n + 1)`` where the floor is asserted, and
+    the ratio ``W / eta`` is required to decrease strictly along
+    ``5, 7, ..., 15`` at ``q = 0.2``; (iii) the exponent comparison
+    ``q - 1.08 < H(q) - 1`` holds on the ``q`` grid ``0.05, ..., 0.45``.
 
     The strict-decrease clause of (ii) is evaluated exactly as stated even
     though the ceiling in the threshold cutoff makes the realized fraction
@@ -781,30 +798,15 @@ def check_instability_example(
     margins = []
     # (i) AND / dual / majority decay envelope
     and_rows = []
-    for n in and_n_list:
+    for n in _AND_N_LIST:
         w = w_formula(catalog.preset_gswf("and_dual_majority", n), d).w
-        cap = 0.471**n
+        cap = AND_ENVELOPE**n
         and_rows.append({"n": n, "w": w, "cap": cap})
         margins.append(w - STRICT_FLOOR)  # strictly positive
         margins.append(cap - w)
     # (ii) threshold construction: expectation floor and ratio decay
-    rows = []
-    for n in n_list:
-        gswf = catalog.preset_gswf("threshold_instability", n, q=q)
-        w = w_formula(gswf, d).w
-        e = catalog.eta(n, q)
-        row = {
-            "n": n,
-            "cutoff": catalog.instability_cutoff(n, q),
-            "w": w,
-            "eta": e,
-            "ratio": w / e,
-            "min_expectation": min(bfn.expectation(fn) for fn in gswf.functions),
-            "floor_asserted": math.floor(q * n) >= 1,
-        }
-        rows.append(row)
-        if row["floor_asserted"]:
-            margins.append(row["min_expectation"] - e)
+    rows = [instability_row(n, _THRESHOLD_Q) for n in _THRESHOLD_N_LIST]
+    margins += [row["min_expectation"] - row["eta"] for row in rows if row["floor_asserted"]]
     ratio_steps = []
     for prev, nxt in zip(rows, rows[1:]):
         step = prev["ratio"] - nxt["ratio"]
@@ -812,18 +814,17 @@ def check_instability_example(
         margins.append(step - 1e-15)
     # (iii) exponent inequality
     exponent_rows = []
-    for qq in q_grid:
+    for qq in _EXPONENT_Q_GRID:
         gap = (catalog.binary_entropy(qq) - 1.0) - (qq - 1.08)
         exponent_rows.append({"q": qq, "gap": gap})
         margins.append(gap)
-    margin = min(margins)
-    worst_step = min(ratio_steps, key=lambda r: r["decrease"]) if ratio_steps else None
+    worst_step = min(ratio_steps, key=lambda r: r["decrease"])
     witness = {
         "kind": "instability_ratio_pair",
-        "value": worst_step["decrease"] if worst_step else 0.0,
-        "q": q,
-        "from_n": worst_step["from_n"] if worst_step else None,
-        "to_n": worst_step["to_n"] if worst_step else None,
+        "value": worst_step["decrease"],
+        "q": _THRESHOLD_Q,
+        "from_n": worst_step["from_n"],
+        "to_n": worst_step["to_n"],
         "extra": {
             "and_rows": and_rows,
             "threshold_rows": rows,
@@ -831,12 +832,11 @@ def check_instability_example(
             "exponent_rows": exponent_rows,
         },
     }
-    lhs = worst_step["decrease"] if worst_step else margin
     return _report(
         "instability_example",
-        lhs=lhs,
+        lhs=worst_step["decrease"],
         rhs=0.0,
-        margin=margin,
+        margin=min(margins),
         tolerance=TOL_EXACT,
         witness=witness,
     )
@@ -907,8 +907,8 @@ CHECKS = {
     "monotone_bound": lambda seed: check_monotone_bound(),
     "biased_product_sign": lambda seed: check_biased_product_sign(),
     "biased_product_sign_nonmonotone_demo": lambda seed: check_biased_product_sign_demo(),
-    "fkg": lambda seed: check_fkg(seed=seed),
-    "balanced_bound": lambda seed: check_balanced_bound(seed=seed),
+    "fkg": lambda seed: check_fkg(),
+    "balanced_bound": lambda seed: check_balanced_bound(),
     "lemma_power_sums": lambda seed: check_lemma_power_sums(),
     "neutral_symmetric_bound": lambda seed: check_neutral_symmetric_bound(),
     "majority_stability": lambda seed: check_majority_stability(),
@@ -969,8 +969,7 @@ def reevaluate_witness(report: BoundReport) -> float:
         efg = float(np.dot(f.table.astype(np.float64), g.table.astype(np.float64))) / (
             1 << n
         )
-        cov = efg - bfn.expectation(f) * bfn.expectation(g)
-        return cov if w["orientation"] == "increasing" else -cov
+        return efg - bfn.expectation(f) * bfn.expectation(g)
     if kind == "power_sum_point":
         x, y, z, k = w["x"], w["y"], w["z"], w["k"]
         e = 2 * k + 1
@@ -993,13 +992,6 @@ def reevaluate_witness(report: BoundReport) -> float:
     if kind == "first_level_bound":
         return w_prime_first_level_bound(w["n"])
     if kind == "instability_ratio_pair":
-        if w["from_n"] is None:
-            return 0.0
-        d = EvenProductDistribution.uniform()
-
-        def ratio(n):
-            gswf = catalog.preset_gswf("threshold_instability", n, q=w["q"])
-            return w_formula(gswf, d).w / catalog.eta(n, w["q"])
-
-        return ratio(w["from_n"]) - ratio(w["to_n"])
+        ratio_from, ratio_to = (instability_row(w[k], w["q"])["ratio"] for k in ("from_n", "to_n"))
+        return ratio_from - ratio_to
     raise ValidationError(f"unknown witness kind {kind!r}")

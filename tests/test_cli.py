@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -39,6 +40,15 @@ def validated_json(text):
     payload = json.loads(text)
     VALIDATOR.validate(payload)
     return payload
+
+
+# A trial count and an n range that would take terabytes if allocated.
+_HUGE_COUNTS = [
+    ["search", "--n", "4", "--class-f", "balanced", "--class-g", "balanced",
+     "--class-h", "balanced", "--objective", "max_w", "--mode", "random",
+     "--trials", "1000000000000", "--seed", "1", "--uniform"],
+    ["curve", "--check", "majority-stability", "--rho", "0.5", "--n-list", "1:100000000000"],
+]
 
 
 class TestRationalityCommand:
@@ -321,6 +331,17 @@ class TestOtherCommands:
         assert lines[0] == "n,q,w,eta,ratio"
         assert len(lines) == 1 + 6
 
+    def test_curve_instability_reads_the_check_rows(self, capsys):
+        # both print the rows of theorems.instability_row, float for float
+        assert main(["curve", "--check", "instability", "--q", "0.2", "--n-list", "5:15:2"]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert main(["verify", "--check", "instability_example", "--seed", "7"]) == 1
+        report = json.loads(capsys.readouterr().out)["reports"][0]
+        rows = report["witness"]["extra"]["threshold_rows"]
+        assert [line.split(",")[2:] for line in lines] == [
+            [repr(row[k]) for k in ("w", "eta", "ratio")] for row in rows
+        ]
+
     def test_curve_empty_list_is_usage_error(self):
         proc = run_cli("curve", "--check", "instability", "--q", "0.2", "--n-list", "")
         assert proc.returncode == 2
@@ -374,6 +395,7 @@ class TestOtherCommands:
             ["search", "--n", "3", "--class-f", "balanced", "--class-g", "balanced",
              "--class-h", "balanced", "--objective", "max_w", "--mode", "exhaustive",
              "--seed", "1"],
+            *_HUGE_COUNTS,
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, capsys):
@@ -383,6 +405,17 @@ class TestOtherCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", _HUGE_COUNTS)
+    def test_huge_counts_fail_before_allocating(self, argv, capsys):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -330,6 +330,10 @@ class TestWOracle:
         with pytest.raises(CapacityError, match="monte_carlo"):
             w_oracle(gswf, UNIFORM)
 
+    def test_oracle_max_is_the_largest_row_that_fits(self):
+        # one row is 2 * 4^n float64; the arity ceiling follows the byte one
+        assert 16 * 4**ORACLE_MAX <= ORACLE_BYTES < 16 * 4 ** (ORACLE_MAX + 1)
+
     @pytest.mark.parametrize("law", [UNIFORM, EvenProductDistribution(0.3, 0.15, 0.05)])
     def test_oracle_at_its_ceiling_checks_the_level_route(self, law):
         # majority(11) takes the level route of w_formula
