@@ -23,6 +23,7 @@ A seeded Monte Carlo estimator covers arities beyond the oracle ceiling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -117,27 +118,56 @@ class WResult:
 #: Ceiling on any pairwise inner-product matrix, in bytes.
 PAIR_CACHE_BYTES = 1 << 30
 
-
-def _level_powers(n: int, delta: float) -> np.ndarray:
-    return np.power(float(delta), np.arange(n + 1, dtype=np.float64))
-
-
-def _delta_mask_weights(n: int, delta: float) -> np.ndarray:
-    # delta^{|S|} per mask with the empty set zeroed out; the n+1 level
-    # powers are computed once and gathered.
-    weights = _level_powers(n, delta)[mask_levels(n)]
-    weights[0] = 0.0
-    return weights
+#: Largest arity whose level sums are one matrix product with the
+#: ``2^n x (n+1)`` level indicator; above it one bincount is faster.
+LEVEL_MATMUL_MAX = 12
 
 
-def _biased_rows(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # <<a, b>>_delta for each pair of rows along the last axis, given the
-    # delta's mask weights.  They broadcast over the rows, so they are
-    # applied in place: one product array is alive at a time, whatever the
-    # stack's shape.
+@functools.lru_cache(maxsize=None)
+def _level_indicator(n: int) -> np.ndarray:
+    # Entry [S, k] is 1.0 iff |S| = k, read-only.
+    indicator = np.eye(n + 1)[mask_levels(n)]
+    indicator.setflags(write=False)
+    return indicator
+
+
+def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry ``[..., k]`` is ``L_k = sum over |S| = k of a[..., S] b[..., S]``
+    for row-aligned stacks along the last axis.  For spectra of Boolean
+    functions each product is a multiple of ``4^-n`` and, by Cauchy-Schwarz
+    and Parseval, their absolute values sum to at most 1: no partial sum is
+    rounded, in any order, so a row's sums do not depend on its stack."""
+    n = a.shape[-1].bit_length() - 1
     prod = a * b
-    prod *= weights
-    return prod.sum(axis=-1)
+    if n <= LEVEL_MATMUL_MAX:
+        return prod @ _level_indicator(n)
+    rows = prod.reshape(-1, 1 << n)
+    bins = mask_levels(n) + (n + 1) * np.arange(len(rows))[:, None]
+    sums = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(rows) * (n + 1))
+    return sums.reshape(*prod.shape[:-1], n + 1)
+
+
+def level_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The level sums ``C(n, k) a_k b_k`` of two symmetric functions from
+    their level coefficients (see :func:`bfn.symmetric_levels`); exact by
+    the bound of :func:`level_sums`, and equal to it on their spectra."""
+    n = len(a) - 1
+    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64) * a * b
+
+
+def _horner(level, n: int, delta: float):
+    # The one evaluation of every biased inner product: acc = (acc + L_k) delta
+    # for k = n..1; + 0.0 reads an all-zero sum as 0.0 whatever delta's sign.
+    acc = 0.0
+    for k in range(n, 0, -1):
+        acc = (acc + level(k)) * delta
+    return acc + 0.0
+
+
+def cross_term(sums: np.ndarray, delta: float):
+    """``<<f, g>>_delta = sum over k >= 1 of delta^k L_k`` from level sums
+    (:func:`level_sums`), elementwise over the leading axes."""
+    return _horner(lambda k: sums[..., k], sums.shape[-1] - 1, delta)
 
 
 def biased_inner_product(sf: PseudoSpectrum, sg: PseudoSpectrum, delta: float) -> float:
@@ -146,22 +176,25 @@ def biased_inner_product(sf: PseudoSpectrum, sg: PseudoSpectrum, delta: float) -
         raise ValidationError(f"arities differ: {sf.n} != {sg.n}")
     if not -1.0 <= delta <= 1.0:
         raise ValidationError(f"delta must lie in [-1, 1], got {delta!r}")
-    return float(_biased_rows(sf.coeffs, sg.coeffs, _delta_mask_weights(sf.n, delta)))
+    return float(cross_term(level_sums(sf.coeffs, sg.coeffs), delta))
 
 
 def pair_matrix(sa: np.ndarray, sb: np.ndarray, delta: float) -> np.ndarray:
-    """Entry ``[i, j]`` is ``<<sa[i], sb[j]>>_delta`` for two stacks of spectra."""
+    """Entry ``[i, j]`` is ``<<sa[i], sb[j]>>_delta`` for two stacks of spectra,
+    equal to :func:`biased_inner_product` of the two rows: the products
+    ``sa[:, |S| = k] @ sb[:, |S| = k].T`` are their exact level sums."""
     if sa.shape[0] * sb.shape[0] * 8 > PAIR_CACHE_BYTES:
         raise CapacityError("pairwise inner-product cache would exceed 1 GiB")
     n = sa.shape[-1].bit_length() - 1
-    return (sa * _delta_mask_weights(n, delta)) @ sb.T
+    on_level = mask_levels(n) == np.arange(n + 1)[:, None]
+    return _horner(lambda k: sa[:, on_level[k]] @ sb[:, on_level[k]].T, n, delta)
 
 
 def noise_operator_spectral(s: PseudoSpectrum, eps: float) -> PseudoSpectrum:
     """Attenuate level-``k`` coefficients by ``eps^k``."""
     if not -1.0 <= eps <= 1.0:
         raise ValidationError(f"eps must lie in [-1, 1], got {eps!r}")
-    return PseudoSpectrum(s.n, s.coeffs * _level_powers(s.n, eps)[mask_levels(s.n)])
+    return PseudoSpectrum(s.n, s.coeffs * np.power(float(eps), mask_levels(s.n)))
 
 
 def noise_operator_convolution(f: BooleanFunction, eps: float) -> np.ndarray:
@@ -182,38 +215,25 @@ def _base_term(p1: float, p2: float, p3: float) -> float:
     return p1 * p2 * p3 + (1 - p1) * (1 - p2) * (1 - p3)
 
 
+def closed_form(means, sums, deltas):
+    """``(w, base, cross)`` from the means ``(p1, p2, p3)`` and the level
+    sums and deltas of the pairs (f,g), (g,h), (h,f): ``base`` is
+    ``p1 p2 p3 + (1-p1)(1-p2)(1-p3)``, each cross term :func:`cross_term`,
+    and ``w = ((base + cross[0]) + cross[1]) + cross[2]``, all elementwise."""
+    base = _base_term(*means)
+    c0, c1, c2 = (cross_term(s, delta) for s, delta in zip(sums, deltas))
+    return base + c0 + c1 + c2, base, (c0, c1, c2)
+
+
 def w_batch(sf: np.ndarray, sg: np.ndarray, sh: np.ndarray, d: EvenProductDistribution):
-    """The closed form for row-aligned stacks of coefficient vectors.
-
-    Row ``t`` of the three stacks is one triple.  Returns ``(w, base,
-    cross)``: ``W`` per row, the base term ``p1 p2 p3 + (1-p1)(1-p2)(1-p3)``
-    and the three cross terms (f,g), (g,h), (h,f), with ``w`` summed as
-    ``((base + cross[0]) + cross[1]) + cross[2]``.
-    """
-    base = _base_term(sf[..., 0], sg[..., 0], sh[..., 0])
-    n = sf.shape[-1].bit_length() - 1
-    pairs = ((sf, sg), (sg, sh), (sh, sf))
-    cross = [None] * 3
-    # One weight vector per distinct delta (all three are equal under the
-    # uniform law), alive only while its cross terms are summed.
-    for delta in dict.fromkeys(d.deltas):
-        weights = _delta_mask_weights(n, delta)
-        for c, (a, b) in enumerate(pairs):
-            if d.deltas[c] == delta:
-                cross[c] = _biased_rows(a, b, weights)
-        del weights
-    return base + cross[0] + cross[1] + cross[2], base, tuple(cross)
+    """:func:`closed_form` on the :func:`level_sums` of row-aligned stacks of
+    coefficient vectors; row ``t`` of the three stacks is one triple."""
+    sums = (level_sums(sf, sg), level_sums(sg, sh), level_sums(sh, sf))
+    return closed_form((sf[..., 0], sg[..., 0], sh[..., 0]), sums, d.deltas)
 
 
-def level_inner_product(a: np.ndarray, b: np.ndarray, delta: float) -> float:
-    """``<<f, g>>_delta`` of two symmetric functions from their level
-    coefficients (see :func:`bfn.read_structure`):
-    ``sum over k >= 1 of C(n, k) a_k b_k delta^k``, ``O(n)``."""
-    if not -1.0 <= delta <= 1.0:
-        raise ValidationError(f"delta must lie in [-1, 1], got {delta!r}")
-    n = len(a) - 1
-    binomials = np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64)
-    return math.fsum((a * b * binomials * _level_powers(n, delta))[1:])
+def _formula_result(n: int, d: EvenProductDistribution, w, base, cross) -> WResult:
+    return WResult(float(w), float(base), "formula", n, tuple(map(float, cross)), d.deltas)
 
 
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
@@ -222,22 +242,21 @@ def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
     The structure of each distinct function is read once
     (:func:`bfn.read_structure`) and picks the route:
 
-    * all three symmetric: every cross term by :func:`level_inner_product`,
-      ``O(n)``, summed ``((base + c0) + c1) + c2`` as in :func:`w_batch`;
+    * all three symmetric: :func:`closed_form` on the pairs'
+      :func:`level_products`, ``O(n)``;
     * the union ``J`` of the relevant voters smaller than ``n``: ``W`` of
       the triple restricted to ``J`` (the other voters integrate out of a
       product law), reported at arity ``n``;
     * otherwise the dense spectra, through :func:`w_from_spectra`.
+
+    The level sums are exact on every route, so the routes agree bit for bit.
     """
     fns = gswf.functions
     found = {fn: bfn.read_structure(fn) for fn in set(fns)}
     levels = [found[fn][0] for fn in fns]
     if all(a is not None for a in levels):
-        base = _base_term(*(a[0] for a in levels))
-        pairs = zip(levels, levels[1:] + levels[:1], d.deltas)
-        cross = tuple(level_inner_product(a, b, delta) for a, b, delta in pairs)
-        w = float(base + cross[0] + cross[1] + cross[2])
-        return WResult(w, float(base), "formula", gswf.n, cross, d.deltas)
+        sums = [level_products(a, b) for a, b in zip(levels, levels[1:] + levels[:1])]
+        return _formula_result(gswf.n, d, *closed_form([a[0] for a in levels], sums, d.deltas))
     union = sorted(set().union(*(relevant for _, relevant in found.values())))
     if len(union) < gswf.n:
         sub = Gswf(*(bfn.restrict(fn, union) for fn in fns))
@@ -259,15 +278,7 @@ def w_from_spectra(
     """
     if not (sf.n == sg.n == sh.n):
         raise ValidationError(f"arities differ: {sf.n}, {sg.n}, {sh.n}")
-    w, base, cross = w_batch(sf.coeffs[None], sg.coeffs[None], sh.coeffs[None], d)
-    return WResult(
-        w=float(w[0]),
-        base=float(base[0]),
-        method="formula",
-        n=sf.n,
-        cross_terms=tuple(float(c[0]) for c in cross),
-        deltas=d.deltas,
-    )
+    return _formula_result(sf.n, d, *w_batch(sf.coeffs, sg.coeffs, sh.coeffs, d))
 
 
 def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndarray:
@@ -366,12 +377,6 @@ def w_monte_carlo(gswf: Gswf, t, samples: int, seed: int) -> WResult:
     )
 
 
-def _sign_ignored_inner_product(sf: PseudoSpectrum, sg: PseudoSpectrum) -> float:
-    # -sum over nonempty S of |sf[S] sg[S] (-1/3)^{|S|}|
-    weights = _delta_mask_weights(sf.n, -1.0 / 3.0)
-    return -float(np.sum(np.abs(sf.coeffs * sg.coeffs * weights)))
-
-
 def w_prime(gswf: Gswf) -> float:
     """Sign-ignored variant of the closed form at the uniform distribution.
 
@@ -380,11 +385,6 @@ def w_prime(gswf: Gswf) -> float:
     witnesses that any bound discarding coefficient signs cannot prove
     nonnegativity of ``W`` in general.
     """
-    sf, sg, sh = (walsh_transform(fn) for fn in gswf.functions)
-    base = _base_term(sf.mean, sg.mean, sh.mean)
-    return (
-        base
-        + _sign_ignored_inner_product(sf, sg)
-        + _sign_ignored_inner_product(sg, sh)
-        + _sign_ignored_inner_product(sh, sf)
-    )
+    spectra = [np.abs(walsh_transform(fn).coeffs) for fn in gswf.functions]
+    sums = [-level_sums(a, b) for a, b in zip(spectra, spectra[1:] + spectra[:1])]
+    return float(closed_form([a[0] for a in spectra], sums, (1.0 / 3.0,) * 3)[0])

@@ -24,9 +24,11 @@ _SAMPLE_BATCH = 1 << 16
 #: Ceiling on |F| * |G| * |H| for the exhaustive triple scan.
 TRIPLE_BUDGET = 10**9
 
-#: Ceiling on the random search's trial count: 320 MB of up-front draws at
-#: n <= ENUM_MAX, minutes of sampling above it.
+#: Ceilings on the random search's trial count (320 MB of up-front draws at
+#: n <= ENUM_MAX) and on its work, trials times ``2^n`` table entries (about
+#: a minute of sampling and transforms at n = 12, 16 or 20).
 TRIALS_MAX = 10**7
+TRIAL_WORK_MAX = 1 << 28
 
 PREDICATES = {
     "balanced": bfn.is_balanced,
@@ -462,6 +464,9 @@ def random_search(
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if trials > TRIALS_MAX:
         raise CapacityError(f"trials limited to {TRIALS_MAX}, got {trials}")
+    bfn.check_arity(n)
+    if trials << n > TRIAL_WORK_MAX:
+        raise CapacityError(f"trials * 2^n limited to 2^28: at most {TRIAL_WORK_MAX >> n} at n={n}")
     rng = np.random.default_rng(seed)
     search = _random_search_enumerated if n <= ENUM_MAX else _random_search_sampled
     value, witness = search(n, filters, d, objective == "max_w", trials, rng)

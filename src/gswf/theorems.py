@@ -25,7 +25,10 @@ from .errors import HypothesisViolation, ValidationError
 from .rationality import (
     Gswf,
     biased_inner_product,
-    level_inner_product,
+    closed_form,
+    cross_term,
+    level_products,
+    level_sums,
     pair_matrix,
     w_batch,
     w_formula,
@@ -491,7 +494,7 @@ def check_neutral_symmetric_bound(
             "w": w_formula(catalog.preset_gswf("condorcet", n), d).w,
             "rhs": (0.25 - dm) * factor,
             "d_m": dm,
-            "d_m_spectral": float(n * _majority_levels(n)[1] ** 2),
+            "d_m_spectral": float(_majority_sums(n)[1]),
         })
     margin, row, _ = first_optimum(((row, row["w"] - row["rhs"]) for row in rows), False)
     n_star, w_star, rhs_star = row["n"], row["w"], row["rhs"]
@@ -517,14 +520,14 @@ def check_neutral_symmetric_bound(
     )
 
 
-def _majority_levels(n: int) -> np.ndarray:
-    return bfn.symmetric_levels(catalog.majority(n))
+def _majority_sums(n: int) -> np.ndarray:
+    a = bfn.symmetric_levels(catalog.majority(n))
+    return level_products(a, a)
 
 
 def majority_self_correlation(n: int, rho: float) -> float:
     """``<<maj_n, maj_n>>_rho`` from the level coefficients."""
-    a = _majority_levels(n)
-    return level_inner_product(a, a, rho)
+    return float(cross_term(_majority_sums(n), rho))
 
 
 def check_majority_stability(
@@ -538,10 +541,9 @@ def check_majority_stability(
     """
     errs = {}
     for n in n_list:
-        a = _majority_levels(n)
+        sums = _majority_sums(n)
         errs[n] = [
-            abs(level_inner_product(a, a, r) - math.asin(r) / (2.0 * math.pi))
-            for r in rho_grid
+            abs(float(cross_term(sums, r)) - math.asin(r) / (2.0 * math.pi)) for r in rho_grid
         ]
     ns = list(n_list)
     mono_margin = min(
@@ -865,8 +867,10 @@ def check_alpha_half_ceiling(
     members, S = class_table(n, ClassFilter(("balanced", "monotone")))
     picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
     rows = [S[p] for p in picks]
+    means = [r[:, 0] for r in rows]
+    sums = [level_sums(a, b) for a, b in zip(rows, rows[1:] + rows[:1])]
     grid = _even_product_grid()
-    value, d, (t,) = first_optimum(((d, w_batch(*rows, d)[0]) for d in grid), True)
+    value, d, (t,) = first_optimum(((d, closed_form(means, sums, d.deltas)[0]) for d in grid), True)
     fs = tuple(members[int(p[t])] for p in picks)
     corner = EvenProductDistribution(0.5, 0.0, 0.0)
     extremal_gswf = catalog.preset_gswf("alpha_half_extremal", n)

@@ -130,6 +130,48 @@ def fraction_biased_product(sa, sb, delta: Fraction):
     return acc
 
 
+def exact_min_w_non_constant(n):
+    """Exact least ``W`` under the uniform law over the triples of
+    non-constant functions of arity ``n``, leaving out ``f = g = h`` for a
+    dictator or a negated dictator.  Returns ``(Fraction, (f, g, h))`` with
+    packed tables; exact ties go to the least packed triple.
+
+    Integer spectra ``F = 2^n f_hat`` come from the signed characters, and
+    ``W 24^n = 3^n (P1 P2 P3 + Q1 Q2 Q3)
+    + 2^n sum over pairs and nonempty S of (-1)^|S| 3^(n-|S|) F(S) G(S)``
+    with ``P`` the count of ones and ``Q = 2^n - P``, all in int64.
+    """
+    size = 1 << n
+    x = np.arange(size)
+    packed = np.arange(1, (1 << size) - 1)
+    tables = ((packed[:, None] >> x) & 1).astype(np.int64)
+    popcount = np.array([bin(s).count("1") for s in range(size)])
+    zeros = np.array([[bin(s & ~xi & (size - 1)).count("1") for xi in x] for s in x])
+    spectra = tables @ np.where(zeros % 2, -1, 1).T
+    weights = np.where(popcount % 2, -1, 1) * 3 ** (n - popcount)
+    weights[0] = 0
+    pairs = (spectra * weights) @ spectra.T
+    ones = tables.sum(axis=1)
+    rest = size - ones
+    skip = set()
+    for voter in range(n):
+        dictator = (x >> voter) & 1
+        for table in (dictator, 1 - dictator):
+            skip.add(int(np.flatnonzero((tables == table).all(axis=1))[0]))
+    best = None
+    for i in range(len(tables)):
+        plane = ones[i] * np.multiply.outer(ones, ones) + rest[i] * np.multiply.outer(rest, rest)
+        plane *= 3**n
+        plane += size * (pairs[i][:, None] + pairs + pairs[:, i][None, :])
+        if i in skip:
+            plane[i, i] = np.iinfo(np.int64).max
+        j, k = np.unravel_index(int(np.argmin(plane)), plane.shape)
+        if best is None or plane[j, k] < best[0]:
+            best = (int(plane[j, k]), (i, int(j), int(k)))
+    value, triple = best
+    return Fraction(value, 24**n), tuple(int(packed[t]) for t in triple)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

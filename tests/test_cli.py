@@ -48,6 +48,10 @@ _HUGE_COUNTS = [
      "--class-h", "balanced", "--objective", "max_w", "--mode", "random",
      "--trials", "1000000000000", "--seed", "1", "--uniform"],
     ["curve", "--check", "majority-stability", "--rho", "0.5", "--n-list", "1:100000000000"],
+    # 5000 * 2^16 table entries exceed the random search's work ceiling
+    ["search", "--n", "16", "--class-f", "balanced", "--class-g", "balanced",
+     "--class-h", "balanced", "--objective", "max_w", "--mode", "random",
+     "--trials", "5000", "--seed", "1", "--uniform"],
 ]
 
 

@@ -74,9 +74,34 @@ class TestBatchedKernels:
             assert M.shape == (5, 12)
             for i in range(5):
                 for j in range(12):
-                    assert M[i, j] == pytest.approx(
-                        biased_inner_product(spectra[i], spectra[j], delta), abs=1e-15
-                    )
+                    assert M[i, j] == biased_inner_product(spectra[i], spectra[j], delta)
+
+    @pytest.mark.parametrize("n", [4, 13])
+    def test_w_batch_row_equals_its_lone_evaluation(self, n, rng):
+        # both sides of LEVEL_MATMUL_MAX: a row's bits do not depend on its stack
+        assert (n <= rationality.LEVEL_MATMUL_MAX) == (n == 4)
+        tables = rng.integers(0, 2, size=(3, 6, 1 << n), dtype=np.uint8)
+        stacks = [bfn.walsh_coeffs(t) for t in tables]
+        d = random_even(rng)
+        w, base, cross = w_batch(*stacks, d)
+        for t in range(6):
+            lone_w, lone_base, lone_cross = w_batch(*(s[t] for s in stacks), d)
+            assert (lone_w, lone_base) == (w[t], base[t])
+            assert tuple(c[t] for c in cross) == lone_cross
+
+
+class TestLevelSums:
+    @pytest.mark.parametrize("n, rows", [(12, 5), (13, 5), (20, 2)])
+    def test_equal_an_integer_reference(self, n, rows, rng):
+        # integer spectra F = 2^n f_hat; L_k 4^n is an int64 sum
+        tables = rng.integers(0, 2, size=(2, rows, 1 << n), dtype=np.uint8)
+        sa, sb = (bfn.walsh_coeffs(t) for t in tables)
+        fa, fb = (np.rint(s * (1 << n)).astype(np.int64) for s in (sa, sb))
+        masks = np.arange(1 << n)
+        popcount = sum((masks >> i) & 1 for i in range(n))
+        prod = fa * fb
+        reference = np.stack([prod[:, popcount == k].sum(axis=1) for k in range(n + 1)], axis=1)
+        assert np.array_equal(rationality.level_sums(sa, sb) * 4.0**n, reference)
 
 
 class TestBiasedInnerProduct:
@@ -257,6 +282,15 @@ class TestWFormulaRoutes:
             assert got.n == n and got.deltas == d.deltas
         assert dense_sizes == []
 
+    @pytest.mark.parametrize("n", [7, 9, 15, 21, 23])
+    @pytest.mark.parametrize("name", ["condorcet", "threshold_instability", "and_dual_majority"])
+    def test_level_route_equals_the_dense_path(self, name, n):
+        gswf = preset_gswf(name, n, q=0.2)
+        spectra = [walsh_transform(fn) for fn in gswf.functions]
+        for d in LAWS:
+            got, ref = w_formula(gswf, d), w_from_spectra(*spectra, d)
+            assert (got.w, got.base, got.cross_terms) == (ref.w, ref.base, ref.cross_terms)
+
     @pytest.mark.parametrize("n", [7, 10, 16, 22])
     @pytest.mark.parametrize("name", ["split_dictators", "dictator_triple", "alpha_half_extremal"])
     def test_junta_route_is_bit_identical_to_the_dense_path(self, name, n, dense_sizes):
@@ -286,8 +320,7 @@ class TestWFormulaRoutes:
                 for d in LAWS:
                     got, ref = w_formula(gswf, d), dense_w(gswf, d)
                     assert got.n == n
-                    assert abs(got.w - ref.w) <= 1e-15
-                    assert np.allclose(got.cross_terms, ref.cross_terms, rtol=0, atol=1e-15)
+                    assert (got.w, got.base, got.cross_terms) == (ref.w, ref.base, ref.cross_terms)
 
 
 class TestWFromSpectra:
@@ -299,9 +332,7 @@ class TestWFromSpectra:
         gswf = Gswf(*(bfn.random_function(3, rng) for _ in range(3)))
         d = random_even(rng)
         spectra = tuple(walsh_transform(f) for f in gswf.functions)
-        assert w_from_spectra(*spectra, d).w == pytest.approx(
-            w_formula(gswf, d).w, abs=1e-15
-        )
+        assert w_from_spectra(*spectra, d).w == w_formula(gswf, d).w
 
     def test_mean_only_spectra(self):
         flat = PseudoSpectrum(2, [0.5, 0, 0, 0])

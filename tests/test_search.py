@@ -1,6 +1,7 @@
 """Class enumeration and extremal search."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from gswf.search import (
     first_optimum,
     random_search,
 )
+
+from conftest import exact_min_w_non_constant
 
 UNIFORM = EvenProductDistribution.uniform()
 
@@ -205,11 +208,14 @@ class TestExtremal:
             3, NON_CONST, NON_CONST, NON_CONST, UNIFORM, "min_w",
             exclude_dictator_triples=True,
         )
-        # exact value 1/36 (verified by rational arithmetic); several triples
-        # attain it and float summation order picks this deterministic one
+        # several triples attain the exact minimum 1/36; the witness is the
+        # least of them, as the integer scan finds it
+        exact, least = exact_min_w_non_constant(3)
+        assert exact == Fraction(1, 36)
         assert result.value == pytest.approx(1 / 36, abs=1e-12)
-        assert result.value > 0
-        assert tuple(f.hex for f in result.witness) == ("b2", "20", "fb")
+        assert tuple(f.packed for f in result.witness) == least
+        assert tuple(f.hex for f in result.witness) == ("01", "17", "7f")
+        assert result.value == w_formula(Gswf(*result.witness), UNIFORM).w
 
     def test_min_w_without_exclusion_is_zero(self):
         result = extremal_w(3, NON_CONST, NON_CONST, NON_CONST, UNIFORM, "min_w")
@@ -220,7 +226,7 @@ class TestExtremal:
     def test_witness_reproduces_value(self):
         result = extremal_w(3, MONOTONE, MONOTONE, MONOTONE, UNIFORM, "max_w")
         recomputed = w_formula(Gswf(*result.witness), UNIFORM).w
-        assert recomputed == pytest.approx(result.value, abs=1e-12)
+        assert recomputed == result.value
 
     def test_balanced_max_never_exceeds_three_eighths(self):
         # live guardrail: the balanced cap holds on every exhaustive scan
