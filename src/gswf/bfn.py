@@ -230,21 +230,39 @@ def per_voter_pass(values, kernel) -> np.ndarray:
     ``values`` is a table of length ``2^n``, or a stack of them along the
     last axis.  Entry ``d`` of each output row, read as ``n`` base-``k``
     digits with voter 1 the least significant, is
-    ``sum_x v(x) prod_i kernel[d_i, x_i]``.  One pass per voter; every entry
-    is computed elementwise, so a row comes out the same in any stack.
+    ``sum_x v(x) prod_i kernel[d_i, x_i]``.
+
+    One pass per voter, stack-major: the stack is the last axis, so pass
+    ``i`` works on runs of ``k^i * rows`` entries, and writes one output
+    digit at a time, ``out[:, d] = v0 * K[d, 0] + v1 * K[d, 1]`` with scalar
+    kernel entries, into preallocated buffers; the result is transposed
+    back to row-major at the end.  Every entry is computed elementwise, so
+    a row comes out the same in any stack.
     """
     kern = np.asarray(kernel, dtype=np.float64)
     if kern.ndim != 2 or kern.shape[1] != 2:
         raise ValidationError(f"kernel must have shape (k, 2), got {kern.shape}")
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
     n, k = _arity_of(arr), kern.shape[0]
     rows = arr.size >> n
-    cur = arr.reshape(rows, 1 << n)
+    # sizes[i] is pass i's output; passes alternate between two buffers,
+    # the last pass landing in the first.
+    sizes = [(k**i << (n - i)) * rows for i in range(1, n + 1)]
+    buffers = [np.empty(max(sizes[-1::-2], default=0)), np.empty(max(sizes[-2::-2], default=0))]
+    scratch = np.empty(max(sizes, default=0) // k)
+    cur = np.ascontiguousarray(arr.reshape(rows, 1 << n).T, dtype=np.float64)
     for i in range(n):
-        # Voters below i are already base-k digits; voter i's bit is axis 2.
-        v = cur.reshape(rows, 1 << (n - i - 1), 2, 1, k**i)
-        cur = v[:, :, 0] * kern[:, :1] + v[:, :, 1] * kern[:, 1:]
-    return cur.reshape(*arr.shape[:-1], k**n)
+        # Voters below i are already base-k digits; voter i's bit is axis 1.
+        v = cur.reshape(1 << (n - i - 1), 2, k**i * rows)
+        out = buffers[(n - 1 - i) % 2][: sizes[i]].reshape(1 << (n - i - 1), k, -1)
+        tmp = scratch[: sizes[i] // k].reshape(v.shape[0], -1)
+        for d in range(k):
+            np.multiply(v[:, 0], kern[d, 0], out=out[:, d])
+            np.multiply(v[:, 1], kern[d, 1], out=tmp)
+            np.add(out[:, d], tmp, out=out[:, d])
+        cur = out
+    result = np.ascontiguousarray(cur.reshape(k**n, rows).T)
+    return result.reshape(*arr.shape[:-1], k**n)
 
 
 def _zero_one(arr: np.ndarray) -> bool:

@@ -30,7 +30,6 @@ from .rationality import (
     level_products,
     level_sums,
     pair_matrix,
-    w_batch,
     w_formula,
     w_from_spectra,
     w_oracle_batch,
@@ -125,6 +124,12 @@ def _functions_from_payload(w: dict):
     return tuple(BooleanFunction.from_hex(n, w[k]) for k in ("f", "g", "h"))
 
 
+def _check_count(name: str, value) -> None:
+    # A check's size parameter: an integer of at least 1.
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 _MONOTONE = ClassFilter(("monotone",))
 _BALANCED = ClassFilter(("balanced",))
 
@@ -144,6 +149,8 @@ def check_formula_vs_oracle(
     agreement, so the margin is the worst absolute difference; the first
     worst in ``(n, distribution, triple)`` order is the witness.
     """
+    for name, value in (("n_max", n_max), ("trials", trials), ("dists", dists)):
+        _check_count(name, value)
     rng = np.random.default_rng(seed)
 
     def blocks():
@@ -155,9 +162,12 @@ def check_formula_vs_oracle(
             else:
                 drawn = [rng.integers(0, 2, size=1 << n, dtype=np.uint8) for _ in range(3 * trials)]
                 tables = np.stack(drawn).reshape(trials, 3, -1).transpose(1, 0, 2)
+            # The means and the level sums do not depend on the law.
             spectra = [bfn.walsh_coeffs(t) for t in tables]
+            means = [s[:, 0] for s in spectra]
+            sums = [level_sums(a, b) for a, b in zip(spectra, spectra[1:] + spectra[:1])]
             for d in distributions:
-                w = w_batch(*spectra, d)[0]
+                w = closed_form(means, sums, d.deltas)[0]
                 yield (n, d, w, tables), np.abs(w - w_oracle_batch(*tables, d))
 
     value, (n, d, w, tables), (t,) = first_optimum(blocks(), True)
@@ -424,18 +434,24 @@ def check_lemma_power_sums(k_max: int = 6, grid_steps: int = 200) -> BoundReport
     Checked on a regular grid (step ``1/grid_steps``); the identity is
     exact on the slice boundary.
     """
-    if k_max < 1:
-        raise ValidationError("k_max must be >= 1")
+    _check_count("k_max", k_max)
+    _check_count("grid_steps", grid_steps)
     axis = np.arange(-grid_steps, grid_steps + 1, dtype=np.float64) / grid_steps
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     Z = 1.0 - X - Y
     ok = np.abs(Z) <= 1.0 + 1e-15
-    x, y, z = X[ok], Y[ok], Z[ok]
-    cubes = x**3 + y**3 + z**3
+    ix, iy = np.nonzero(ok)
+    z = Z[ok]
+    del X, Y, Z, ok
+
+    def power_sum(e):
+        # x and y take the 2 grid_steps + 1 axis values: one power each.
+        a = axis**e
+        return a[ix] + a[iy] + z**e
+
+    cubes = power_sum(3)
     value, k, (t,) = first_optimum(
-        ((k, cubes - (x ** (2 * k + 1) + y ** (2 * k + 1) + z ** (2 * k + 1)))
-         for k in range(1, k_max + 1)),
-        False,
+        ((k, cubes - power_sum(2 * k + 1)) for k in range(1, k_max + 1)), False
     )
     # boundary family x = 1, y = s, z = -s for s on the axis: both sides collapse to 1
     e = 2 * k_max + 1
@@ -445,12 +461,12 @@ def check_lemma_power_sums(k_max: int = 6, grid_steps: int = 200) -> BoundReport
     witness = {
         "kind": "power_sum_point",
         "value": value,
-        "x": float(x[t]),
-        "y": float(y[t]),
+        "x": float(axis[ix[t]]),
+        "y": float(axis[iy[t]]),
         "z": float(z[t]),
         "k": k,
         "extra": {
-            "grid_points": int(ok.sum()),
+            "grid_points": len(z),
             "boundary_max_dev": boundary_dev,
         },
     }

@@ -201,6 +201,36 @@ class TestTransform:
         assert np.array_equal(got, bfn.character_table(3) @ row / 8.0)
         assert butterfly_lengths == []
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    @pytest.mark.parametrize("rows", [1, 2, 4097])
+    def test_per_voter_pass_stack_is_row_by_row(self, rng, k, rows):
+        # The row-major broadcast kernel the stack-major pass replaced: the
+        # same elementwise products and sums, so the same bits.
+        def row_major(row, kern):
+            n = row.size.bit_length() - 1
+            cur = row
+            for i in range(n):
+                v = cur.reshape(1 << (n - i - 1), 2, 1, k**i)
+                cur = v[:, 0] * kern[:, :1] + v[:, 1] * kern[:, 1:]
+            return cur.ravel()
+
+        kernel = rng.normal(size=(k, 2))
+        values = rng.normal(size=(rows, 8))
+        got = bfn.per_voter_pass(values, kernel)
+        assert got.shape == (rows, k**3) and got.flags.c_contiguous
+        for r in range(0, rows, 97):
+            one = bfn.per_voter_pass(values[r], kernel)
+            assert one.tobytes() == got[r].tobytes() == row_major(values[r], kernel).tobytes()
+        # a non-contiguous stack and an integer one go through the same kernel
+        wide = np.repeat(values, 2, axis=-1)[:, ::2]
+        assert not wide.flags.c_contiguous
+        assert bfn.per_voter_pass(wide, kernel).tobytes() == got.tobytes()
+        bits = (values > 0).astype(np.uint8)
+        assert (
+            bfn.per_voter_pass(bits, kernel).tobytes()
+            == bfn.per_voter_pass(bits.astype(np.float64), kernel).tobytes()
+        )
+
     def test_per_voter_pass_digit_order(self):
         # a 3x2 kernel on two voters: output digit d_1 + 3 d_2, voter 1 lowest
         kernel = np.array([[1.0, 2.0], [3.0, 5.0], [7.0, 11.0]])

@@ -458,6 +458,43 @@ class TestWOracle:
         with pytest.raises(ValidationError):
             w_oracle_batch(*(np.zeros((2, 6), dtype=np.uint8),) * 3, UNIFORM)
 
+    @pytest.mark.parametrize(
+        "tables, message",
+        [
+            # 1 - 2 wraps to 255 in uint8: W came out as 65029.0
+            (np.array([[0, 2]], dtype=np.uint8), "0 or 1"),
+            (np.array([[0, -1]], dtype=np.int64), "0 or 1"),
+            (np.array([[0.0, 1.0]]), "0 or 1"),
+            (np.zeros((0, 4), dtype=np.uint8), "empty"),
+            # n = 0: a length-1 table returned W = 1.0
+            (np.zeros((3, 1), dtype=np.uint8), "arity"),
+        ],
+    )
+    def test_batch_rejects_non_boolean_stacks(self, tables, message):
+        good = np.zeros(tables.shape, dtype=np.uint8)
+        for stacks in ((tables, good, good), (good, good, tables), (good, tables, good)):
+            with pytest.raises(ValidationError, match=message):
+                w_oracle_batch(*stacks, UNIFORM)
+
+    def test_batch_accepts_bool_and_wide_integer_stacks(self, rng):
+        ft, gt, ht = rng.integers(0, 2, size=(3, 7, 8), dtype=np.uint8)
+        expected = w_oracle_batch(ft, gt, ht, UNIFORM).tobytes()
+        for dtype in (bool, np.int64):
+            got = w_oracle_batch(*(x.astype(dtype) for x in (ft, gt, ht)), UNIFORM)
+            assert got.tobytes() == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_gathered_agreement_equals_the_broadcast(self, rng, n):
+        # The broadcast the oracle used before the digit maps: voter i of a
+        # base-4 entry is digit 2 x_i + y_i, f spread over x and g over y.
+        rows = 5
+        ft, gt = rng.integers(0, 2, size=(2, rows, 1 << n), dtype=np.uint8)
+        fx, gy = ft.reshape(rows, *(2, 1) * n), gt.reshape(rows, *(1, 2) * n)
+        xs, ys = rationality._digit_voters(n)
+        for f, g, (a, b) in ((ft, gt, (fx, gy)), (1 - ft, 1 - gt, (1 - fx, 1 - gy))):
+            expected = (a & b).reshape(rows, -1)
+            assert np.array_equal(f.take(xs, axis=1) & g.take(ys, axis=1), expected)
+
     def test_formula_agrees_with_oracle_randomized(self, rng):
         for n in (1, 2, 3, 4):
             for _ in range(40):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gswf import bfn
+from gswf import bfn, theorems
 from gswf.bfn import BooleanFunction
 from gswf.catalog import eta
 from gswf.dist import EvenProductDistribution
@@ -196,6 +196,46 @@ class TestIndividualChecks:
         r = check_lemma_power_sums(k_max=6, grid_steps=120)
         assert r.passed
         assert r.witness["extra"]["boundary_max_dev"] <= 1e-12
+
+    def test_lemma_power_sums_scans_the_per_point_powers(self, monkeypatch):
+        # x^e and y^e are gathered from the axis powers; every gap must
+        # equal the per-point x^3 + y^3 + z^3 - (x^e + y^e + z^e) bit for bit.
+        scanned, first_optimum = [], theorems.first_optimum
+
+        def capture(blocks, maximize):
+            blocks = list(blocks)
+            scanned.extend(blocks)
+            return first_optimum(blocks, maximize)
+
+        monkeypatch.setattr(theorems, "first_optimum", capture)
+        check_lemma_power_sums(k_max=6, grid_steps=200)
+        axis = np.arange(-200, 201, dtype=np.float64) / 200
+        X, Y = np.meshgrid(axis, axis, indexing="ij")
+        Z = 1.0 - X - Y
+        ok = np.abs(Z) <= 1.0 + 1e-15
+        x, y, z = X[ok], Y[ok], Z[ok]
+        cubes = x**3 + y**3 + z**3
+        assert [k for k, _ in scanned] == list(range(1, 7))
+        for k, gaps in scanned:
+            e = 2 * k + 1
+            assert gaps.tobytes() == (cubes - (x**e + y**e + z**e)).tobytes()
+
+    @pytest.mark.parametrize(
+        "check, kwargs, name",
+        [
+            (check_lemma_power_sums, {"grid_steps": 0}, "grid_steps"),
+            (check_lemma_power_sums, {"grid_steps": 2.5}, "grid_steps"),
+            (check_lemma_power_sums, {"k_max": 0}, "k_max"),
+            (check_lemma_power_sums, {"k_max": 1.5}, "k_max"),
+            (check_formula_vs_oracle, {"trials": 0}, "trials"),
+            (check_formula_vs_oracle, {"n_max": 0}, "n_max"),
+            (check_formula_vs_oracle, {"dists": 0}, "dists"),
+            (check_formula_vs_oracle, {"dists": 2.0}, "dists"),
+        ],
+    )
+    def test_bad_sizes_name_the_parameter(self, check, kwargs, name):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer >= 1"):
+            check(**kwargs)
 
     def test_neutral_symmetric_bound_equality_at_three(self):
         r = check_neutral_symmetric_bound(n_list=(3, 5, 7, 9))
