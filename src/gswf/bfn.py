@@ -394,10 +394,10 @@ def restrict(f: BooleanFunction, voters) -> BooleanFunction:
     return BooleanFunction(len(voters), f.table[_subcube(voters)])
 
 
-def walsh_transform(f: BooleanFunction, structure=None) -> WalshSpectrum:
+def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     """Spectrum of ``f``: ``coeffs[S] = 2^-n sum_x f(x) r_S(x)``.
 
-    Built on ``structure = read_structure(f)``, read here unless given:
+    Built on :func:`read_structure`:
 
     * symmetric ``f``: the level coefficients gathered by level;
     * ``f`` depending only on the voters in ``J``, ``|J| < n``: the
@@ -411,7 +411,7 @@ def walsh_transform(f: BooleanFunction, structure=None) -> WalshSpectrum:
     power of two.  It agrees with :func:`walsh_transform_naive`.
     """
     n, table = f.n, f.table
-    levels, relevant = read_structure(f) if structure is None else structure
+    levels, relevant = read_structure(f)
     if levels is not None:
         return WalshSpectrum(n, _frozen(levels[mask_levels(n)]))
     if len(relevant) == n:
@@ -497,20 +497,18 @@ def is_balanced(f) -> bool:
 
 def is_monotone(f) -> bool:
     """True iff setting any single input bit never decreases ``f``."""
-    t = _tables(f)
-    return is_monotone_values(t, _arity_of(t))
+    return is_monotone_values(_tables(f))
 
 
-def is_monotone_values(values, n: int, *, decreasing: bool = False, atol: float = 0.0):
+def is_monotone_values(values, *, decreasing: bool = False, atol: float = 0.0):
     """Coordinate-wise monotonicity test for a real-valued table (or a stack
-    of tables along the last axis).
+    of tables along the last axis), whose length ``2^n`` gives the arity.
 
     ``atol`` absorbs float round-off when the table came from arithmetic
     rather than a genuine truth table.
     """
     arr = np.asarray(values)
-    if arr.shape[-1] != 1 << n:
-        raise ValidationError(f"table must have length 2**{n}")
+    n = _arity_of(arr)
     lead = arr.shape[:-1]
     ok = np.ones(lead, dtype=bool)
     for i in range(n):

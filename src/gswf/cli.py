@@ -85,7 +85,7 @@ def _add_function_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("functions")
     group.add_argument("--preset", choices=catalog.PRESET_NAMES)
     group.add_argument("--n", type=int, help="voter count (required with --preset)")
-    group.add_argument("--voter", type=int, default=1, help="voter index for dictator presets")
+    group.add_argument("--voter", type=int, help="voter index for dictator_triple (default 1)")
     group.add_argument("--q", type=float, help="threshold fraction for threshold_instability")
     group.add_argument("--f", type=str, help="choice function for the first pair")
     group.add_argument("--g", type=str, help="choice function for the second pair")
@@ -93,15 +93,22 @@ def _add_function_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_gswf(args) -> tuple[Gswf, str | None]:
+    # --voter and --q reach only the presets whose catalog.PRESETS row lists them.
+    given = {k: v for k, v in (("voter", args.voter), ("q", args.q)) if v is not None}
     if args.preset:
         if args.n is None:
             raise ValidationError("--preset requires --n")
-        return (
-            catalog.preset_gswf(args.preset, args.n, voter=args.voter, q=args.q),
-            args.preset,
-        )
+        takes = {param.split()[0] for param in catalog.PRESETS[args.preset]}
+        stray = [name for name in "fgh" if getattr(args, name) is not None]
+        stray += [name for name in given if name not in takes]
+        if stray:
+            raise ValidationError(f"--{stray[0]} does not apply to preset {args.preset}")
+        return catalog.preset_gswf(args.preset, args.n, **given), args.preset
     if not (args.f and args.g and args.h):
         raise ValidationError("give either --preset --n or all of --f, --g, --h")
+    stray = [name for name in ("n", *given) if getattr(args, name) is not None]
+    if stray:
+        raise ValidationError(f"--{stray[0]} applies only with --preset")
     fs = tuple(catalog.parse_function_spec(s) for s in (args.f, args.g, args.h))
     return Gswf(*fs), None
 
@@ -125,6 +132,8 @@ def _pretty_wresult(res) -> str:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.full_coeffs and args.format == "pretty":
+        raise ValidationError("--full-coeffs applies only to --format json")
     f = catalog.parse_function_spec(args.function)
     spec = walsh_transform(f)
     include = args.full_coeffs or f.n <= 6
@@ -156,6 +165,8 @@ def _cmd_spectrum(args) -> int:
 
 def _run_methods(gswf, dist, args) -> list:
     method = args.method
+    if method != "monte-carlo" and (args.samples is not None or args.seed is not None):
+        raise ValidationError("--samples and --seed apply only to --method monte-carlo")
     results = []
     if method in ("formula", "both"):
         even = as_even_product(dist)
@@ -201,12 +212,9 @@ def _cmd_rationality(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = None
-    if not args.all:
-        if not args.check:
-            raise ValidationError("give --all or at least one --check NAME")
-        names = args.check
-    reports = run_all(seed=args.seed, names=names)
+    if args.all == bool(args.check):
+        raise ValidationError("give either --all or at least one --check NAME")
+    reports = run_all(seed=args.seed, names=None if args.all else args.check)
     payload = {
         "kind": "verify_report",
         "seed": args.seed,
@@ -303,6 +311,10 @@ def _parse_n_list(text: str) -> list[int]:
 
 
 def _cmd_curve(args) -> int:
+    # each curve reads one of --rho and --q
+    flag, value = ("--q", args.q) if args.check == "majority-stability" else ("--rho", args.rho)
+    if value is not None:
+        raise ValidationError(f"{flag} does not apply to --check {args.check}")
     n_list = _parse_n_list(args.n_list)
     buffer = io.StringIO()
     writer = csv.writer(buffer)

@@ -163,16 +163,18 @@ def per_voter_spectrum(t: TripleDistribution) -> np.ndarray:
     return walsh_coeffs(values)
 
 
-def is_even_product(t: TripleDistribution, tol: float = 1e-12) -> bool:
-    """True iff each triple is as likely as its complement.
+#: How far a triple's and its complement's probabilities may differ.
+_EVEN_TOL = 1e-12
+
+
+def is_even_product(t: TripleDistribution) -> bool:
+    """True iff each triple is as likely as its complement, to within
+    :data:`_EVEN_TOL`.
 
     Equivalent to all three singleton coefficients of
     :func:`per_voter_spectrum` vanishing.
     """
-    p = t.p
-    return bool(
-        abs(p[0] - p[3]) <= tol and abs(p[1] - p[4]) <= tol and abs(p[2] - p[5]) <= tol
-    )
+    return bool(np.all(np.abs(t.p[:3] - t.p[3:]) <= _EVEN_TOL))
 
 
 def profile_probability(t: TripleDistribution, profile) -> float:

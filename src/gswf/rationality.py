@@ -239,15 +239,14 @@ def _formula_result(n: int, d: EvenProductDistribution, w, base, cross) -> WResu
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
     """Closed-form ``W`` for an even product distribution.
 
-    The structure of each distinct function is read once
-    (:func:`bfn.read_structure`) and picks the route:
+    The structure of each distinct function (:func:`bfn.read_structure`) picks the route:
 
     * all three symmetric: :func:`closed_form` on the pairs'
       :func:`level_products`, ``O(n)``;
     * the union ``J`` of the relevant voters smaller than ``n``: ``W`` of
       the triple restricted to ``J`` (the other voters integrate out of a
       product law), reported at arity ``n``;
-    * otherwise the dense spectra, through :func:`w_from_spectra`.
+    * otherwise the spectra of :func:`bfn.walsh_transform`, through :func:`w_from_spectra`.
 
     The level sums are exact on every route, so the routes agree bit for bit.
     """
@@ -261,7 +260,7 @@ def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
     if len(union) < gswf.n:
         sub = Gswf(*(bfn.restrict(fn, union) for fn in fns))
         return replace(w_formula(sub, d), n=gswf.n)
-    spectra = {fn: walsh_transform(fn, s) for fn, s in found.items()}
+    spectra = {fn: walsh_transform(fn) for fn in found}
     return w_from_spectra(*(spectra[fn] for fn in fns), d)
 
 

@@ -404,9 +404,12 @@ def _random_search_enumerated(n, filters, d, maximize, trials, rng):
     picks = [rng.integers(0, len(members), size=trials) for members, _ in classes]
     values = np.empty(trials)
     rows = max(1, _SAMPLE_BATCH >> n)
+    # One buffer per class: fresh gathers per block let malloc trim and re-fault pages.
+    bufs = [np.empty((min(rows, trials), 1 << n)) for _ in classes]
     for start in range(0, trials, rows):
         block = slice(start, start + rows)
-        gathered = (spectra[idx[block]] for (_, spectra), idx in zip(classes, picks))
+        gathered = [np.take(spectra, idx[block], axis=0, out=buf[: len(idx[block])])
+                    for (_, spectra), idx, buf in zip(classes, picks, bufs)]
         values[block] = w_batch(*gathered, d)[0]
 
     def triple(t):

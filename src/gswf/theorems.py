@@ -21,7 +21,7 @@ import numpy as np
 from . import bfn, catalog
 from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
 from .dist import EvenProductDistribution
-from .errors import HypothesisViolation, ValidationError
+from .errors import CapacityError, HypothesisViolation, ValidationError
 from .rationality import (
     Gswf,
     biased_inner_product,
@@ -36,6 +36,7 @@ from .rationality import (
     w_prime,
 )
 from .search import (
+    TRIPLE_BUDGET,
     ClassFilter,
     all_tables,
     class_table,
@@ -54,6 +55,21 @@ TOL_LIMIT = 1e-2
 STRICT_FLOOR = 1e-9
 
 _DEFAULT_SEED = 20260810
+
+# The battery's fixed grids, depths and arities; the docstring of each check
+# names the ones it reads.
+_DELTA_GRID = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
+_SIGN_DEMO_N = 2
+_SIGN_DEMO_DEPTH = 1e-6
+_POWER_K_MAX = 6
+_DUAL_N_MAX = 3
+_BOUND_DELTA_GRID = (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
+_ARROW_N = 2
+_W_PRIME_N_LARGE = 61
+_W_PRIME_DEPTH = 1e-21
+_W_PRIME_SCAN_MAX = 101
+_ALPHA_HALF_N = 4
+_GRID_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -119,6 +135,12 @@ def _triple_payload(fs) -> dict:
     return {"n": f.n, "f": f.hex, "g": g.hex, "h": h.hex}
 
 
+def _w_triple(value, d: EvenProductDistribution, fs, extra: dict) -> dict:
+    # The witness of a triple's closed-form W under d, as reevaluate_witness reads it.
+    return {"kind": "w_triple", "value": value, "method": "formula",
+            "dist": _dist_payload(d), **_triple_payload(fs), "extra": extra}
+
+
 def _functions_from_payload(w: dict):
     n = w["n"]
     return tuple(BooleanFunction.from_hex(n, w[k]) for k in ("f", "g", "h"))
@@ -172,14 +194,7 @@ def check_formula_vs_oracle(
 
     value, (n, d, w, tables), (t,) = first_optimum(blocks(), True)
     fs = tuple(BooleanFunction(n, rows[t]) for rows in tables)
-    witness = {
-        "kind": "w_triple",
-        "value": float(w[t]),
-        "method": "formula",
-        "dist": _dist_payload(d),
-        **_triple_payload(fs),
-        "extra": {"worst_abs_diff": value},
-    }
+    witness = _w_triple(float(w[t]), d, fs, {"worst_abs_diff": value})
     return _report(
         "formula_vs_oracle",
         lhs=value,
@@ -238,22 +253,19 @@ def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -
     )
 
 
-_DELTA_GRID = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
-
-
-def _worst_scaled_pair(S, delta_grid):
-    """Least ``(1/delta) <<f, g>>_delta`` over pairs of spectrum rows and the
-    grid, as ``(value, delta, (i, j))``; the first minimum wins ties."""
-    blocks = ((delta, pair_matrix(S, S, delta) / delta) for delta in delta_grid if delta != 0.0)
+def _worst_scaled_pair(S):
+    """Least ``(1/delta) <<f, g>>_delta`` over pairs of spectrum rows and
+    :data:`_DELTA_GRID`, as ``(value, delta, (i, j))``; the first minimum
+    wins ties."""
+    blocks = ((delta, pair_matrix(S, S, delta) / delta) for delta in _DELTA_GRID)
     return first_optimum(blocks, False)
 
 
-def check_biased_product_sign(
-    n: int = 3, delta_grid=_DELTA_GRID
-) -> BoundReport:
-    """``(1/delta) <<f, g>>_delta >= 0`` for monotone increasing pairs."""
+def check_biased_product_sign(n: int = 3) -> BoundReport:
+    """``(1/delta) <<f, g>>_delta >= 0`` for monotone increasing pairs, at
+    every ``delta`` of :data:`_DELTA_GRID`."""
     members, S = class_table(n, _MONOTONE)
-    value, delta, (i, j) = _worst_scaled_pair(S, delta_grid)
+    value, delta, (i, j) = _worst_scaled_pair(S)
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
@@ -261,7 +273,7 @@ def check_biased_product_sign(
         "f": members[i].hex,
         "g": members[j].hex,
         "delta": delta,
-        "extra": {"pairs": len(members) ** 2, "delta_grid": list(delta_grid)},
+        "extra": {"pairs": len(members) ** 2, "delta_grid": list(_DELTA_GRID)},
     }
     return _report(
         "biased_product_sign",
@@ -273,17 +285,18 @@ def check_biased_product_sign(
     )
 
 
-def check_biased_product_sign_demo(
-    n: int = 2, delta_grid=_DELTA_GRID, required_depth: float = 1e-6
-) -> BoundReport:
+def check_biased_product_sign_demo() -> BoundReport:
     """Dropping monotonicity breaks the sign law; exhibit a violation.
 
-    Inverted check: passes when some non-monotone pair drives the scaled
-    product at least ``required_depth`` below zero.
+    Inverted check: passes when some non-monotone pair on
+    :data:`_SIGN_DEMO_N` voters drives the scaled product at least
+    :data:`_SIGN_DEMO_DEPTH` below zero at some ``delta`` of
+    :data:`_DELTA_GRID`.
     """
+    n = _SIGN_DEMO_N
     tables = all_tables(n)
     tables = tables[~bfn.is_monotone(tables)]
-    value, delta, (i, j) = _worst_scaled_pair(bfn.walsh_coeffs(tables), delta_grid)
+    value, delta, (i, j) = _worst_scaled_pair(bfn.walsh_coeffs(tables))
     witness = {
         "kind": "scaled_biased_pair",
         "value": value,
@@ -291,13 +304,13 @@ def check_biased_product_sign_demo(
         "f": BooleanFunction(n, tables[i]).hex,
         "g": BooleanFunction(n, tables[j]).hex,
         "delta": delta,
-        "extra": {"required_depth": required_depth},
+        "extra": {"required_depth": _SIGN_DEMO_DEPTH},
     }
     return _report(
         "biased_product_sign_nonmonotone_demo",
         lhs=value,
-        rhs=-required_depth,
-        margin=-required_depth - value,
+        rhs=-_SIGN_DEMO_DEPTH,
+        margin=-_SIGN_DEMO_DEPTH - value,
         tolerance=0.0,
         witness=witness,
         inverted=True,
@@ -340,23 +353,23 @@ def check_fkg(n: int = 3) -> BoundReport:
     )
 
 
-def pseudo_extremal_spectra(n: int = 3, trio=(0, 1, 2)):
+def pseudo_extremal_spectra(n: int = 3):
     """Coefficient triple that mimics balanced functions but is not Boolean.
 
-    Means are 1/2 and all other mass sits on three singleton levels with
-    values ``2a, -a, -a`` (rotated per function), ``a = 1/(2 sqrt 6)``; the
-    squared mass adds to 1/4 as for a genuine balanced function.
+    Means are 1/2 and all other mass sits on the singletons of voters 0, 1
+    and 2 with values ``2a, -a, -a`` (rotated per function),
+    ``a = 1/(2 sqrt 6)``; the squared mass adds to 1/4 as for a genuine
+    balanced function.
     """
     if n < 3:
         raise ValidationError("the pattern needs at least three voters")
-    i, j, k = trio
     a = 1.0 / (2.0 * math.sqrt(6.0))
     out = []
     for lead in range(3):
         coeffs = np.zeros(1 << n)
         coeffs[0] = 0.5
-        for pos, voter in enumerate((i, j, k)):
-            coeffs[1 << voter] = 2.0 * a if pos == lead else -a
+        for voter in range(3):
+            coeffs[1 << voter] = 2.0 * a if voter == lead else -a
         out.append(PseudoSpectrum(n, coeffs))
     return tuple(out)
 
@@ -372,51 +385,42 @@ def second_level_example(n: int = 2) -> Gswf:
     return Gswf(f, f, f)
 
 
-def first_level_example(n: int = 2, voter: int = 1) -> Gswf:
-    """The triple (x_i, x_i, 1 - x_i), all mass on level one."""
-    d = catalog.dictator(n, voter)
+def first_level_example(n: int = 2) -> Gswf:
+    """The triple (x_1, x_1, 1 - x_1), all mass on level one."""
+    d = catalog.dictator(n, 1)
     return Gswf(d, d, BooleanFunction(n, 1 - d.table))
 
 
 def check_balanced_bound(
-    n: int = 2,
-    mode: str = "exhaustive",
-    trials: int = 10_000,
-    seed: int = _DEFAULT_SEED,
+    n: int = 2, trials: int = 10_000, seed: int = _DEFAULT_SEED
 ) -> BoundReport:
     """Balanced triples under the uniform distribution satisfy ``W <= 3/8``.
 
-    Also evaluates the three reference points: the non-Boolean extremal
-    coefficient pattern reaching exactly 3/8, and the two balanced Boolean
-    examples (first-level and second-level) reaching exactly 1/3.
+    Every triple is scanned when their count fits :data:`TRIPLE_BUDGET`
+    (``n <= 3``); above it ``trials`` random triples are.  Also evaluates
+    the three reference points: the non-Boolean extremal coefficient
+    pattern reaching exactly 3/8, and the two balanced Boolean examples
+    (first-level and second-level) reaching exactly 1/3.
     """
     d = EvenProductDistribution.uniform()
-    if mode == "exhaustive":
+    size = 1 << n
+    if math.comb(size, size // 2) ** 3 <= TRIPLE_BUDGET:
         members, S = class_table(n, _BALANCED)
         value, (i, j, k), count = scan_planes(*cross_planes(S, S, S, d), True)
         best = (members[i], members[j], members[k])
         max_w = 0.25 + value
-    elif mode == "random":
+    else:
         res = random_search(n, (_BALANCED,) * 3, d, "max_w", trials, seed)
         max_w, best, count = res.value, res.witness, trials
-    else:
-        raise ValidationError(f"unsupported mode {mode!r}")
     pseudo_w = w_from_spectra(*pseudo_extremal_spectra(max(n, 3)), d).w
     first_w = w_formula(first_level_example(max(n, 2)), d).w
     second_w = w_formula(second_level_example(max(n, 2)), d).w
-    witness = {
-        "kind": "w_triple",
-        "value": max_w,
-        "method": "formula",
-        "dist": _dist_payload(d),
-        **_triple_payload(best),
-        "extra": {
-            "triples_scanned": count,
-            "pseudo_extremal_w": pseudo_w,
-            "first_level_example_w": first_w,
-            "second_level_example_w": second_w,
-        },
-    }
+    witness = _w_triple(max_w, d, best, {
+        "triples_scanned": count,
+        "pseudo_extremal_w": pseudo_w,
+        "first_level_example_w": first_w,
+        "second_level_example_w": second_w,
+    })
     return _report(
         "balanced_bound",
         lhs=max_w,
@@ -427,14 +431,14 @@ def check_balanced_bound(
     )
 
 
-def check_lemma_power_sums(k_max: int = 6, grid_steps: int = 200) -> BoundReport:
+def check_lemma_power_sums(grid_steps: int = 200) -> BoundReport:
     """``x^3+y^3+z^3 >= x^(2k+1)+y^(2k+1)+z^(2k+1)`` on the slice
-    ``x+y+z = 1`` of the cube ``[-1,1]^3``, for integer ``k >= 1``.
+    ``x+y+z = 1`` of the cube ``[-1,1]^3``, for ``k = 1, ...,``
+    :data:`_POWER_K_MAX`.
 
     Checked on a regular grid (step ``1/grid_steps``); the identity is
     exact on the slice boundary.
     """
-    _check_count("k_max", k_max)
     _check_count("grid_steps", grid_steps)
     axis = np.arange(-grid_steps, grid_steps + 1, dtype=np.float64) / grid_steps
     X, Y = np.meshgrid(axis, axis, indexing="ij")
@@ -451,10 +455,10 @@ def check_lemma_power_sums(k_max: int = 6, grid_steps: int = 200) -> BoundReport
 
     cubes = power_sum(3)
     value, k, (t,) = first_optimum(
-        ((k, cubes - power_sum(2 * k + 1)) for k in range(1, k_max + 1)), False
+        ((k, cubes - power_sum(2 * k + 1)) for k in range(1, _POWER_K_MAX + 1)), False
     )
     # boundary family x = 1, y = s, z = -s for s on the axis: both sides collapse to 1
-    e = 2 * k_max + 1
+    e = 2 * _POWER_K_MAX + 1
     boundary_dev = float(
         np.max(np.abs((1.0 + axis**3 + (-axis) ** 3) - (1.0 + axis**e + (-axis) ** e)))
     )
@@ -567,9 +571,7 @@ def check_majority_stability(
         for a, b in zip(ns, ns[1:])
         for j in range(len(rho_grid))
     )
-    final_errs = errs[ns[-1]]
-    j_worst = int(np.argmax(final_errs))
-    final = final_errs[j_worst]
+    final, _, (j_worst,) = first_optimum([(None, errs[ns[-1]])], True)
     margin = min(mono_margin, TOL_LIMIT - final)
     witness = {
         "kind": "stability_point",
@@ -592,12 +594,13 @@ def check_majority_stability(
     )
 
 
-def check_dual_claim(n_max: int = 3) -> BoundReport:
+def check_dual_claim() -> BoundReport:
     """Dual-function spectra obey ``coeff'(S) = (-1)^(|S|-1) coeff(S)``
-    for nonempty ``S``; exhaustive over all functions up to ``n_max``."""
+    for nonempty ``S``; exhaustive over all functions up to
+    :data:`_DUAL_N_MAX` voters."""
 
     def blocks():
-        for n in range(1, n_max + 1):
+        for n in range(1, _DUAL_N_MAX + 1):
             signs = np.where(mask_levels(n) & 1, 1.0, -1.0)  # (-1)^(|S|-1)
             tables = all_tables(n)
             dual = 1 - tables[:, ::-1]  # row-wise bfn.dual
@@ -618,10 +621,9 @@ def check_dual_claim(n_max: int = 3) -> BoundReport:
     )
 
 
-def check_lower_bound_biased(
-    n: int = 2, delta_grid=(-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
-) -> BoundReport:
-    """``<<f, g>>_delta >= -min(p1 p2, (1-p1)(1-p2))`` for Boolean pairs.
+def check_lower_bound_biased(n: int = 2) -> BoundReport:
+    """``<<f, g>>_delta >= -min(p1 p2, (1-p1)(1-p2))`` for Boolean pairs, at
+    every ``delta`` of :data:`_BOUND_DELTA_GRID`.
 
     Equality holds when a function is constant 0 (first form) or constant 1
     (second form).  Strict positivity of the slack is certified for
@@ -631,14 +633,14 @@ def check_lower_bound_biased(
     """
     if n > 3:
         # n = 4 already means 65536^2 pairs: a 32 GiB floor matrix.
-        raise ValidationError("exhaustive pair scan is limited to n <= 3")
+        raise CapacityError("exhaustive pair scan is limited to n <= 3")
     tables = all_tables(n)
     S = bfn.walsh_coeffs(tables)
     p = S[:, 0]
     floor_matrix = np.minimum(np.multiply.outer(p, p), np.multiply.outer(1 - p, 1 - p))
     constant = bfn.is_constant(tables)
     keep = np.flatnonzero(~constant)
-    slacks = [(delta, pair_matrix(S, S, delta) + floor_matrix) for delta in delta_grid]
+    slacks = [(delta, pair_matrix(S, S, delta) + floor_matrix) for delta in _BOUND_DELTA_GRID]
     value, delta, (i, j) = first_optimum(slacks, False)
     strict, strict_delta, (si, sj) = first_optimum(
         ((dl, slack[np.ix_(keep, keep)]) for dl, slack in slacks if abs(dl) < 1.0), False
@@ -676,24 +678,18 @@ def check_lower_bound_biased(
     )
 
 
-def check_arrow_sum_condition(n: int = 2) -> BoundReport:
-    """Non-constant triples with ``p1 + p2 + p3 <= 1`` have ``W > 0``."""
+def check_arrow_sum_condition() -> BoundReport:
+    """Non-constant triples on :data:`_ARROW_N` voters with
+    ``p1 + p2 + p3 <= 1`` have ``W > 0``."""
     d = EvenProductDistribution.uniform()
-    members, S = class_table(n, ClassFilter(("non_constant",)))
+    members, S = class_table(_ARROW_N, ClassFilter(("non_constant",)))
     p = S[:, 0]
     sum_ok = p[:, None, None] + p[None, :, None] + p[None, None, :] <= 1.0 + 1e-15
     value, (i, j, k), eligible = scan_planes(
         *cross_planes(S, S, S, d), False, means=(p, p, p), allowed=lambda i: sum_ok[i]
     )
     fs = (members[i], members[j], members[k])
-    witness = {
-        "kind": "w_triple",
-        "value": value,
-        "method": "formula",
-        "dist": _dist_payload(d),
-        **_triple_payload(fs),
-        "extra": {"eligible_triples": eligible},
-    }
+    witness = _w_triple(value, d, fs, {"eligible_triples": eligible})
     return _report(
         "arrow_sum_condition",
         lhs=value,
@@ -719,20 +715,19 @@ def w_prime_first_level_bound(n: int) -> float:
     return 2.0**-n - 4.0**-n - first_level
 
 
-def check_w_prime_negative(
-    n_large: int = 61, scan_max: int = 101, required_depth: float = 1e-21
-) -> BoundReport:
+def check_w_prime_negative() -> BoundReport:
     """The sign-ignored variant of ``W`` goes negative for large arity.
 
-    Inverted check: passes when the first-level bound certifies a strictly
-    negative value at ``n_large`` while the small-arity value
-    (AND, OR, majority on three voters) stays strictly positive.  The scan
-    records where the bound stops decreasing (it bottoms out once the
-    binomial term is overtaken by the base's decay).
+    Inverted check: passes when the first-level bound certifies a value at
+    least :data:`_W_PRIME_DEPTH` below zero at :data:`_W_PRIME_N_LARGE`
+    while the small-arity value (AND, OR, majority on three voters) stays
+    strictly positive.  The scan over the odd arities up to
+    :data:`_W_PRIME_SCAN_MAX` records where the bound stops decreasing (it
+    bottoms out once the binomial term is overtaken by the base's decay).
     """
-    bound_large = w_prime_first_level_bound(n_large)
+    bound_large = w_prime_first_level_bound(_W_PRIME_N_LARGE)
     small = w_prime(catalog.preset_gswf("and_dual_majority", 3))
-    scan = [(m, w_prime_first_level_bound(m)) for m in range(3, scan_max + 1, 2)]
+    scan = [(m, w_prime_first_level_bound(m)) for m in range(3, _W_PRIME_SCAN_MAX + 1, 2)]
     values = [b for _, b in scan]
     peak_idx = int(np.argmax(values))
     min_idx = int(np.argmin(values))
@@ -740,14 +735,14 @@ def check_w_prime_negative(
         values[i] > values[i + 1] for i in range(peak_idx, min_idx)
     )
     margin = min(
-        -required_depth - bound_large,
+        -_W_PRIME_DEPTH - bound_large,
         small - STRICT_FLOOR,
         0.0 if (peak_idx == 0 and decreasing_to_min) else -1.0,
     )
     witness = {
         "kind": "first_level_bound",
         "value": bound_large,
-        "n": n_large,
+        "n": _W_PRIME_N_LARGE,
         "extra": {
             "w_prime_small_triple": small,
             "scan_peak_n": scan[peak_idx][0],
@@ -759,7 +754,7 @@ def check_w_prime_negative(
     return _report(
         "w_prime_negative_demo",
         lhs=bound_large,
-        rhs=-required_depth,
+        rhs=-_W_PRIME_DEPTH,
         margin=margin,
         tolerance=0.0,
         witness=witness,
@@ -836,7 +831,7 @@ def check_instability_example() -> BoundReport:
         gap = (catalog.binary_entropy(qq) - 1.0) - (qq - 1.08)
         exponent_rows.append({"q": qq, "gap": gap})
         margins.append(gap)
-    worst_step = min(ratio_steps, key=lambda r: r["decrease"])
+    _, worst_step, _ = first_optimum(((r, r["decrease"]) for r in ratio_steps), False)
     witness = {
         "kind": "instability_ratio_pair",
         "value": worst_step["decrease"],
@@ -860,25 +855,22 @@ def check_instability_example() -> BoundReport:
     )
 
 
-def _even_product_grid(steps: int = 4):
+def _even_product_grid():
     """Even product distributions with alpha, beta on an eighth grid."""
-    out = []
-    for a_i in range(steps + 1):
-        for b_i in range(steps + 1):
-            a = a_i / (2.0 * steps)
-            b = b_i / (2.0 * steps)
-            c = 0.5 - a - b
-            if c >= -1e-12:
-                out.append(EvenProductDistribution(a, b, max(c, 0.0)))
-    return out
+    axis = [i / (2.0 * _GRID_STEPS) for i in range(_GRID_STEPS + 1)]
+    return [EvenProductDistribution(a, b, max(0.5 - a - b, 0.0))
+            for a in axis for b in axis if 0.5 - a - b >= -1e-12]
 
 
-def check_alpha_half_ceiling(
-    n: int = 4, trials: int = 10_000, seed: int = _DEFAULT_SEED
-) -> BoundReport:
+def check_alpha_half_ceiling(trials: int = 10_000, seed: int = _DEFAULT_SEED) -> BoundReport:
     """Balanced monotone triples never exceed ``W = 1/2`` under any even
     product distribution; the two-dictator rule at ``alpha = 1/2`` attains
-    it exactly."""
+    it exactly.
+
+    ``trials`` random triples on :data:`_ALPHA_HALF_N` voters are evaluated
+    at every law of the eighth grid (:data:`_GRID_STEPS` steps per axis).
+    """
+    n = _ALPHA_HALF_N
     rng = np.random.default_rng(seed)
     members, S = class_table(n, ClassFilter(("balanced", "monotone")))
     picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
@@ -893,26 +885,18 @@ def check_alpha_half_ceiling(
     extremal = w_formula(extremal_gswf, corner).w
     if extremal >= value:
         value, d, fs = extremal, corner, extremal_gswf.functions
-    max_w = value
-    witness = {
-        "kind": "w_triple",
-        "value": value,
-        "method": "formula",
-        "dist": _dist_payload(d),
-        **_triple_payload(fs),
-        "extra": {
-            "grid_size": len(grid),
-            "sampled_triples": trials,
-            "extremal_w_at_corner": extremal,
-            "equality_attained": abs(extremal - 0.5) <= TOL_EXACT,
-            "class_size": len(members),
-        },
-    }
+    witness = _w_triple(value, d, fs, {
+        "grid_size": len(grid),
+        "sampled_triples": trials,
+        "extremal_w_at_corner": extremal,
+        "equality_attained": abs(extremal - 0.5) <= TOL_EXACT,
+        "class_size": len(members),
+    })
     return _report(
         "alpha_half_ceiling",
-        lhs=max_w,
+        lhs=value,
         rhs=0.5,
-        margin=0.5 - max_w,
+        margin=0.5 - value,
         tolerance=TOL_EXACT,
         witness=witness,
     )

@@ -130,8 +130,8 @@ def test_criterion_3_monotone_bound():
 
 def test_criterion_4_balanced_bound():
     t0 = time.monotonic()
-    r2 = check_balanced_bound(n=2, mode="exhaustive")
-    r4 = check_balanced_bound(n=4, mode="random", trials=10_000, seed=404)
+    r2 = check_balanced_bound(n=2)
+    r4 = check_balanced_bound(n=4, trials=10_000, seed=404)
     extra = r2.witness["extra"]
     ok = r2.passed and r4.passed
     ok = ok and abs(extra["pseudo_extremal_w"] - 3 / 8) <= 1e-12
@@ -169,7 +169,7 @@ def test_criterion_6_half_ceiling():
     t0 = time.monotonic()
     corner = EvenProductDistribution(0.5, 0.0, 0.0)
     extremal = w_formula(preset_gswf("alpha_half_extremal", 4), corner).w
-    r = check_alpha_half_ceiling(n=4, trials=10_000, seed=606)
+    r = check_alpha_half_ceiling(trials=10_000, seed=606)
     elapsed = time.monotonic() - t0
     ok = abs(extremal - 0.5) <= 1e-12 and r.passed and elapsed < 120
     assert report(
@@ -181,9 +181,9 @@ def test_criterion_6_half_ceiling():
 
 
 def test_criterion_7_dual_and_lower_bound_suite():
-    r_dual = check_dual_claim(n_max=3)
-    r_low = check_lower_bound_biased(n=2, delta_grid=(-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0))
-    r_arrow = check_arrow_sum_condition(n=2)
+    r_dual = check_dual_claim()
+    r_low = check_lower_bound_biased(n=2)
+    r_arrow = check_arrow_sum_condition()
     ok = r_dual.passed and r_low.passed and r_arrow.passed
 
     bound61 = w_prime_first_level_bound(61)
@@ -330,16 +330,16 @@ def test_criterion_9_analytic_property_suites():
         if not bfn.is_monotone(f):
             continue
         for eps in (0.4, 1.0):
-            ok = ok and is_monotone_values(noise_operator_convolution(f, eps), 3, atol=1e-12)
+            ok = ok and is_monotone_values(noise_operator_convolution(f, eps), atol=1e-12)
         for eps in (-1.0, -0.4):
             ok = ok and is_monotone_values(
-                noise_operator_convolution(f, eps), 3, decreasing=True, atol=1e-12
+                noise_operator_convolution(f, eps), decreasing=True, atol=1e-12
             )
     # nonnegative correlation of monotone pairs
     for n in (1, 2, 3):
         ok = ok and check_fkg(n=n).passed
     # odd-power comparison on the constrained slice
-    ok = ok and check_lemma_power_sums(k_max=6, grid_steps=200).passed
+    ok = ok and check_lemma_power_sums(grid_steps=200).passed
     # transform identities: round trip, squared-mass consistency, two paths
     rng = np.random.default_rng(909)
     for n in (1, 2, 3):

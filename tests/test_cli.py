@@ -399,6 +399,19 @@ class TestOtherCommands:
             ["search", "--n", "3", "--class-f", "balanced", "--class-g", "balanced",
              "--class-h", "balanced", "--objective", "max_w", "--mode", "exhaustive",
              "--seed", "1"],
+            # flags the chosen preset, method, format or curve would silently ignore
+            ["rationality", "--preset", "condorcet", "--n", "5", "--q", "0.3"],
+            ["rationality", "--preset", "condorcet", "--n", "5", "--voter", "3"],
+            ["rationality", "--preset", "condorcet", "--n", "5", "--method", "formula",
+             "--samples", "10", "--seed", "1"],
+            ["rationality", "--preset", "condorcet", "--n", "5", "--f", "maj:5"],
+            ["rationality", "--f", "maj:3", "--g", "maj:3", "--h", "maj:3", "--n", "3"],
+            ["rationality", "--f", "maj:3", "--g", "maj:3", "--h", "maj:3", "--q", "0.2"],
+            ["spectrum", "--function", "maj:9", "--full-coeffs", "--format", "pretty"],
+            ["verify", "--all", "--check", "fkg"],
+            ["curve", "--check", "instability", "--q", "0.2", "--rho", "0.5", "--n-list", "5"],
+            ["curve", "--check", "majority-stability", "--rho", "0.5", "--q", "0.2",
+             "--n-list", "3"],
             *_HUGE_COUNTS,
         ],
     )
@@ -429,8 +442,9 @@ class TestOtherCommands:
 
 
 # Fast argv pieces: arities up to 9 and small sample and trial counts.  Half
-# the argvs are drawn from the good values only; the rest mix in bad values
-# and a stray token, so that every exit path is reached.
+# the argvs are drawn from the good values only, with only the flags that
+# act; the rest mix in bad values, flags that the chosen preset or method
+# would ignore, and a stray token, so that every exit path is reached.
 _GOOD = {
     "n": ["1", "2", "3", "5", "7", "9"],
     "count": ["1", "40", "400"],
@@ -487,18 +501,28 @@ def _argv(draw):
     argv = [command]
     if command in ("rationality", "simulate"):
         if draw(st.booleans()):
-            argv += ["--preset", draw(st.sampled_from(catalog.PRESET_NAMES)), "--n", pick("n")]
-            argv += ["--q", pick("float")] if draw(st.booleans()) else []
-            argv += ["--voter", pick("n")] if draw(st.booleans()) else []
+            preset = draw(st.sampled_from(catalog.PRESET_NAMES))
+            argv += ["--preset", preset, "--n", pick("n")]
+            # a preset takes --q or --voter only if its catalog row lists it
+            takes = {param.split()[0] for param in catalog.PRESETS[preset]}
+            for flag, kind in (("q", "float"), ("voter", "n")):
+                if (flag in takes or not valid) and draw(st.booleans()):
+                    argv += [f"--{flag}", pick(kind)]
         else:
             argv += ["--f", pick("spec"), "--g", pick("spec"), "--h", pick("spec")]
         argv += dist_flags()
+        method = "monte-carlo"
         if command == "rationality":
-            argv += ["--method", pick("method")]
-        argv += ["--samples", pick("count"), "--seed", pick("seed")]
+            method = pick("method")
+            argv += ["--method", method]
+        if method == "monte-carlo" or not valid:
+            argv += ["--samples", pick("count"), "--seed", pick("seed")]
     elif command == "spectrum":
         argv += ["--function", pick("spec")]
-        argv += ["--full-coeffs"] if draw(st.booleans()) else []
+        if draw(st.booleans()):
+            argv += ["--full-coeffs"]
+            # pretty output prints no coefficients, so the pair is an error
+            argv += ["--format", "pretty"] if not valid and draw(st.booleans()) else []
     elif command == "search":
         mode = draw(st.sampled_from(["exhaustive", "random"]))
         argv += ["--n", draw(st.sampled_from(["1", "2", "3"]))]

@@ -154,7 +154,7 @@ class TestPerVoterSpectrum:
         t = TripleDistribution(p)
         s = per_voter_spectrum(t)
         singles = max(abs(s[m]) for m in (1, 2, 4))
-        if is_even_product(t, tol=1e-12):
+        if is_even_product(t):
             assert singles <= 1e-12
         else:
             assert singles > 1e-13

@@ -182,12 +182,10 @@ class TestNoiseOperator:
         ]
         for f in monotone:
             for eps in (0.0, 0.3, 0.8, 1.0):
-                assert is_monotone_values(
-                    noise_operator_convolution(f, eps), 3, atol=1e-12
-                )
+                assert is_monotone_values(noise_operator_convolution(f, eps), atol=1e-12)
             for eps in (-1.0, -0.6, -0.2):
                 assert is_monotone_values(
-                    noise_operator_convolution(f, eps), 3, decreasing=True, atol=1e-12
+                    noise_operator_convolution(f, eps), decreasing=True, atol=1e-12
                 )
 
 

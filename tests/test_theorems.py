@@ -164,7 +164,7 @@ class TestIndividualChecks:
         assert peak < 1 << 20
 
     def test_biased_product_sign_demo_finds_violation(self):
-        r = check_biased_product_sign_demo(n=2)
+        r = check_biased_product_sign_demo()
         assert r.inverted and r.passed
         assert r.lhs == pytest.approx(-0.25, abs=1e-12)  # worst non-monotone pair
 
@@ -189,11 +189,18 @@ class TestIndividualChecks:
         assert extra["second_level_example_w"] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_balanced_bound_random_n4(self):
-        r = check_balanced_bound(n=4, mode="random", trials=2000, seed=5)
+        r = check_balanced_bound(n=4, trials=2000, seed=5)
         assert r.passed and r.lhs <= 3 / 8 + 1e-12
 
+    @pytest.mark.parametrize("n, scanned", [(3, 70**3), (4, 500)])
+    def test_balanced_bound_scans_every_triple_within_the_budget(self, n, scanned):
+        # 70^3 balanced triples fit search.TRIPLE_BUDGET; 12870^3 at n = 4 do
+        # not, so there the trials are sampled
+        r = check_balanced_bound(n=n, trials=500, seed=1)
+        assert r.passed and r.witness["extra"]["triples_scanned"] == scanned
+
     def test_lemma_power_sums(self):
-        r = check_lemma_power_sums(k_max=6, grid_steps=120)
+        r = check_lemma_power_sums(grid_steps=120)
         assert r.passed
         assert r.witness["extra"]["boundary_max_dev"] <= 1e-12
 
@@ -208,7 +215,7 @@ class TestIndividualChecks:
             return first_optimum(blocks, maximize)
 
         monkeypatch.setattr(theorems, "first_optimum", capture)
-        check_lemma_power_sums(k_max=6, grid_steps=200)
+        check_lemma_power_sums(grid_steps=200)
         axis = np.arange(-200, 201, dtype=np.float64) / 200
         X, Y = np.meshgrid(axis, axis, indexing="ij")
         Z = 1.0 - X - Y
@@ -225,8 +232,6 @@ class TestIndividualChecks:
         [
             (check_lemma_power_sums, {"grid_steps": 0}, "grid_steps"),
             (check_lemma_power_sums, {"grid_steps": 2.5}, "grid_steps"),
-            (check_lemma_power_sums, {"k_max": 0}, "k_max"),
-            (check_lemma_power_sums, {"k_max": 1.5}, "k_max"),
             (check_formula_vs_oracle, {"trials": 0}, "trials"),
             (check_formula_vs_oracle, {"n_max": 0}, "n_max"),
             (check_formula_vs_oracle, {"dists": 0}, "dists"),
@@ -275,7 +280,7 @@ class TestIndividualChecks:
         assert max(butterfly_lengths, default=0) <= 64
 
     def test_dual_claim(self):
-        r = check_dual_claim(n_max=3)
+        r = check_dual_claim()
         assert r.passed and r.lhs <= 1e-12
 
     def test_lower_bound_biased(self):
@@ -289,7 +294,7 @@ class TestIndividualChecks:
         # n = 4 would need a 65536 x 65536 floor matrix (32 GiB)
         tracemalloc.start()
         try:
-            with pytest.raises(ValidationError, match="n <= 3"):
+            with pytest.raises(CapacityError, match="n <= 3"):
                 check_lower_bound_biased(n=4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -298,7 +303,7 @@ class TestIndividualChecks:
         assert check_lower_bound_biased(n=3).passed
 
     def test_arrow_sum_condition(self):
-        r = check_arrow_sum_condition(n=2)
+        r = check_arrow_sum_condition()
         assert r.passed
         # worst eligible triple pinned by the exhaustive scan
         assert r.lhs == pytest.approx(7 / 36, abs=1e-12)
@@ -318,7 +323,7 @@ class TestIndividualChecks:
             w_prime_first_level_bound(10)
 
     def test_alpha_half_ceiling(self):
-        r = check_alpha_half_ceiling(n=4, trials=1500, seed=2)
+        r = check_alpha_half_ceiling(trials=1500, seed=2)
         assert r.passed
         assert r.lhs == pytest.approx(0.5, abs=1e-12)  # equality attained
         assert r.witness["extra"]["equality_attained"]
