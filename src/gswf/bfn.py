@@ -14,6 +14,7 @@ Index conventions, used identically everywhere in this package:
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +48,11 @@ def check_arity(n: int) -> None:
 @functools.lru_cache(maxsize=None)
 def mask_levels(n: int) -> np.ndarray:
     """Popcount of every mask in ``[0, 2**n)`` as a read-only uint8 array."""
-    levels = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        levels = np.concatenate([levels, levels + 1])
-    levels.setflags(write=False)
-    return levels
+    # Doubled in place: the masks with top bit i are those below 2^i plus one.
+    levels = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        np.add(levels[: 1 << i], 1, out=levels[1 << i : 2 << i])
+    return _frozen(levels)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -59,14 +60,22 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: A packed table in hex, as ``from_hex`` and ``hex:<n>:<digits>`` accept it
+#: (``fullmatch``); ``int(text, 16)`` alone would also read a ``0x``, a sign,
+#: underscores and surrounding whitespace.
+HEX_DIGITS = re.compile("[0-9a-fA-F]+")
+
+
 class BooleanFunction:
     """A choice function ``f: {0,1}^n -> {0,1}`` stored as a truth table.
 
     ``table[x]`` is ``f(x)`` for the input mask ``x``.  Instances are
-    immutable and safe to share between threads.
+    immutable and safe to share between threads.  The table is packed into
+    bytes at most once (:attr:`packed_bytes`); equality, hashing and the
+    serialization forms all read those bytes.
     """
 
-    __slots__ = ("n", "table", "_packed")
+    __slots__ = ("n", "table", "_bytes", "_hash")
 
     def __init__(self, n: int, table) -> None:
         check_arity(n)
@@ -80,7 +89,16 @@ class BooleanFunction:
             raise ValidationError("table entries must be 0 or 1")
         self.n = n
         self.table = _frozen(arr)
-        self._packed: int | None = None
+        self._bytes: bytes | None = None
+        self._hash: int | None = None
+
+    @classmethod
+    def _from_bits(cls, n: int, table: np.ndarray, packed: bytes) -> "BooleanFunction":
+        # A fresh uint8 0/1 table that nothing else holds, with its packed
+        # bytes: both are kept as they are, unchecked.
+        f = cls.__new__(cls)
+        f.n, f.table, f._bytes, f._hash = n, _frozen(table), packed, None
+        return f
 
     @classmethod
     def from_packed(cls, n: int, value: int) -> "BooleanFunction":
@@ -91,26 +109,33 @@ class BooleanFunction:
             raise ValidationError(f"packed value out of range for n={n}")
         raw = value.to_bytes((size + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return cls(n, bits[:size])
+        return cls._from_bits(n, bits[:size], raw)
 
     @classmethod
     def from_hex(cls, n: int, digits: str) -> "BooleanFunction":
-        """Build from the lowercase hex encoding of the packed table."""
+        """Build from the hex encoding of the packed table (digits only)."""
+        if not HEX_DIGITS.fullmatch(digits):
+            raise ValidationError("a packed table must be hex digits [0-9a-fA-F] only")
         return cls.from_packed(n, int(digits, 16))
+
+    @property
+    def packed_bytes(self) -> bytes:
+        """The table packed little-endian: bit ``x % 8`` of byte ``x // 8``
+        is ``f(x)``.  Computed once."""
+        if self._bytes is None:
+            self._bytes = np.packbits(self.table, bitorder="little").tobytes()
+        return self._bytes
 
     @property
     def packed(self) -> int:
         """The table packed into an integer, bit ``x`` = ``f(x)``."""
-        if self._packed is None:
-            raw = np.packbits(self.table, bitorder="little").tobytes()
-            self._packed = int.from_bytes(raw, "little")
-        return self._packed
+        return int.from_bytes(self.packed_bytes, "little")
 
     @property
     def hex(self) -> str:
         """Packed table as zero-padded lowercase hex (serialization form)."""
         width = ((1 << self.n) + 3) // 4
-        return format(self.packed, f"0{width}x")
+        return self.packed_bytes[::-1].hex()[-width:]
 
     def __call__(self, x: int) -> int:
         return evaluate(self, x)
@@ -119,11 +144,13 @@ class BooleanFunction:
         return (
             isinstance(other, BooleanFunction)
             and self.n == other.n
-            and self.packed == other.packed
+            and self.packed_bytes == other.packed_bytes
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.packed))
+        if self._hash is None:
+            self._hash = hash((self.n, self.packed_bytes))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"BooleanFunction(n={self.n}, hex='{self.hex}')"
@@ -192,33 +219,56 @@ def check_boolean_spectra(coeffs: np.ndarray) -> None:
         raise ValidationError(f"mean coefficient {bad!r} outside [0, 1]")
 
 
-def _analysis_butterfly(values: np.ndarray, n: int) -> None:
-    # In place on a C-contiguous int32 array: entry S becomes
-    # sum_x v(x) r_S(x).  Each radix-4 pass takes voters i and i + 1,
-    # whose bits pair the quarters a, b, c, d at stride 2^i, through two
-    # half-size scratch buffers; an odd n ends with one radix-2 pass.  A
-    # stack of rows works too: no quadruple straddles two rows.  The
-    # buffers are halves of one allocation: two separate 32 MiB ones at
+#: Voters the exact butterfly runs in int16: after voters 0..k-1 every
+#: partial sum is at most ``2^k`` in absolute value, and ``2^14`` fits.
+_INT16_VOTERS = 14
+
+
+def _analysis_butterfly(tables: np.ndarray, n: int) -> np.ndarray:
+    # Entry S of each 0/1 row of tables becomes sum_x v(x) r_S(x), in a new
+    # C-contiguous integer array: voters 0..13 in int16, which halves their
+    # passes' memory traffic, then the rest in int32.
+    low = min(n, _INT16_VOTERS)
+    values = tables.astype(np.int16, order="C")
+    _butterfly_passes(values, 0, low)
+    if n > low:
+        values = values.astype(np.int32)
+        _butterfly_passes(values, low, n)
+    return values
+
+
+def _butterfly_passes(values: np.ndarray, start: int, stop: int) -> None:
+    # In place: voters start..stop-1.  Each radix-4 pass takes voters i and
+    # i + 1, whose bits pair the quarters a, b, c, d at stride 2^i, through
+    # two half-size scratch buffers; an odd count ends with one radix-2
+    # pass.  A stack of rows works too: no quadruple straddles two rows.
+    # The buffers are halves of one allocation: two separate 32 MiB ones at
     # n = 24, once freed, raise glibc's mmap threshold, and the n = 24
     # formula's peak RSS grew by 12 MiB.
     size = values.size
-    scratch = np.empty(size, dtype=np.int32)
+    scratch = np.empty(size, dtype=values.dtype)
     sums, diffs = scratch[: size >> 1], scratch[size >> 1 :]
-    for i in range(0, n - 1, 2):
-        v = values.reshape(size >> (i + 2), 4, 1 << i)
-        s = sums.reshape(size >> (i + 2), 2, 1 << i)
-        d = diffs.reshape(size >> (i + 2), 2, 1 << i)
-        np.add(v[:, 0], v[:, 1], out=s[:, 0])  # a + b
-        np.add(v[:, 2], v[:, 3], out=s[:, 1])  # c + d
-        np.subtract(v[:, 1], v[:, 0], out=d[:, 0])  # b - a
-        np.subtract(v[:, 3], v[:, 2], out=d[:, 1])  # d - c
-        np.add(s[:, 0], s[:, 1], out=v[:, 0])
-        np.add(d[:, 0], d[:, 1], out=v[:, 1])
-        np.subtract(s[:, 1], s[:, 0], out=v[:, 2])
-        np.subtract(d[:, 1], d[:, 0], out=v[:, 3])
-    if n % 2:
-        v = values.reshape(size >> n, 2, 1 << (n - 1))
-        low = sums.reshape(size >> n, 1 << (n - 1))
+    for i in range(start, stop - 1, 2):
+        # Quarter-major views, shape (4 or 2, 2^i, blocks).  In memory order
+        # numpy's inner loop would run over the 4 contiguous entries of a
+        # quarter at stride 4; reading the views in C order runs it over the
+        # blocks instead, about twice as fast there.
+        v, s, d = (
+            a.reshape(size >> (i + 2), -1, 1 << i).transpose(1, 2, 0) for a in (values, sums, diffs)
+        )
+        order = "C" if i == 2 else "K"
+        np.add(v[0], v[1], out=s[0], order=order)  # a + b
+        np.add(v[2], v[3], out=s[1], order=order)  # c + d
+        np.subtract(v[1], v[0], out=d[0], order=order)  # b - a
+        np.subtract(v[3], v[2], out=d[1], order=order)  # d - c
+        np.add(s[0], s[1], out=v[0], order=order)
+        np.add(d[0], d[1], out=v[1], order=order)
+        np.subtract(s[1], s[0], out=v[2], order=order)
+        np.subtract(d[1], d[0], out=v[3], order=order)
+    if (stop - start) % 2:
+        i = stop - 1
+        v = values.reshape(size >> (i + 1), 2, 1 << i)
+        low = sums.reshape(size >> (i + 1), 1 << i)
         np.copyto(low, v[:, 0])
         np.add(v[:, 0], v[:, 1], out=v[:, 0])
         np.subtract(v[:, 1], low, out=v[:, 1])
@@ -279,9 +329,10 @@ def walsh_coeffs(values) -> np.ndarray:
     """``2^-n sum_x v(x) r_S(x)`` for each table ``v`` along the last axis.
 
     A table of 0/1 entries (bool, or an integer dtype, or nested lists of
-    them) goes through one exact int32 butterfly over the whole stack:
-    every partial sum is an integer of magnitude at most ``2^n``.  The
-    result is converted to float64 and scaled by ``2^-n`` once.  Any other
+    them) goes through one exact integer butterfly over the whole stack,
+    int16 for the first 14 voters and int32 for the rest: after ``k``
+    voters every partial sum is an integer of magnitude at most ``2^k``.
+    The result is converted to float64 and scaled by ``2^-n`` once.  Any other
     input, a float table or an integer one with an entry outside {0, 1}
     (whose partial sums could overflow int32), takes the float route
     ``per_voter_pass(values, [[1, 1], [-1, 1]]) / 2^n`` instead.  No
@@ -292,9 +343,7 @@ def walsh_coeffs(values) -> np.ndarray:
     n = _arity_of(arr)
     if not _zero_one(arr):
         return per_voter_pass(arr, [[1.0, 1.0], [-1.0, 1.0]]) / float(1 << n)
-    out = arr.astype(np.int32, order="C")
-    _analysis_butterfly(out, n)
-    return out / float(1 << n)
+    return _analysis_butterfly(arr, n) / float(1 << n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -312,10 +361,10 @@ def _krawtchouk(n: int) -> np.ndarray:
     return _frozen(np.array(rows))
 
 
-#: Entries compared before a full comparison, so that a random table is
-#: told apart from a structured one in a few tiny checks.  A table of at
-#: most this many entries goes straight to the butterfly, which costs less
-#: than the checks.
+#: Entries in one packed 64-bit word.  The symmetry test and the voter scan
+#: compare the first word before the rest, so that a random table is told
+#: apart from a structured one in a few tiny checks.  A table of at most
+#: one word goes straight to the butterfly, which costs less than the checks.
 _PREFIX = 64
 
 # Per voter 0..2, the bits of a packed byte whose partner across that voter
@@ -323,15 +372,15 @@ _PREFIX = 64
 _IN_BYTE = (0x55, 0x33, 0x0F)
 
 
-def _relevant_voters(table: np.ndarray, n: int) -> tuple[int, ...]:
+def _relevant_voters(f: BooleanFunction) -> tuple[int, ...]:
     # Voter i matters iff table[x] != table[x ^ 2^i] for some x.  On the
     # little-endian packed bytes (n > 6, so at least 16 of them) voters 0..2
     # pair bits inside a byte and voter i >= 3 pairs bytes at stride
     # 2^(i-3).  Pairs among the first _PREFIX entries are compared first.
-    packed = np.packbits(table, bitorder="little")
+    packed = np.frombuffer(f.packed_bytes, dtype=np.uint8)
     step = _PREFIX >> 3
     relevant = []
-    for i in range(n):
+    for i in range(f.n):
         if i < 3:
             shift, low = 1 << i, _IN_BYTE[i]
             moves = any(((p ^ (p >> shift)) & low).any() for p in (packed[:step], packed))
@@ -344,20 +393,54 @@ def _relevant_voters(table: np.ndarray, n: int) -> tuple[int, ...]:
     return tuple(relevant)
 
 
+def _level_words(profile: np.ndarray) -> np.ndarray:
+    # For a weight profile on n >= 6 voters, entry c is the packed word
+    # (as "<u8") of the _PREFIX inputs 64 j + l, l < 64, for any j of weight
+    # c: bit l is profile[c + |l|].  The symmetric function's table is word
+    # |j| at every j.
+    n = profile.size - 1
+    bits = profile[np.arange(n - 5)[:, None] + mask_levels(6)]
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").ravel()
+
+
+def symmetric_function(n: int, profile) -> BooleanFunction:
+    """The function ``f(x) = profile[|x|]`` for a 0/1 ``profile`` of length ``n + 1``.
+
+    Past 64 entries the table is gathered as packed words, one per block of
+    64 inputs and chosen by the block's weight, and unpacked once; those
+    words become the function's :attr:`BooleanFunction.packed_bytes`.
+    """
+    check_arity(n)
+    profile = np.asarray(profile)
+    if profile.shape != (n + 1,) or not _zero_one(profile):
+        raise ValidationError(f"a weight profile must be n + 1 = {n + 1} entries of 0 or 1")
+    profile = profile.astype(np.uint8)
+    if n < 6:
+        return BooleanFunction(n, profile[mask_levels(n)])
+    words = _level_words(profile)[mask_levels(n - 6)]
+    table = np.unpackbits(words.view(np.uint8), bitorder="little")
+    return BooleanFunction._from_bits(n, table, words.tobytes())
+
+
 def symmetric_levels(f: BooleanFunction) -> np.ndarray | None:
     """``levels[k]``, the coefficient of every ``|S| = k``, if ``f``
     depends only on the input weight (constants included), else ``None``.
 
-    One exact integer Krawtchouk product scaled by ``2^-n``, at any arity;
-    it is bit-identical to gathering :func:`walsh_coeffs` by level.
+    Past 64 entries the test reads the packed table: word ``j`` must be the
+    level word of ``|j|`` (word 0 first), ``2^(n-6)`` comparisons.  The
+    levels are one exact integer Krawtchouk product scaled by ``2^-n``, at
+    any arity; they are bit-identical to gathering :func:`walsh_coeffs` by
+    level.
     """
     n, table = f.n, f.table
     # F[w] = f(1^w 0^(n-w)) describes f iff f depends only on the input weight.
-    profile, weights = table[(1 << np.arange(n + 1)) - 1], mask_levels(n)
-    if not (
-        np.array_equal(profile[weights[:_PREFIX]], table[:_PREFIX])
-        and np.array_equal(profile[weights], table)
-    ):
+    profile = table[(1 << np.arange(n + 1)) - 1]
+    if n < 6:
+        symmetric = np.array_equal(profile[mask_levels(n)], table)
+    else:
+        words, level = np.frombuffer(f.packed_bytes, dtype="<u8"), _level_words(profile)
+        symmetric = words[0] == level[0] and np.array_equal(level[mask_levels(n - 6)], words)
+    if not symmetric:
         return None
     return _frozen((_krawtchouk(n) @ profile.astype(np.int64)) / float(1 << n))
 
@@ -375,7 +458,7 @@ def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ..
         return None, tuple(range(n))
     levels = symmetric_levels(f)
     if levels is None:
-        return None, _relevant_voters(f.table, n)
+        return None, _relevant_voters(f)
     # Only a constant has no weight on the levels k >= 1.
     return levels, tuple(range(n)) if levels[1:].any() else ()
 
@@ -404,7 +487,7 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
       butterfly runs on the ``2^|J|`` restriction and is scattered onto the
       subsets of ``J``, every other coefficient being 0;
     * otherwise, and for every table of at most 64 entries, the exact
-      int32 butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
+      integer butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
 
     Every path is bit-identical to ``walsh_coeffs(f.table)``: all partial
     sums are integers of at most ``2^n`` and each path scales once by a

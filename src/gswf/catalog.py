@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bfn
-from .bfn import BooleanFunction, mask_levels
+from .bfn import BooleanFunction
 from .errors import ValidationError
 from .rationality import Gswf
 
@@ -43,7 +43,7 @@ def threshold(n: int, k: int) -> BooleanFunction:
     bfn.check_arity(n)
     if not 0 <= k <= n + 1:
         raise ValidationError(f"threshold must be in 0..{n + 1}, got {k}")
-    return BooleanFunction(n, (mask_levels(n) >= k).astype(np.uint8))
+    return bfn.symmetric_function(n, np.arange(n + 1) >= k)
 
 
 def majority(n: int) -> BooleanFunction:
@@ -62,7 +62,7 @@ def disjunction(n: int) -> BooleanFunction:
 
 def parity(n: int) -> BooleanFunction:
     bfn.check_arity(n)
-    return BooleanFunction(n, (mask_levels(n) & 1).astype(np.uint8))
+    return bfn.symmetric_function(n, np.arange(n + 1) & 1)
 
 
 def constant(n: int, bit: int) -> BooleanFunction:
@@ -222,6 +222,8 @@ def parse_function_spec(text: str) -> BooleanFunction:
         n = int(parts[1])
         if head == "hex":
             (digits,) = parts[2:]
+            if not bfn.HEX_DIGITS.fullmatch(digits):
+                raise ValueError(digits)
             packed = int(digits, 16)
         else:
             args = [int(p) for p in parts[2:]]

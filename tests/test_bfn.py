@@ -37,7 +37,7 @@ from gswf.catalog import (
 )
 from gswf.errors import CapacityError, ValidationError
 
-from conftest import fraction_spectrum, random_junta
+from conftest import fraction_spectrum, int32_butterfly, random_junta
 
 
 def all_functions(n):
@@ -86,6 +86,31 @@ class TestTables:
     def test_packed_round_trip(self):
         for v in range(16):
             assert BooleanFunction.from_packed(2, v).packed == v
+
+    @pytest.mark.parametrize("digits", ["0x7f", "+7f", "7_f", " 7f", "7f\n", "", "\u0667f"])
+    def test_from_hex_reads_hex_digits_only(self, digits):
+        # int(digits, 16) alone reads every one of these as 0x7f.
+        with pytest.raises(ValidationError):
+            BooleanFunction.from_hex(3, digits)
+
+    def test_hex_and_hash_read_the_packed_bytes(self, rng):
+        assert BooleanFunction(1, [1, 0]).hex == "1"
+        assert BooleanFunction(2, [0, 0, 0, 1]).hex == "8"
+        assert BooleanFunction(1, [0, 0]) != BooleanFunction(2, [0, 0, 0, 0])
+        for n in range(1, 13):
+            width = ((1 << n) + 3) // 4
+            for _ in range(5):
+                f = bfn.random_function(n, rng)
+                assert f.hex == format(f.packed, f"0{width}x")
+                assert f.packed_bytes == np.packbits(f.table, bitorder="little").tobytes()
+                for g in (
+                    BooleanFunction.from_hex(n, f.hex),
+                    BooleanFunction.from_hex(n, f.hex.upper()),
+                    BooleanFunction.from_packed(n, f.packed),
+                    BooleanFunction(n, f.table.copy()),
+                ):
+                    assert g == f and hash(g) == hash(f)
+                    assert np.array_equal(g.table, f.table) and not g.table.flags.writeable
 
 
 def float_reference(tables):
@@ -164,8 +189,8 @@ class TestTransform:
         assert abs(float(np.sum(s.coeffs**2)) - expectation(f)) < 1e-12
 
     def test_per_voter_pass_is_the_analysis_butterfly(self, rng):
-        # The float pass is the independent reference for the int32 kernel
-        # that walsh_coeffs runs on 0/1 tables.
+        # The float pass is the independent reference for the integer
+        # kernel that walsh_coeffs runs on 0/1 tables.
         for n in range(1, 15):
             for rows in (7, 8):
                 tables = rng.integers(0, 2, size=(rows, 1 << n), dtype=np.uint8)
@@ -186,6 +211,22 @@ class TestTransform:
         ):
             expected = float_reference(table).tobytes()
             assert bfn.walsh_coeffs(table).tobytes() == expected
+
+    @pytest.mark.parametrize("n", [13, 14, 15, 16])
+    def test_int16_tier_ends_before_it_could_wrap(self, rng, n):
+        # Voters 0..13 run in int16 and the rest in int32; an int32-only
+        # butterfly gives the same sums, and the all-ones table reaches the
+        # largest, 2^n, in entry 0.
+        for tables in (
+            np.ones(1 << n, dtype=np.uint8),
+            rng.integers(0, 2, size=(3, 1 << n), dtype=np.uint8),
+        ):
+            expected = int32_butterfly(tables)
+            got = bfn._analysis_butterfly(tables, n)
+            assert got.dtype == (np.int16 if n <= 14 else np.int32)
+            assert got.astype(np.int32).tobytes() == expected.tobytes()
+            assert bfn.walsh_coeffs(tables).tobytes() == (expected / float(1 << n)).tobytes()
+        assert bfn._analysis_butterfly(np.ones(1 << n, dtype=np.uint8), n)[0] == 1 << n
 
     def test_integer_entries_outside_zero_one_take_the_float_route(self, butterfly_lengths):
         # 255 * 2^24 would overflow int32; no entry may wrap.
@@ -376,6 +417,50 @@ class TestStructuredSpectra:
             others += [bfn.random_function(n, rng) for _ in range(3) if n > 4]
             for f in others:
                 assert bfn.symmetric_levels(f) is None, f
+
+    def test_word_symmetry_test_is_the_gather_definition(self, rng):
+        # f is symmetric iff its weight profile, gathered by input weight,
+        # is its table.  Past 64 entries symmetric_levels compares packed
+        # words instead; one flipped bit in the first word, the last word
+        # or anywhere must be seen exactly when the gather sees it.
+        for n in range(1, 13):
+            size = 1 << n
+            weights = bfn.mask_levels(n)
+            corners = (1 << np.arange(n + 1)) - 1
+            profiles = [rng.integers(0, 2, size=n + 1, dtype=np.uint8) for _ in range(4)]
+            profiles += [np.zeros(n + 1, dtype=np.uint8), np.ones(n + 1, dtype=np.uint8)]
+            for profile in profiles:
+                tables = [profile[weights]]
+                for lo, hi in ((0, min(64, size)), (max(0, size - 64), size), (0, size)):
+                    table = profile[weights].copy()
+                    table[int(rng.integers(lo, hi))] ^= 1
+                    tables.append(table)
+                for table in tables:
+                    f = BooleanFunction(n, table)
+                    levels = bfn.symmetric_levels(f)
+                    gathered = np.array_equal(table[corners][weights], table)
+                    assert (levels is not None) == gathered, (n, f)
+                    if gathered:
+                        expected = bfn.walsh_coeffs(table)[corners]
+                        assert levels.tobytes() == expected.tobytes()
+
+    def test_symmetric_function_is_the_gathered_table(self, rng):
+        for n in range(1, 15):
+            for profile in (
+                rng.integers(0, 2, size=n + 1, dtype=np.uint8),
+                np.arange(n + 1) & 1,
+                np.arange(n + 1) >= n // 2,
+                np.zeros(n + 1, dtype=np.uint8),
+            ):
+                expected = np.asarray(profile, dtype=np.uint8)[bfn.mask_levels(n)]
+                f = bfn.symmetric_function(n, profile)
+                assert f.table.dtype == np.uint8 and not f.table.flags.writeable
+                assert f.table.tobytes() == expected.tobytes()
+                assert f.packed_bytes == np.packbits(expected, bitorder="little").tobytes()
+                assert f == BooleanFunction(n, expected) and hash(f) == hash(BooleanFunction(n, expected))
+        for n, profile in ((3, [0, 1, 1]), (7, [0] * 7), (7, [0, 2, 0, 0, 0, 0, 0, 1]), (7, [0.5] * 8)):
+            with pytest.raises(ValidationError):
+                bfn.symmetric_function(n, profile)
 
     def test_fast_paths_skip_the_full_butterfly(self, butterfly_lengths):
         assert_spectrum_bytes(majority(21))

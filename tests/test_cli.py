@@ -412,6 +412,11 @@ class TestOtherCommands:
             ["curve", "--check", "instability", "--q", "0.2", "--rho", "0.5", "--n-list", "5"],
             ["curve", "--check", "majority-stability", "--rho", "0.5", "--q", "0.2",
              "--n-list", "3"],
+            # int(digits, 16) reads each of these as 0x7f
+            ["spectrum", "--function", "hex:3:0x7f"],
+            ["spectrum", "--function", "hex:3:+7f"],
+            ["spectrum", "--function", "hex:3:7_f"],
+            ["spectrum", "--function", "hex:3: 7f"],
             *_HUGE_COUNTS,
         ],
     )
