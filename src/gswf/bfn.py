@@ -179,11 +179,6 @@ class PseudoSpectrum:
             )
         object.__setattr__(self, "coeffs", _frozen(arr))
 
-    @property
-    def mean(self) -> float:
-        """Coefficient of the empty set, the mean of the represented function."""
-        return float(self.coeffs[0])
-
 
 class WalshSpectrum(PseudoSpectrum):
     """Spectrum of a Boolean function.
@@ -463,18 +458,27 @@ def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ..
     return levels, tuple(range(n)) if levels[1:].any() else ()
 
 
-def _subcube(voters) -> np.ndarray:
-    # The masks inside the increasing voters: the inputs of a restriction
-    # and the subsets S of the voters alike.
-    inside = np.zeros(1, dtype=np.int64)
-    for i in voters:
-        inside = np.concatenate([inside, inside | (1 << i)])
-    return inside
+def _voters(voters, n: int) -> tuple[int, ...]:
+    # 0-based voter indices, each an integer (not a bool) in 0..n-1.
+    voters = tuple(voters)
+    integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in voters)
+    if not integral or not all(0 <= v < n for v in voters):
+        raise ValidationError(f"voters must be integers in 0..{n - 1}, got {voters!r}")
+    return tuple(map(int, voters))
+
+
+def _face(n: int, voters) -> tuple:
+    # The basic index into a table's (2,) * n cube, whose axis a is voter
+    # n - 1 - a, that fixes every voter outside ``voters`` at 0.
+    return tuple(slice(None) if n - 1 - a in voters else 0 for a in range(n))
 
 
 def restrict(f: BooleanFunction, voters) -> BooleanFunction:
-    """``f`` on its increasing 0-based ``voters`` (renumbered from 0), the rest 0."""
-    return BooleanFunction(len(voters), f.table[_subcube(voters)])
+    """``f`` on its strictly increasing 0-based ``voters`` (renumbered from 0), the rest 0."""
+    n, voters = f.n, _voters(voters, f.n)
+    if list(voters) != sorted(set(voters)):
+        raise ValidationError(f"a restriction needs strictly increasing voters, got {voters!r}")
+    return BooleanFunction(len(voters), f.table.reshape((2,) * n)[_face(n, voters)].ravel())
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
@@ -500,9 +504,9 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
     if len(relevant) == n:
         return WalshSpectrum(n, _frozen(walsh_coeffs(table)))
     # A constant is symmetric, so here 1 <= |J| < n.
-    inside = _subcube(relevant)
     coeffs = np.zeros(1 << n)
-    coeffs[inside] = walsh_coeffs(table[inside])
+    sub = walsh_coeffs(restrict(f, relevant).table)
+    coeffs.reshape((2,) * n)[_face(n, relevant)] = sub.reshape((2,) * len(relevant))
     return WalshSpectrum(n, _frozen(coeffs))
 
 
@@ -622,31 +626,29 @@ def is_self_dual(f) -> bool:
     return _per_table(np.all(t[..., ::-1] != t, axis=-1))
 
 
-def _permuted_inputs(n: int, perm: tuple[int, ...]) -> np.ndarray:
-    # Index array mapping x to the input whose bit perm[i] is bit i of x.
-    x = np.arange(1 << n, dtype=np.int64)
-    y = np.zeros_like(x)
-    for i, j in enumerate(perm):
-        y |= ((x >> i) & 1) << j
-    return y
-
-
 def is_invariant_under(f, generators) -> bool:
     """True iff ``f`` is unchanged by each given voter permutation.
 
     A generator is a tuple ``perm`` of length ``n`` sending voter index ``i``
     (0-based) to ``perm[i]``.  Invariance under a transitive group is only
     certified through explicit generators; this is a sufficient condition,
-    not a decision procedure.
+    not a decision procedure.  Each generator is one transpose of the
+    tables' ``(2,) * n`` cubes (axis ``a`` is voter ``n - 1 - a``).
     """
     t = _tables(f)
     n = _arity_of(t)
-    ok = np.ones(t.shape[:-1], dtype=bool)
-    for perm in generators:
+    # Leading stack axes are flattened into one: n + 1 <= 25 axes stay
+    # under the 32 that numpy 1.x allows.
+    cubes = t.reshape((-1,) + (2,) * n)
+    ok = np.ones(len(cubes), dtype=bool)
+    for perm in (_voters(p, n) for p in generators):
         if sorted(perm) != list(range(n)):
             raise ValidationError(f"not a voter permutation of 0..{n - 1}: {perm!r}")
-        ok &= np.all(t[..., _permuted_inputs(n, tuple(perm))] == t, axis=-1)
-    return _per_table(ok)
+        # Axis k of the permuted cube is voter n - 1 - k of x, read off
+        # voter perm[n - 1 - k] of the table's input.
+        moved = cubes.transpose(0, *(n - perm[n - 1 - k] for k in range(n)))
+        ok &= (moved == cubes).reshape(len(cubes), 1 << n).all(axis=1)
+    return _per_table(ok.reshape(t.shape[:-1]))
 
 
 def is_cyclic_invariant(f) -> bool:

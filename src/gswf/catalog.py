@@ -81,13 +81,13 @@ def tribes(n: int, tribe_size: int) -> BooleanFunction:
     bfn.check_arity(n)
     if not 1 <= tribe_size <= n:
         raise ValidationError(f"tribe size must be in 1..{n}, got {tribe_size}")
-    x = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=np.uint8)
+    # Doubled one tribe at a time: over the next tribe's voters, the table so
+    # far repeats while they are not all ones, and is 1 where they are.
+    table = np.zeros(1, dtype=np.uint8)
     for start in range(0, n, tribe_size):
         width = min(tribe_size, n - start)
-        block = ((1 << width) - 1) << start
-        out |= ((x & block) == block).astype(np.uint8)
-    return BooleanFunction(n, out)
+        table = np.concatenate([np.tile(table, (1 << width) - 1), np.ones_like(table)])
+    return BooleanFunction(n, table)
 
 
 @dataclass(frozen=True)

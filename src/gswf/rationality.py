@@ -119,7 +119,7 @@ class WResult:
 PAIR_CACHE_BYTES = 1 << 30
 
 #: Largest arity whose level sums are one matrix product with the
-#: ``2^n x (n+1)`` level indicator; above it one bincount is faster.
+#: ``2^n x (n+1)`` level indicator; above it one bincount per row is faster.
 LEVEL_MATMUL_MAX = 12
 
 
@@ -141,10 +141,9 @@ def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prod = a * b
     if n <= LEVEL_MATMUL_MAX:
         return prod @ _level_indicator(n)
-    rows = prod.reshape(-1, 1 << n)
-    bins = mask_levels(n) + (n + 1) * np.arange(len(rows))[:, None]
-    sums = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=len(rows) * (n + 1))
-    return sums.reshape(*prod.shape[:-1], n + 1)
+    rows, levels = prod.reshape(-1, 1 << n), mask_levels(n)
+    sums = [np.bincount(levels, weights=row, minlength=n + 1) for row in rows]
+    return np.array(sums).reshape(*prod.shape[:-1], n + 1)
 
 
 def level_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:

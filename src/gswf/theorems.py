@@ -379,9 +379,7 @@ def second_level_example(n: int = 2) -> Gswf:
     two pairwise choices for voters 1 and 2, used three times."""
     if n < 2:
         raise ValidationError("needs at least two voters")
-    x = np.arange(1 << n, dtype=np.int64)
-    table = (((x & 1) ^ ((x >> 1) & 1)) ^ 1).astype(np.uint8)
-    f = BooleanFunction(n, table)
+    f = BooleanFunction(n, np.tile(np.array([1, 0, 0, 1], dtype=np.uint8), 1 << (n - 2)))
     return Gswf(f, f, f)
 
 

@@ -134,6 +134,51 @@ def random_junta(n, voters, rng):
     return BooleanFunction(n, inner[y])
 
 
+def permuted_inputs(n, perm):
+    """Index definition of a voter permutation: entry ``x`` is the input
+    whose bit ``perm[i]`` is bit ``i`` of ``x``, so ``table[permuted_inputs]``
+    is the table with voter ``i`` moved to ``perm[i]``."""
+    x = np.arange(1 << n, dtype=np.int64)
+    y = np.zeros_like(x)
+    for i, j in enumerate(perm):
+        y |= ((x >> i) & 1) << j
+    return y
+
+
+def subcube(voters):
+    """Index definition of a face of the cube: the masks inside the
+    increasing ``voters`` in order, both the inputs of a restriction to
+    them and the subsets ``S`` of them."""
+    inside = np.zeros(1, dtype=np.int64)
+    for i in voters:
+        inside = np.concatenate([inside, inside | (1 << i)])
+    return inside
+
+
+def tribes_table(n, tribe_size):
+    """Tribes by one masked compare per tribe over every input mask."""
+    x = np.arange(1 << n, dtype=np.int64)
+    out = np.zeros(1 << n, dtype=np.uint8)
+    for start in range(0, n, tribe_size):
+        width = min(tribe_size, n - start)
+        block = ((1 << width) - 1) << start
+        out |= ((x & block) == block).astype(np.uint8)
+    return out
+
+
+def invariant_table(n, perm, rng):
+    """A random table constant on every orbit of the voter permutation:
+    each input takes the bit drawn for the least input of its orbit."""
+    moved = permuted_inputs(n, perm)
+    least = np.arange(1 << n)
+    while True:
+        step = np.minimum(least, least[moved])
+        if np.array_equal(step, least):
+            break
+        least = step
+    return rng.integers(0, 2, size=1 << n, dtype=np.uint8)[least]
+
+
 def fraction_biased_product(sa, sb, delta: Fraction):
     """Exact biased inner product from exact spectra."""
     n = (len(sa) - 1).bit_length()

@@ -37,7 +37,14 @@ from gswf.catalog import (
 )
 from gswf.errors import CapacityError, ValidationError
 
-from conftest import fraction_spectrum, int32_butterfly, random_junta
+from conftest import (
+    fraction_spectrum,
+    int32_butterfly,
+    invariant_table,
+    permuted_inputs,
+    random_junta,
+    subcube,
+)
 
 
 def all_functions(n):
@@ -548,6 +555,8 @@ class TestPredicates:
         assert not is_invariant_under(dictator(5, 1), [swap01])
         with pytest.raises(ValidationError):
             is_invariant_under(maj5, [(0, 0, 1, 2, 3)])
+        with pytest.raises(ValidationError):
+            is_invariant_under(majority(3), [(1.0, 2.0, 0.0)])
 
     def test_dual_spectrum_sign_law_exhaustive(self):
         # coeff'(S) = (-1)^(|S|-1) coeff(S) for nonempty S
@@ -565,3 +574,79 @@ class TestPredicates:
         f = bfn.random_function(n, np.random.default_rng(seed))
         assert dual(dual(f)) == f
         assert expectation(dual(f)) == pytest.approx(1 - expectation(f), abs=1e-15)
+
+
+def reference_invariance(tables, generators):
+    # The index definition: gather each table at the permuted inputs.
+    n = tables.shape[-1].bit_length() - 1
+    ok = np.ones(tables.shape[:-1], dtype=bool)
+    for perm in generators:
+        ok &= np.all(tables[..., permuted_inputs(n, perm)] == tables, axis=-1)
+    return ok
+
+
+class TestCubeAddressing:
+    """Voter permutations and restrictions address the ``(2,) * n`` cube of a
+    table; they must equal the index-array definitions bit for bit."""
+
+    def test_invariance_matches_the_index_definition(self, rng):
+        for n in range(1, 13):
+            cyclic = tuple((i + 1) % n for i in range(n))
+            perms = [tuple(rng.permutation(n).tolist()) for _ in range(3)]
+            tables = [invariant_table(n, p, rng) for p in perms + [cyclic] for _ in range(2)]
+            tables += [rng.integers(0, 2, size=1 << n, dtype=np.uint8) for _ in range(2)]
+            stack = np.array(tables).reshape(2, -1, 1 << n)
+            for generators in [[p] for p in perms] + [[cyclic], perms[:2], []]:
+                expected = reference_invariance(stack, generators)
+                assert is_invariant_under(stack, generators).tolist() == expected.tolist()
+                for table, flag in zip(stack.reshape(-1, 1 << n), expected.ravel()):
+                    assert is_invariant_under(table, generators) is bool(flag)
+            expected = reference_invariance(stack, [cyclic])
+            assert is_cyclic_invariant(stack).tolist() == expected.tolist()
+
+    def test_invariance_at_twenty_voters(self, rng):
+        n = 20
+        cyclic = tuple((i + 1) % n for i in range(n))
+        swap = (1, 0) + tuple(range(2, n))
+        table = invariant_table(n, cyclic, rng)
+        flipped = table.copy()
+        flipped[int(rng.integers(1, (1 << n) - 1))] ^= 1
+        for t in (table, flipped):
+            for generators in ([cyclic], [swap], [cyclic, swap]):
+                expected = bool(reference_invariance(t, generators))
+                assert is_invariant_under(BooleanFunction(n, t), generators) is expected
+        assert is_cyclic_invariant(BooleanFunction(n, table))
+        assert not is_cyclic_invariant(BooleanFunction(n, flipped))
+
+    def test_restrict_matches_the_index_definition(self, rng):
+        for n in range(7, 23):
+            f = bfn.random_function(n, rng)
+            for size in (1, int(rng.integers(2, n)), n):
+                voters = sorted(rng.choice(n, size=size, replace=False).tolist())
+                got = bfn.restrict(f, voters)
+                assert got.n == size
+                assert got.table.tobytes() == f.table[subcube(voters)].tobytes()
+
+    def test_junta_spectrum_matches_the_index_definition(self, rng, butterfly_lengths):
+        for n in range(7, 23):
+            size = int(rng.integers(1, min(n - 1, 12) + 1))
+            voters = sorted(rng.choice(n, size=size, replace=False).tolist())
+            f = random_junta(n, voters, rng)
+            while bfn.is_constant(f):  # a constant takes the symmetric route
+                f = random_junta(n, voters, rng)
+            relevant = bfn.read_structure(f)[1]
+            inside = subcube(relevant)
+            expected = np.zeros(1 << n)
+            expected[inside] = bfn.walsh_coeffs(f.table[inside])
+            butterfly_lengths.clear()
+            got = walsh_transform(f).coeffs
+            # the junta route: one butterfly, on the restriction
+            assert len(relevant) < n and butterfly_lengths == [1 << len(relevant)]
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "voters", [(2, 1), (1, 7), (1, 1), (-1, 2), (1.0, 2), (True, 2), ("1", "2")]
+    )
+    def test_restrict_rejects_voters_that_are_not_increasing_indices(self, voters):
+        with pytest.raises(ValidationError):
+            bfn.restrict(dictator(4, 2), voters)

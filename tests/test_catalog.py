@@ -30,6 +30,8 @@ from gswf.dist import EvenProductDistribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import w_formula, w_oracle
 
+from conftest import tribes_table
+
 UNIFORM = EvenProductDistribution.uniform()
 
 
@@ -83,6 +85,13 @@ class TestFamilies:
         # uneven split pads the trailing tribe with the remaining voters
         t5 = tribes(5, 2)
         assert t5(0b10000) == 1  # the singleton last tribe fires on its own voter
+
+    def test_tribes_match_the_masked_definition(self):
+        cases = [(n, size) for n in range(1, 17) for size in range(1, n + 1)]
+        cases += [(20, size) for size in (1, 3, 4, 20)]
+        for n, size in cases:
+            table = tribes(n, size).table
+            assert table.tobytes() == tribes_table(n, size).tobytes(), (n, size)
 
     def test_unknown_family(self):
         with pytest.raises(ValidationError):
