@@ -60,6 +60,40 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: Largest arity whose level sums are one product with the ``2^n x (n+1)``
+#: level indicator.  Above it, blocks of ``2^12`` entries are summed by the
+#: level of their low voters, then grouped by that of their high voters.
+LEVEL_MATMUL_MAX = 12
+
+
+@functools.lru_cache(maxsize=None)
+def _level_indicator(n: int) -> np.ndarray:
+    # Entry [S, k] is 1.0 iff |S| = k, read-only.
+    return _frozen(np.eye(n + 1)[mask_levels(n)])
+
+
+def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entry ``[..., k]`` is ``L_k = sum over |S| = k of a[..., S] b[..., S]``
+    for row-aligned stacks along the last axis.  For spectra of Boolean
+    functions each product is a multiple of ``4^-n`` and, by Cauchy-Schwarz
+    and Parseval, their absolute values sum to at most 1: no partial sum is
+    rounded, in any order, so a row's sums do not depend on its stack."""
+    n = a.shape[-1].bit_length() - 1
+    prod = a * b
+    if n <= LEVEL_MATMUL_MAX:
+        return prod @ _level_indicator(n)
+    low, high = LEVEL_MATMUL_MAX, n - LEVEL_MATMUL_MAX
+    # grouped[r, j, l]: row r's products with j high and l low voters, in numpy's own
+    # loops: BLAS products this size start threads that spin on after the call.
+    blocks = prod.reshape(-1, 1 << high, 1 << low)
+    part = np.einsum("rhx,lx->rhl", blocks, _level_indicator(low).T.copy())
+    grouped = np.einsum("hj,rhl->rjl", _level_indicator(high), part)
+    sums = np.zeros((len(grouped), n + 1))
+    for j in range(high + 1):
+        sums[:, j : j + low + 1] += grouped[:, j]
+    return sums.reshape(*prod.shape[:-1], n + 1)
+
+
 #: A packed table in hex, as ``from_hex`` and ``hex:<n>:<digits>`` accept it
 #: (``fullmatch``); ``int(text, 16)`` alone would also read a ``0x``, a sign,
 #: underscores and surrounding whitespace.
@@ -249,7 +283,8 @@ def _butterfly_passes(values: np.ndarray, start: int, stop: int) -> None:
         # quarter at stride 4; reading the views in C order runs it over the
         # blocks instead, about twice as fast there.
         v, s, d = (
-            a.reshape(size >> (i + 2), -1, 1 << i).transpose(1, 2, 0) for a in (values, sums, diffs)
+            a.reshape(size >> (i + 2), parts, 1 << i).transpose(1, 2, 0)
+            for a, parts in ((values, 4), (sums, 2), (diffs, 2))
         )
         order = "C" if i == 2 else "K"
         np.add(v[0], v[1], out=s[0], order=order)  # a + b
@@ -323,22 +358,22 @@ def _zero_one(arr: np.ndarray) -> bool:
 def walsh_coeffs(values) -> np.ndarray:
     """``2^-n sum_x v(x) r_S(x)`` for each table ``v`` along the last axis.
 
-    A table of 0/1 entries (bool, or an integer dtype, or nested lists of
-    them) goes through one exact integer butterfly over the whole stack,
-    int16 for the first 14 voters and int32 for the rest: after ``k``
-    voters every partial sum is an integer of magnitude at most ``2^k``.
-    The result is converted to float64 and scaled by ``2^-n`` once.  Any other
-    input, a float table or an integer one with an entry outside {0, 1}
-    (whose partial sums could overflow int32), takes the float route
-    ``per_voter_pass(values, [[1, 1], [-1, 1]]) / 2^n`` instead.  No
-    Booleanity check is made; row by row the result is bit-identical to
-    :func:`walsh_transform`.
+    One butterfly over the whole stack.  A table of 0/1 entries (bool, or an
+    integer dtype, or nested lists of them) runs it exactly in integers,
+    int16 for the first 14 voters and int32 for the rest: after ``k`` voters
+    every partial sum has magnitude at most ``2^k``.  Any other input (a
+    float table, or an integer one with an entry outside {0, 1}, whose sums
+    could overflow int32) runs it in float64.  Either is scaled by ``2^-n``
+    once.  No Booleanity check is made; row by row the result is
+    bit-identical to :func:`walsh_transform`.
     """
     arr = np.asarray(values)
     n = _arity_of(arr)
-    if not _zero_one(arr):
-        return per_voter_pass(arr, [[1.0, 1.0], [-1.0, 1.0]]) / float(1 << n)
-    return _analysis_butterfly(arr, n) / float(1 << n)
+    if _zero_one(arr):
+        return _analysis_butterfly(arr, n) / float(1 << n)
+    floats = arr.astype(np.float64, order="C")
+    _butterfly_passes(floats, 0, n)
+    return np.divide(floats, float(1 << n), out=floats)
 
 
 @functools.lru_cache(maxsize=None)
@@ -550,8 +585,7 @@ def expectation(f: BooleanFunction) -> float:
 
 def level_weights(s: PseudoSpectrum) -> np.ndarray:
     """Entry ``k`` is the squared coefficient mass at level ``|S| = k``."""
-    sq = s.coeffs * s.coeffs
-    return np.bincount(mask_levels(s.n), weights=sq, minlength=s.n + 1)
+    return level_sums(s.coeffs, s.coeffs)
 
 
 def _arity_of(tables: np.ndarray) -> int:

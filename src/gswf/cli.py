@@ -15,7 +15,7 @@ import numpy as np
 from . import bfn, catalog, theorems
 from .bfn import level_weights, walsh_transform
 from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution, as_even_product
-from .errors import GswfError, ValidationError
+from .errors import CapacityError, GswfError, ValidationError
 from .rationality import Gswf, w_formula, w_monte_carlo, w_oracle
 from .search import ClassFilter, extremal_w, random_search
 from .theorems import AND_ENVELOPE, CHECKS, run_all, suite_passed
@@ -135,6 +135,9 @@ def _cmd_spectrum(args) -> int:
     if args.full_coeffs and args.format == "pretty":
         raise ValidationError("--full-coeffs applies only to --format json")
     f = catalog.parse_function_spec(args.function)
+    if args.full_coeffs and f.n > 20:
+        # 2^20 coefficients are about 28 MB of JSON
+        raise CapacityError(f"--full-coeffs writes at most 2^20 coefficients, got 2^{f.n}")
     spec = walsh_transform(f)
     include = args.full_coeffs or f.n <= 6
     payload = {

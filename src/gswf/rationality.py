@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bfn
-from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
+from .bfn import BooleanFunction, PseudoSpectrum, level_sums, mask_levels, walsh_transform
 from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distribution
 from .errors import CapacityError, ValidationError
 
@@ -118,38 +118,11 @@ class WResult:
 #: Ceiling on any pairwise inner-product matrix, in bytes.
 PAIR_CACHE_BYTES = 1 << 30
 
-#: Largest arity whose level sums are one matrix product with the
-#: ``2^n x (n+1)`` level indicator; above it one bincount per row is faster.
-LEVEL_MATMUL_MAX = 12
-
-
-@functools.lru_cache(maxsize=None)
-def _level_indicator(n: int) -> np.ndarray:
-    # Entry [S, k] is 1.0 iff |S| = k, read-only.
-    indicator = np.eye(n + 1)[mask_levels(n)]
-    indicator.setflags(write=False)
-    return indicator
-
-
-def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entry ``[..., k]`` is ``L_k = sum over |S| = k of a[..., S] b[..., S]``
-    for row-aligned stacks along the last axis.  For spectra of Boolean
-    functions each product is a multiple of ``4^-n`` and, by Cauchy-Schwarz
-    and Parseval, their absolute values sum to at most 1: no partial sum is
-    rounded, in any order, so a row's sums do not depend on its stack."""
-    n = a.shape[-1].bit_length() - 1
-    prod = a * b
-    if n <= LEVEL_MATMUL_MAX:
-        return prod @ _level_indicator(n)
-    rows, levels = prod.reshape(-1, 1 << n), mask_levels(n)
-    sums = [np.bincount(levels, weights=row, minlength=n + 1) for row in rows]
-    return np.array(sums).reshape(*prod.shape[:-1], n + 1)
-
 
 def level_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The level sums ``C(n, k) a_k b_k`` of two symmetric functions from
     their level coefficients (see :func:`bfn.symmetric_levels`); exact by
-    the bound of :func:`level_sums`, and equal to it on their spectra."""
+    the bound of :func:`bfn.level_sums`, and equal to it on their spectra."""
     n = len(a) - 1
     return np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64) * a * b
 

@@ -366,7 +366,7 @@ def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> np.nd
     # One table of the class by rejection: a shuffled half-ones table for a
     # balanced-only filter, a uniformly random one otherwise.
     balanced_only = _balanced_only(filt)
-    for _ in range(10_000):
+    for _ in range(min(10_000, TRIAL_WORK_MAX >> n)):
         table = _half_ones(n, 1, rng)[0] if balanced_only else bfn.random_function(n, rng).table
         if filt.select(table[None]).size:
             return table

@@ -14,12 +14,12 @@ exhibited.  Suite exit status ignores inverted checks by contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import bfn, catalog
-from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
+from .bfn import BooleanFunction, PseudoSpectrum, level_sums, mask_levels, walsh_transform
 from .dist import EvenProductDistribution
 from .errors import CapacityError, HypothesisViolation, ValidationError
 from .rationality import (
@@ -28,7 +28,6 @@ from .rationality import (
     closed_form,
     cross_term,
     level_products,
-    level_sums,
     pair_matrix,
     w_formula,
     w_from_spectra,
@@ -92,16 +91,7 @@ class BoundReport:
     inverted: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "inverted": self.inverted,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 def _report(name, lhs, rhs, margin, tolerance, witness, inverted=False) -> BoundReport:

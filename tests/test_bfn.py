@@ -216,7 +216,7 @@ class TestTransform:
             rng.integers(0, 2, size=1 << n, dtype=np.uint8),
             np.ones(1 << n, dtype=np.uint8),
         ):
-            expected = float_reference(table).tobytes()
+            expected = (int32_butterfly(table) / float(1 << n)).tobytes()
             assert bfn.walsh_coeffs(table).tobytes() == expected
 
     @pytest.mark.parametrize("n", [13, 14, 15, 16])
@@ -248,6 +248,26 @@ class TestTransform:
         assert got.tobytes() == float_reference(row).tobytes()
         assert np.array_equal(got, bfn.character_table(3) @ row / 8.0)
         assert butterfly_lengths == []
+
+    @pytest.mark.parametrize("n", [3, 8, 13, 16, 22])
+    def test_float_route_is_the_per_voter_pass(self, rng, n, butterfly_lengths):
+        # The float butterfly adds exactly what one +-1 voter pass per voter
+        # adds, in the same order, signed zeros included.
+        rows = 1 if n == 22 else 3
+        stacks = [rng.normal(size=(rows, 1 << n))]
+        if n < 22:
+            stacks += [
+                rng.integers(-9, 10, size=(rows, 1 << n), dtype=np.int64),
+                np.full((rows, 1 << n), 255, dtype=np.uint8),
+                np.where(rng.random((rows, 1 << n)) < 0.5, -0.0, 0.0),
+            ]
+        for tables in stacks:
+            assert bfn.walsh_coeffs(tables).tobytes() == float_reference(tables).tobytes()
+        assert butterfly_lengths == []
+
+    def test_empty_stacks_transform_to_empty_stacks(self):
+        for tables in (np.zeros((0, 8), dtype=np.uint8), np.zeros((2, 0, 4))):
+            assert bfn.walsh_coeffs(tables).shape == tables.shape
 
     @pytest.mark.parametrize("k", [2, 3, 4, 6])
     @pytest.mark.parametrize("rows", [1, 2, 4097])
@@ -504,6 +524,13 @@ class TestDerivedQuantities:
         )
         w = level_weights(walsh_transform(parity(2)))
         assert np.allclose(w, [0.25, 0, 0.25], atol=1e-15)
+
+    def test_level_weights_are_the_level_sums_of_the_squares(self, rng):
+        spectra = [walsh_transform(bfn.random_function(n, rng)) for n in range(1, 17)]
+        for s in spectra + [walsh_transform(tribes(20, 4))]:
+            got = level_weights(s)
+            assert got.tobytes() == bfn.level_sums(s.coeffs, s.coeffs).tobytes()
+            assert got.shape == (s.n + 1,)
 
     def test_level_weights_sum_to_square_mass(self, rng):
         f = bfn.random_function(6, rng)

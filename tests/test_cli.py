@@ -244,6 +244,22 @@ class TestOtherCommands:
         )
         assert len(payload["coefficients"]) == 8
 
+    @pytest.mark.parametrize("spec, bound", [("tribes:24:3", 64 << 20), ("maj:21", 8 << 20)])
+    def test_full_coeffs_past_the_ceiling_is_refused_before_the_transform(
+        self, spec, bound, capsys
+    ):
+        # the table is built, but no 2^n float spectrum (128 or 16 MiB)
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--function", spec, "--full-coeffs"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, peak
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --full-coeffs writes at most 2^20")
+        assert len(err.splitlines()) == 1
+
     def test_spectrum_hex_input(self):
         proc = run_cli("spectrum", "--function", "hex:3:e8", "--format", "pretty")
         assert proc.returncode == 0

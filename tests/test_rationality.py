@@ -1,5 +1,6 @@
 """Biased inner products, noise averaging, and the W computations."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,16 @@ from gswf.bfn import (
     is_monotone_values,
     walsh_transform,
 )
-from gswf.catalog import constant, conjunction, dictator, disjunction, majority, preset_gswf
+from gswf.catalog import (
+    conjunction,
+    constant,
+    dictator,
+    disjunction,
+    majority,
+    parity,
+    preset_gswf,
+    tribes,
+)
 from gswf.dist import EvenProductDistribution, TripleDistribution, as_triple_distribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import (
@@ -79,7 +89,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("n", [4, 13])
     def test_w_batch_row_equals_its_lone_evaluation(self, n, rng):
         # both sides of LEVEL_MATMUL_MAX: a row's bits do not depend on its stack
-        assert (n <= rationality.LEVEL_MATMUL_MAX) == (n == 4)
+        assert (n <= bfn.LEVEL_MATMUL_MAX) == (n == 4)
         tables = rng.integers(0, 2, size=(3, 6, 1 << n), dtype=np.uint8)
         stacks = [bfn.walsh_coeffs(t) for t in tables]
         d = random_even(rng)
@@ -90,18 +100,39 @@ class TestBatchedKernels:
             assert tuple(c[t] for c in cross) == lone_cross
 
 
+def integer_level_sums(fa, fb, n):
+    # L_k 4^n from integer spectra F = 2^n f_hat: the int64 products summed
+    # over the masks of popcount k (a byte table), which a stable sort puts
+    # in one run
+    masks = np.arange(1 << n)
+    byte = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+    order = np.argsort(sum(byte[(masks >> s) & 255] for s in range(0, n, 8)), kind="stable")
+    starts = np.cumsum([0] + [math.comb(n, k) for k in range(n)])
+    return np.add.reduceat((fa * fb)[..., order], starts, axis=-1)
+
+
 class TestLevelSums:
-    @pytest.mark.parametrize("n, rows", [(12, 5), (13, 5), (20, 2)])
-    def test_equal_an_integer_reference(self, n, rows, rng):
-        # integer spectra F = 2^n f_hat; L_k 4^n is an int64 sum
-        tables = rng.integers(0, 2, size=(2, rows, 1 << n), dtype=np.uint8)
+    @pytest.mark.parametrize(
+        "n, shape",
+        [(12, (5,)), (13, (5,)), (16, (3,)), (20, (2,)), (24, (1,)), (14, (2, 3)), (13, None), (20, None)],
+        ids=["12-5", "13-5", "16-3", "20-2", "24-1", "14-2x3", "13-structured", "20-structured"],
+    )
+    def test_equal_an_integer_reference(self, n, shape, rng):
+        # below and above LEVEL_MATMUL_MAX, with one and two leading stack
+        # axes; shape None pairs tribes, a junta and parity, whose spectra
+        # leave whole levels empty
+        if shape is None:
+            fns = [tribes(n, 3), tribes(n, 4), random_junta(n, (0, 5, n - 1), rng), parity(n)]
+            rows = np.stack([f.table for f in fns])
+            tables = np.stack([rows, np.roll(rows, 1, axis=0)])
+        else:
+            tables = rng.integers(0, 2, size=(2, *shape, 1 << n), dtype=np.uint8)
         sa, sb = (bfn.walsh_coeffs(t) for t in tables)
+        del tables
         fa, fb = (np.rint(s * (1 << n)).astype(np.int64) for s in (sa, sb))
-        masks = np.arange(1 << n)
-        popcount = sum((masks >> i) & 1 for i in range(n))
-        prod = fa * fb
-        reference = np.stack([prod[:, popcount == k].sum(axis=1) for k in range(n + 1)], axis=1)
-        assert np.array_equal(rationality.level_sums(sa, sb) * 4.0**n, reference)
+        reference = integer_level_sums(fa, fb, n)
+        assert reference.shape == sa.shape[:-1] + (n + 1,)
+        assert np.array_equal(bfn.level_sums(sa, sb) * 4.0**n, reference)
 
 
 class TestBiasedInnerProduct:

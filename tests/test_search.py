@@ -351,6 +351,32 @@ class TestRandomSearch:
             random_search(5, (BALANCED, window, BALANCED), UNIFORM, "max_w", trials=10, seed=1)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("cap", [1, 40])
+    def test_rejection_stops_at_the_work_ceiling(self, monkeypatch, cap):
+        # A random 5-voter table is monotone with probability 7581 / 2^32,
+        # so every attempt is rejected; the attempts stop at TRIAL_WORK_MAX
+        # table entries instead of 10 000 tables.
+        monkeypatch.setattr(search, "TRIAL_WORK_MAX", cap << 5)
+        draws, real = [], bfn.random_function
+        monkeypatch.setattr(bfn, "random_function", lambda n, rng: draws.append(n) or real(n, rng))
+        with pytest.raises(CapacityError, match=r"^rejection sampling failed for filter .* at n=5"):
+            random_search(5, (MONOTONE,) * 3, UNIFORM, "max_w", trials=1, seed=1)
+        assert draws == [5] * cap
+
+    def test_draws_inside_the_rejection_cap_are_unchanged(self, monkeypatch):
+        # About 1 in 100 random tables has a mean of at least 0.7, so members
+        # take many attempts; while each is found within the cap, a lower
+        # cap draws the same stream.
+        heavy = ClassFilter(("non_constant",), expectation_range=(0.7, 1.0))
+        filters = (BALANCED, heavy, BALANCED)
+        before = random_search(5, filters, UNIFORM, "max_w", trials=20, seed=21)
+        monkeypatch.setattr(search, "TRIAL_WORK_MAX", 2000 << 5)
+        draws, real = [], bfn.random_function
+        monkeypatch.setattr(bfn, "random_function", lambda n, rng: draws.append(n) or real(n, rng))
+        after = random_search(5, filters, UNIFORM, "max_w", trials=20, seed=21)
+        assert len(draws) > 20 * 10
+        assert after.value == before.value and after.witness == before.witness
+
     def test_deterministic_per_seed(self):
         a = random_search(3, (BALANCED,) * 3, UNIFORM, "max_w", trials=500, seed=4)
         b = random_search(3, (BALANCED,) * 3, UNIFORM, "max_w", trials=500, seed=4)
