@@ -364,8 +364,7 @@ def walsh_coeffs(values) -> np.ndarray:
     every partial sum has magnitude at most ``2^k``.  Any other input (a
     float table, or an integer one with an entry outside {0, 1}, whose sums
     could overflow int32) runs it in float64.  Either is scaled by ``2^-n``
-    once.  No Booleanity check is made; row by row the result is
-    bit-identical to :func:`walsh_transform`.
+    once.  No Booleanity check is made; :func:`walsh_transform` makes it.
     """
     arr = np.asarray(values)
     n = _arity_of(arr)
@@ -476,8 +475,8 @@ def symmetric_levels(f: BooleanFunction) -> np.ndarray | None:
 
 
 def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ...]]:
-    """``(levels, relevant)``: the structure that ``f``'s spectrum and ``W``
-    are built on.
+    """``(levels, relevant)``: the structure that the level sums of
+    :func:`rationality.cyclic_level_sums` are built on.
 
     ``levels`` is :func:`symmetric_levels`; ``relevant`` is the increasing
     tuple of 0-based voters ``f`` depends on.  A table of at most 64
@@ -517,32 +516,9 @@ def restrict(f: BooleanFunction, voters) -> BooleanFunction:
 
 
 def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
-    """Spectrum of ``f``: ``coeffs[S] = 2^-n sum_x f(x) r_S(x)``.
-
-    Built on :func:`read_structure`:
-
-    * symmetric ``f``: the level coefficients gathered by level;
-    * ``f`` depending only on the voters in ``J``, ``|J| < n``: the
-      butterfly runs on the ``2^|J|`` restriction and is scattered onto the
-      subsets of ``J``, every other coefficient being 0;
-    * otherwise, and for every table of at most 64 entries, the exact
-      integer butterfly of :func:`walsh_coeffs`, ``O(n 2^n)``.
-
-    Every path is bit-identical to ``walsh_coeffs(f.table)``: all partial
-    sums are integers of at most ``2^n`` and each path scales once by a
-    power of two.  It agrees with :func:`walsh_transform_naive`.
-    """
-    n, table = f.n, f.table
-    levels, relevant = read_structure(f)
-    if levels is not None:
-        return WalshSpectrum(n, _frozen(levels[mask_levels(n)]))
-    if len(relevant) == n:
-        return WalshSpectrum(n, _frozen(walsh_coeffs(table)))
-    # A constant is symmetric, so here 1 <= |J| < n.
-    coeffs = np.zeros(1 << n)
-    sub = walsh_coeffs(restrict(f, relevant).table)
-    coeffs.reshape((2,) * n)[_face(n, relevant)] = sub.reshape((2,) * len(relevant))
-    return WalshSpectrum(n, _frozen(coeffs))
+    """Spectrum of ``f``, ``coeffs[S] = 2^-n sum_x f(x) r_S(x)``: the exact integer
+    butterfly of :func:`walsh_coeffs`, which agrees with :func:`walsh_transform_naive`."""
+    return WalshSpectrum(f.n, _frozen(walsh_coeffs(f.table)))
 
 
 def character_table(n: int) -> np.ndarray:

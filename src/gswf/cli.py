@@ -13,10 +13,10 @@ from importlib import resources
 import numpy as np
 
 from . import bfn, catalog, theorems
-from .bfn import level_weights, walsh_transform
+from .bfn import walsh_transform
 from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution, as_even_product
 from .errors import CapacityError, GswfError, ValidationError
-from .rationality import Gswf, w_formula, w_monte_carlo, w_oracle
+from .rationality import Gswf, cyclic_level_sums, w_formula, w_monte_carlo, w_oracle
 from .search import ClassFilter, extremal_w, random_search
 from .theorems import AND_ENVELOPE, CHECKS, run_all, suite_passed
 
@@ -138,20 +138,20 @@ def _cmd_spectrum(args) -> int:
     if args.full_coeffs and f.n > 20:
         # 2^20 coefficients are about 28 MB of JSON
         raise CapacityError(f"--full-coeffs writes at most 2^20 coefficients, got 2^{f.n}")
-    spec = walsh_transform(f)
+    weights = [float(x) for x in cyclic_level_sums([f])[1][0]]
     include = args.full_coeffs or f.n <= 6
     payload = {
         "kind": "spectrum_report",
         "function": {"n": f.n, "hex": f.hex},
         "expectation": bfn.expectation(f),
-        "level_weights": [float(x) for x in level_weights(spec)],
+        "level_weights": weights + [0.0] * (f.n + 1 - len(weights)),
         "predicates": {
             "balanced": bfn.is_balanced(f),
             "monotone": bfn.is_monotone(f),
             "self_dual": bfn.is_self_dual(f),
             "cyclic_invariant": bfn.is_cyclic_invariant(f),
         },
-        "coefficients": [float(x) for x in spec.coeffs] if include else None,
+        "coefficients": [float(x) for x in walsh_transform(f).coeffs] if include else None,
     }
     if args.format == "pretty":
         text = [f"function n={f.n} hex={f.hex}  E[f]={payload['expectation']:.6f}"]

@@ -148,6 +148,13 @@ def as_even_product(dist) -> EvenProductDistribution | None:
     return EvenProductDistribution(*((t.p[:3] + t.p[3:]) / 2))
 
 
+def even_product_law(dist) -> EvenProductDistribution:
+    """:func:`as_even_product`, raising ValidationError for a law that is not even."""
+    if (even := as_even_product(dist)) is None:
+        raise ValidationError("the closed form only applies to even product distributions")
+    return even
+
+
 def per_voter_spectrum(t: TripleDistribution) -> np.ndarray:
     """Signed-character coefficients of the per-voter mass function.
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import bfn
-from .bfn import BooleanFunction, PseudoSpectrum, level_sums, mask_levels, walsh_transform
-from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distribution
+from .bfn import BooleanFunction, PseudoSpectrum, WalshSpectrum, level_sums, mask_levels, walsh_transform
+from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distribution, even_product_law
 from .errors import CapacityError, ValidationError
 
 #: Ceiling on the oracle's contracted tables, two ``4^n`` float64 tables
@@ -121,10 +121,10 @@ PAIR_CACHE_BYTES = 1 << 30
 
 def level_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The level sums ``C(n, k) a_k b_k`` of two symmetric functions from
-    their level coefficients (see :func:`bfn.symmetric_levels`); exact by
-    the bound of :func:`bfn.level_sums`, and equal to it on their spectra."""
+    their level coefficients (see :func:`bfn.symmetric_levels`); exact by the bound
+    of :func:`bfn.level_sums`, and its bits on their spectra (+ 0.0 reads -0.0 as 0.0)."""
     n = len(a) - 1
-    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64) * a * b
+    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=np.float64) * a * b + 0.0
 
 
 def _horner(level, n: int, delta: float):
@@ -197,43 +197,54 @@ def closed_form(means, sums, deltas):
     return base + c0 + c1 + c2, base, (c0, c1, c2)
 
 
+def cyclic_spectral_sums(rows, pair=level_sums):
+    """``(means, sums)`` of row-aligned coefficient stacks ``(s1, ..., sm)``:
+    their entries 0 and ``pair`` of ``(s1, s2), ..., (sm, s1)``."""
+    return [s[..., 0] for s in rows], [pair(a, b) for a, b in zip(rows, rows[1:] + rows[:1])]
+
+
 def w_batch(sf: np.ndarray, sg: np.ndarray, sh: np.ndarray, d: EvenProductDistribution):
-    """:func:`closed_form` on the :func:`level_sums` of row-aligned stacks of
-    coefficient vectors; row ``t`` of the three stacks is one triple."""
-    sums = (level_sums(sf, sg), level_sums(sg, sh), level_sums(sh, sf))
-    return closed_form((sf[..., 0], sg[..., 0], sh[..., 0]), sums, d.deltas)
+    """:func:`closed_form` on the :func:`cyclic_spectral_sums` of row-aligned
+    stacks of coefficient vectors; row ``t`` of the three stacks is one triple."""
+    return closed_form(*cyclic_spectral_sums([sf, sg, sh]), d.deltas)
 
 
 def _formula_result(n: int, d: EvenProductDistribution, w, base, cross) -> WResult:
     return WResult(float(w), float(base), "formula", n, tuple(map(float, cross)), d.deltas)
 
 
-def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
-    """Closed-form ``W`` for an even product distribution.
+def cyclic_level_sums(fns):
+    """``(means, sums)``: the means of ``fns = (f1, ..., fm)`` and the level sums
+    of the pairs ``(f1, f2), ..., (fm, f1)`` (of one function, its level weights),
+    exact on every route the distinct functions' :func:`bfn.read_structure` picks:
 
-    The structure of each distinct function (:func:`bfn.read_structure`) picks the route:
-
-    * all three symmetric: :func:`closed_form` on the pairs'
-      :func:`level_products`, ``O(n)``;
-    * the union ``J`` of the relevant voters smaller than ``n``: ``W`` of
-      the triple restricted to ``J`` (the other voters integrate out of a
-      product law), reported at arity ``n``;
-    * otherwise the spectra of :func:`bfn.walsh_transform`, through :func:`w_from_spectra`.
-
-    The level sums are exact on every route, so the routes agree bit for bit.
+    * all symmetric: :func:`level_products` of the levels, ``O(n)``;
+    * the relevant voters' union ``J`` smaller than ``n``: the ``|J| + 1``
+      level sums of the functions restricted to ``J`` (the rest are 0);
+    * otherwise :func:`cyclic_spectral_sums` of the :func:`bfn.walsh_transform`
+      spectra, a symmetric member's gathered from its levels.
     """
-    fns = gswf.functions
     found = {fn: bfn.read_structure(fn) for fn in set(fns)}
     levels = [found[fn][0] for fn in fns]
     if all(a is not None for a in levels):
-        sums = [level_products(a, b) for a, b in zip(levels, levels[1:] + levels[:1])]
-        return _formula_result(gswf.n, d, *closed_form([a[0] for a in levels], sums, d.deltas))
+        return cyclic_spectral_sums(levels, level_products)
+    n = fns[0].n
     union = sorted(set().union(*(relevant for _, relevant in found.values())))
-    if len(union) < gswf.n:
-        sub = Gswf(*(bfn.restrict(fn, union) for fn in fns))
-        return replace(w_formula(sub, d), n=gswf.n)
-    spectra = {fn: walsh_transform(fn) for fn in found}
-    return w_from_spectra(*(spectra[fn] for fn in fns), d)
+    if len(union) < n:
+        return cyclic_level_sums([bfn.restrict(fn, union) for fn in fns])
+    spectra = {}
+    for fn, (a, _) in found.items():
+        if a is not None:  # read-only, so that WalshSpectrum keeps it uncopied
+            (a := a[mask_levels(n)]).setflags(write=False)
+        spectra[fn] = walsh_transform(fn).coeffs if a is None else WalshSpectrum(n, a).coeffs
+    return cyclic_spectral_sums([spectra[fn] for fn in fns])
+
+
+def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
+    """Closed-form ``W`` for an even law: :func:`closed_form` on the
+    :func:`cyclic_level_sums` of ``(f, g, h)``."""
+    d = even_product_law(d)
+    return _formula_result(gswf.n, d, *closed_form(*cyclic_level_sums(gswf.functions), d.deltas))
 
 
 def w_from_spectra(
@@ -249,6 +260,7 @@ def w_from_spectra(
     """
     if not (sf.n == sg.n == sh.n):
         raise ValidationError(f"arities differ: {sf.n}, {sg.n}, {sh.n}")
+    d = even_product_law(d)
     return _formula_result(sf.n, d, *w_batch(sf.coeffs, sg.coeffs, sh.coeffs, d))
 
 
@@ -389,6 +401,5 @@ def w_prime(gswf: Gswf) -> float:
     witnesses that any bound discarding coefficient signs cannot prove
     nonnegativity of ``W`` in general.
     """
-    spectra = [np.abs(walsh_transform(fn).coeffs) for fn in gswf.functions]
-    sums = [-level_sums(a, b) for a, b in zip(spectra, spectra[1:] + spectra[:1])]
-    return float(closed_form([a[0] for a in spectra], sums, (1.0 / 3.0,) * 3)[0])
+    means, sums = cyclic_spectral_sums([np.abs(walsh_transform(fn).coeffs) for fn in gswf.functions])
+    return float(closed_form(means, [-s for s in sums], (1.0 / 3.0,) * 3)[0])

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bfn, catalog
 from .bfn import BooleanFunction
-from .dist import EvenProductDistribution
+from .dist import EvenProductDistribution, even_product_law
 from .errors import CapacityError, ValidationError
 from .rationality import pair_matrix, w_batch
 
@@ -84,6 +84,11 @@ class ClassFilter:
         lo, hi = self.expectation_range
         mean = tables.sum(axis=-1, dtype=np.int64) / float(tables.shape[-1])
         return (lo <= mean) & (mean <= hi)
+
+    def __str__(self) -> str:
+        # The CLI spelling, which parse reads back to this filter.
+        window = [] if self.expectation_range is None else ["expectation:%r:%r" % self.expectation_range]
+        return ",".join([*self.predicates, *window])
 
     @classmethod
     def parse(cls, text: str) -> "ClassFilter":
@@ -288,15 +293,17 @@ def extremal_w(
 ) -> ExtremalResult:
     """Exact optimum of ``W`` over the filtered triple space.
 
-    ``objective`` is ``min_w`` or ``max_w``.  Exact ties go to the first
-    optimum in ascending ``(f, g, h)`` truth-table order, the
-    lexicographically least witness.
+    ``objective`` is ``min_w`` or ``max_w`` and ``d`` an even law.  Ties
+    between equal computed values go to the first optimum in ascending
+    ``(f, g, h)`` truth-table order, the lexicographically least witness;
+    exact ties that round apart are not settled.
     With ``exclude_dictator_triples`` the scan skips triples ``f = g = h``
     where the common function is a dictator or a negated dictator (the
     always-rational rules).
     """
     if objective not in ("min_w", "max_w"):
         raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
+    d = even_product_law(d)
     (F, sf), (G, sg), (H, sh) = (class_table(n, x) for x in (filter_f, filter_g, filter_h))
     count = len(F) * len(G) * len(H)
     if count == 0:
@@ -452,17 +459,19 @@ def random_search(
 ) -> ExtremalResult:
     """Best ``W`` over ``trials`` sampled triples, deterministic per seed.
 
-    Exact ties go to the least packed ``(f, g, h)``.  Triples are drawn and
-    evaluated in blocks of ``_SAMPLE_BATCH >> n`` rows (at least one).  At
-    ``n <= ENUM_MAX`` each function is a uniform member index of its class
-    table; above it, every function is drawn in trial order ``(f, g, h)``
-    by its filter's sampler, and a block of balanced-only filters takes one
-    ``rng.permuted`` call, which consumes the generator exactly as one
-    ``rng.shuffle`` per table does.  So the result does not depend on the
-    block size.
+    ``d`` is an even law.  Ties between equal computed values go to the
+    least packed ``(f, g, h)``; exact ties that round apart are not
+    settled.  Triples are drawn and evaluated in blocks of
+    ``_SAMPLE_BATCH >> n`` rows (at least one).  At ``n <= ENUM_MAX`` each
+    function is a uniform member index of its class table; above it, every
+    function is drawn in trial order ``(f, g, h)`` by its filter's sampler,
+    and a block of balanced-only filters takes one ``rng.permuted`` call,
+    which consumes the generator exactly as one ``rng.shuffle`` per table
+    does.  So the result does not depend on the block size.
     """
     if objective not in ("min_w", "max_w"):
         raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
+    d = even_product_law(d)
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     if trials > TRIALS_MAX:

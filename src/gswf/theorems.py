@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bfn, catalog
-from .bfn import BooleanFunction, PseudoSpectrum, level_sums, mask_levels, walsh_transform
+from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
 from .dist import EvenProductDistribution
 from .errors import CapacityError, HypothesisViolation, ValidationError
 from .rationality import (
@@ -27,7 +27,8 @@ from .rationality import (
     biased_inner_product,
     closed_form,
     cross_term,
-    level_products,
+    cyclic_level_sums,
+    cyclic_spectral_sums,
     pair_matrix,
     w_formula,
     w_from_spectra,
@@ -175,9 +176,7 @@ def check_formula_vs_oracle(
                 drawn = [rng.integers(0, 2, size=1 << n, dtype=np.uint8) for _ in range(3 * trials)]
                 tables = np.stack(drawn).reshape(trials, 3, -1).transpose(1, 0, 2)
             # The means and the level sums do not depend on the law.
-            spectra = [bfn.walsh_coeffs(t) for t in tables]
-            means = [s[:, 0] for s in spectra]
-            sums = [level_sums(a, b) for a, b in zip(spectra, spectra[1:] + spectra[:1])]
+            means, sums = cyclic_spectral_sums([bfn.walsh_coeffs(t) for t in tables])
             for d in distributions:
                 w = closed_form(means, sums, d.deltas)[0]
                 yield (n, d, w, tables), np.abs(w - w_oracle_batch(*tables, d))
@@ -529,8 +528,7 @@ def check_neutral_symmetric_bound(
 
 
 def _majority_sums(n: int) -> np.ndarray:
-    a = bfn.symmetric_levels(catalog.majority(n))
-    return level_products(a, a)
+    return cyclic_level_sums([catalog.majority(n)])[1][0]
 
 
 def majority_self_correlation(n: int, rho: float) -> float:
@@ -862,9 +860,7 @@ def check_alpha_half_ceiling(trials: int = 10_000, seed: int = _DEFAULT_SEED) ->
     rng = np.random.default_rng(seed)
     members, S = class_table(n, ClassFilter(("balanced", "monotone")))
     picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
-    rows = [S[p] for p in picks]
-    means = [r[:, 0] for r in rows]
-    sums = [level_sums(a, b) for a, b in zip(rows, rows[1:] + rows[:1])]
+    means, sums = cyclic_spectral_sums([S[p] for p in picks])
     grid = _even_product_grid()
     value, d, (t,) = first_optimum(((d, closed_form(means, sums, d.deltas)[0]) for d in grid), True)
     fs = tuple(members[int(p[t])] for p in picks)

@@ -12,7 +12,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from gswf import bfn
+from gswf import bfn, rationality
 from gswf.bfn import BooleanFunction
 
 # canonical admissible triples (x, y, z), same order the package documents
@@ -228,6 +228,23 @@ def exact_min_w_non_constant(n):
             best = (int(plane[j, k]), (i, int(j), int(k)))
     value, triple = best
     return Fraction(value, 24**n), tuple(int(packed[t]) for t in triple)
+
+
+def level_sums_route(fns, butterfly_lengths):
+    """The butterfly lengths that ``cyclic_level_sums(fns)`` runs, after
+    checking its means and level sums, by bytes, against ``bfn.level_sums``
+    of the dense ``walsh_transform`` spectra; the levels it leaves out
+    must be 0 there."""
+    butterfly_lengths.clear()
+    means, sums = rationality.cyclic_level_sums(fns)
+    route = list(butterfly_lengths)
+    coeffs = [bfn.walsh_transform(fn).coeffs for fn in fns]
+    assert len(means) == len(sums) == len(fns)
+    assert [m.tobytes() for m in means] == [c[0].tobytes() for c in coeffs]
+    for got, a, b in zip(sums, coeffs, coeffs[1:] + coeffs[:1]):
+        ref = bfn.level_sums(a, b)
+        assert got.tobytes() == ref[: len(got)].tobytes() and not ref[len(got) :].any()
+    return route
 
 
 @pytest.fixture

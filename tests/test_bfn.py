@@ -41,6 +41,7 @@ from conftest import (
     fraction_spectrum,
     int32_butterfly,
     invariant_table,
+    level_sums_route,
     permuted_inputs,
     random_junta,
     subcube,
@@ -344,7 +345,7 @@ class TestTransform:
 
 
 def assert_spectrum_bytes(f):
-    # walsh_transform's structured paths must reproduce the butterfly exactly.
+    # walsh_transform must reproduce the reference butterfly exactly.
     got = walsh_transform(f).coeffs
     assert got.tobytes() == bfn.walsh_coeffs(f.table).tobytes()
 
@@ -369,11 +370,9 @@ class TestStructuredSpectra:
                 assert_spectrum_bytes(f)
                 coeffs = walsh_transform(f).coeffs
                 assert coeffs[0] == bit and not coeffs[1:].any()
-        # Up to n = 6 both walsh_transform calls run the butterfly directly;
-        # past it only the reference walsh_coeffs reaches the butterfly.
-        assert butterfly_lengths == [
-            1 << n for n in range(1, 13) for _ in range(2) for _ in range(3 if n <= 6 else 1)
-        ]
+                # Up to n = 6 the level sums run the butterfly; past it a
+                # constant is read as symmetric and runs none.
+                assert level_sums_route([f], butterfly_lengths) == ([1 << n] if n <= 6 else [])
 
     def test_random_juntas(self, rng):
         for n in range(1, 13):
@@ -490,14 +489,10 @@ class TestStructuredSpectra:
                 bfn.symmetric_function(n, profile)
 
     def test_fast_paths_skip_the_full_butterfly(self, butterfly_lengths):
-        assert_spectrum_bytes(majority(21))
-        assert_spectrum_bytes(dictator(20, 7))
-        # walsh_transform ran first each time; the rest is the reference
-        assert butterfly_lengths == [1 << 21, 2, 1 << 20]
-        butterfly_lengths.clear()
-        walsh_transform(majority(21))
-        walsh_transform(dictator(20, 7))
-        assert butterfly_lengths == [2]
+        # The level sums of a symmetric function run no butterfly, and those
+        # of a dictator one on its restriction to its voter.
+        assert level_sums_route([majority(21)], butterfly_lengths) == []
+        assert level_sums_route([dictator(20, 7)], butterfly_lengths) == [2]
 
 
 class TestDerivedQuantities:
@@ -665,11 +660,10 @@ class TestCubeAddressing:
             inside = subcube(relevant)
             expected = np.zeros(1 << n)
             expected[inside] = bfn.walsh_coeffs(f.table[inside])
-            butterfly_lengths.clear()
-            got = walsh_transform(f).coeffs
-            # the junta route: one butterfly, on the restriction
-            assert len(relevant) < n and butterfly_lengths == [1 << len(relevant)]
-            assert got.tobytes() == expected.tobytes()
+            assert walsh_transform(f).coeffs.tobytes() == expected.tobytes()
+            # the junta route of the level sums: one butterfly, on the restriction
+            route = level_sums_route([f], butterfly_lengths)
+            assert len(relevant) < n and route == [1 << len(relevant)]
 
     @pytest.mark.parametrize(
         "voters", [(2, 1), (1, 7), (1, 1), (-1, 2), (1.0, 2), (True, 2), ("1", "2")]

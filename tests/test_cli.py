@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gswf import catalog
+from gswf.bfn import level_weights, walsh_transform
 from gswf.cli import load_schema, main
 from gswf.theorems import CHECKS
 
@@ -259,6 +260,27 @@ class TestOtherCommands:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: --full-coeffs writes at most 2^20")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("n", [7, 13, 20, 24])
+    def test_spectrum_level_weights_are_those_of_the_dense_spectrum(self, n, capsys):
+        # symmetric, junta, constant and dense tables, bit for bit
+        for spec in (f"thr:{n}:{n // 2}", f"dict:{n}:3", f"const:{n}:1", f"tribes:{n}:3"):
+            assert main(["spectrum", "--function", spec]) == 0
+            got = json.loads(capsys.readouterr().out)["level_weights"]
+            ref = level_weights(walsh_transform(catalog.parse_function_spec(spec)))
+            assert list(map(repr, got)) == [repr(float(x)) for x in ref], spec
+
+    @pytest.mark.parametrize("spec", ["maj:23", "dict:24:3"])
+    def test_spectrum_of_a_structured_function_builds_no_dense_spectrum(self, spec, capsys):
+        # a 2^n float spectrum alone would take 64 or 128 MiB
+        tracemalloc.start()
+        try:
+            assert main(["spectrum", "--function", spec]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20, peak
+        assert json.loads(capsys.readouterr().out)["coefficients"] is None
 
     def test_spectrum_hex_input(self):
         proc = run_cli("spectrum", "--function", "hex:3:e8", "--format", "pretty")

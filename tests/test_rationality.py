@@ -1,5 +1,6 @@
 """Biased inner products, noise averaging, and the W computations."""
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +25,7 @@ from gswf.catalog import (
     majority,
     parity,
     preset_gswf,
+    threshold,
     tribes,
 )
 from gswf.dist import EvenProductDistribution, TripleDistribution, as_triple_distribution
@@ -52,6 +54,7 @@ from conftest import (
     brute_force_w,
     fraction_biased_product,
     fraction_spectrum,
+    level_sums_route,
     random_junta,
     symmetric_w,
 )
@@ -269,6 +272,22 @@ class TestWFormula:
         with pytest.raises(ValidationError):
             Gswf(dictator(2, 1), dictator(2, 1), dictator(3, 1))
 
+    def test_an_even_six_value_law_is_its_alpha_form(self, rng):
+        gswf = Gswf(*(bfn.random_function(5, rng) for _ in range(3)))
+        spectra = [walsh_transform(fn) for fn in gswf.functions]
+        for a, b, c in ((0.2, 0.2, 0.1), (1 / 6, 1 / 6, 1 / 6), (0.3, 0.15, 0.05)):
+            six, even = TripleDistribution(np.array([a, b, c] * 2)), EvenProductDistribution(a, b, c)
+            assert w_formula(gswf, six) == w_formula(gswf, even)
+            assert w_from_spectra(*spectra, six) == w_from_spectra(*spectra, even)
+
+    def test_a_law_that_is_not_even_is_refused(self, rng):
+        gswf = Gswf(*(bfn.random_function(3, rng) for _ in range(3)))
+        skewed = TripleDistribution(np.array([0.3, 0.1, 0.1, 0.1, 0.2, 0.2]))
+        with pytest.raises(ValidationError, match="even product"):
+            w_formula(gswf, skewed)
+        with pytest.raises(ValidationError, match="even product"):
+            w_from_spectra(*(walsh_transform(fn) for fn in gswf.functions), skewed)
+
     def test_repeated_function_equals_three_transforms(self, rng):
         # one transform of a function used three times gives the same bits
         for m in (majority(5), bfn.random_function(6, rng)):
@@ -283,15 +302,16 @@ LAWS = (UNIFORM, EvenProductDistribution(0.2, 0.1, 0.2), EvenProductDistribution
 
 @pytest.fixture
 def dense_sizes(monkeypatch):
-    # Record the spectrum length of every w_batch call.
+    # Record the spectrum length of every walsh_transform call in rationality,
+    # the dense route of cyclic_level_sums.
     sizes = []
-    dense = rationality.w_batch
+    dense = rationality.walsh_transform
 
-    def recording(sf, sg, sh, d):
-        sizes.append(sf.shape[-1])
-        return dense(sf, sg, sh, d)
+    def recording(fn):
+        sizes.append(1 << fn.n)
+        return dense(fn)
 
-    monkeypatch.setattr(rationality, "w_batch", recording)
+    monkeypatch.setattr(rationality, "walsh_transform", recording)
     return sizes
 
 
@@ -350,6 +370,46 @@ class TestWFormulaRoutes:
                     got, ref = w_formula(gswf, d), dense_w(gswf, d)
                     assert got.n == n
                     assert (got.w, got.base, got.cross_terms) == (ref.w, ref.base, ref.cross_terms)
+
+
+class TestCyclicLevelSums:
+    # level_sums_route checks the means and level sums of cyclic_level_sums,
+    # by bytes, against those of the dense walsh_transform spectra.
+
+    @pytest.mark.parametrize("n", [7, 10, 13])
+    def test_one_two_and_three_functions(self, n, rng, butterfly_lengths):
+        family = [
+            threshold(n, n // 2),
+            tribes(n, 3),
+            random_junta(n, [1, n - 2], rng),
+            constant(n, 0),
+            constant(n, 1),
+            bfn.random_function(n, rng),
+        ]
+        for m in (1, 2, 3):
+            for fns in itertools.product(family, repeat=m):
+                level_sums_route(list(fns), butterfly_lengths)
+
+    @pytest.mark.parametrize("n", [7, 13, 21])
+    def test_butterflies_of_structured_members(self, n, butterfly_lengths):
+        # Tribes makes every voter relevant: the dictator takes the full
+        # butterfly and majority's spectrum is gathered from its levels.
+        fns = [majority(n), dictator(n, 2), tribes(n, 3)]
+        assert level_sums_route(fns, butterfly_lengths) == [1 << n] * 2
+        assert level_sums_route(fns[:1] + fns[2:], butterfly_lengths) == [1 << n]
+        assert level_sums_route([majority(n), threshold(n, 3), parity(n)], butterfly_lengths) == []
+
+    def test_junta_unions_up_to_22_voters(self, rng, butterfly_lengths):
+        for n in range(7, 23):
+            pool = rng.choice(n, size=int(rng.integers(1, min(n - 1, 12) + 1)), replace=False)
+
+            def junta():
+                size = int(rng.integers(1, pool.size + 1))
+                return random_junta(n, sorted(rng.choice(pool, size=size, replace=False)), rng)
+
+            for fns in ([junta()], [junta(), constant(n, 1)], [junta(), junta(), junta()]):
+                route = level_sums_route(fns, butterfly_lengths)
+                assert max(route, default=0) <= 1 << pool.size
 
 
 class TestWFromSpectra:

@@ -8,7 +8,7 @@ import pytest
 
 from gswf import bfn, search
 from gswf.catalog import dictator, majority
-from gswf.dist import EvenProductDistribution
+from gswf.dist import EvenProductDistribution, TripleDistribution
 from gswf.errors import CapacityError, ValidationError
 from gswf.rationality import Gswf, w_formula
 from gswf.search import (
@@ -51,6 +51,17 @@ class TestClassFilter:
         assert filt.expectation_range == (0.4, 0.6)
         with pytest.raises(ValidationError):
             ClassFilter.parse("expectation:bad:window")
+
+    @pytest.mark.parametrize(
+        "filt",
+        [BALANCED, BAL_MONO, ClassFilter((), (0.9, 0.95)), ClassFilter(("non_constant",), (0.1, 1 / 3))],
+    )
+    def test_str_is_the_spelling_that_parse_reads_back(self, filt):
+        assert ClassFilter.parse(str(filt)) == filt
+
+    def test_str_example(self):
+        filt = ClassFilter(("balanced", "monotone"), (0.2, 0.8))
+        assert str(filt) == "balanced,monotone,expectation:0.2:0.8"
 
 
 class TestEnumeration:
@@ -351,6 +362,20 @@ class TestRandomSearch:
             random_search(5, (BALANCED, window, BALANCED), UNIFORM, "max_w", trials=10, seed=1)
         assert str(exc.value) == message
 
+    def test_refusals_spell_the_filter_as_the_cli_takes_it(self, monkeypatch):
+        window = ClassFilter.parse("expectation:0.9:0.95")
+        with pytest.raises(ValidationError) as exc:
+            random_search(3, (window, BALANCED, BALANCED), UNIFORM, "max_w", trials=10, seed=1)
+        assert str(exc.value) == "class filter expectation:0.9:0.95 matches no function"
+        # one rejected 2^20-entry table reaches the work ceiling
+        monkeypatch.setattr(search, "TRIAL_WORK_MAX", 1 << 20)
+        with pytest.raises(CapacityError) as exc:
+            random_search(20, (MONOTONE,) * 3, UNIFORM, "max_w", trials=1, seed=1)
+        assert str(exc.value) == (
+            "rejection sampling failed for filter monotone at n=20; "
+            "no direct sampler is available for this class"
+        )
+
     @pytest.mark.parametrize("cap", [1, 40])
     def test_rejection_stops_at_the_work_ceiling(self, monkeypatch, cap):
         # A random 5-voter table is monotone with probability 7581 / 2^32,
@@ -405,3 +430,26 @@ class TestRandomSearch:
     def test_trials_validation(self):
         with pytest.raises(ValidationError):
             random_search(3, (BALANCED,) * 3, UNIFORM, "max_w", trials=0, seed=1)
+
+
+class TestEvenLaws:
+    # The closed form's entry points take an even six-value law as the
+    # (alpha, beta, gamma) form, bit for bit, and refuse any other.
+    SIX = TripleDistribution(np.array([0.2, 0.2, 0.1, 0.2, 0.2, 0.1]))
+    SKEWED = TripleDistribution(np.array([0.3, 0.1, 0.1, 0.1, 0.2, 0.2]))
+
+    def test_an_even_six_value_law_is_its_alpha_form(self):
+        even = EvenProductDistribution(0.2, 0.2, 0.1)
+        for d in (self.SIX, even):
+            got = extremal_w(2, BALANCED, BALANCED, NON_CONST, d, "min_w").to_json_dict()
+            assert got == extremal_w(2, BALANCED, BALANCED, NON_CONST, even, "min_w").to_json_dict()
+            for n in (3, 5):
+                got = random_search(n, (BALANCED,) * 3, d, "max_w", trials=40, seed=2)
+                ref = random_search(n, (BALANCED,) * 3, even, "max_w", trials=40, seed=2)
+                assert got.to_json_dict() == ref.to_json_dict()
+
+    def test_a_law_that_is_not_even_is_refused(self):
+        with pytest.raises(ValidationError, match="even product"):
+            extremal_w(2, BALANCED, BALANCED, BALANCED, self.SKEWED, "max_w")
+        with pytest.raises(ValidationError, match="even product"):
+            random_search(3, (BALANCED,) * 3, self.SKEWED, "max_w", trials=10, seed=1)
