@@ -224,6 +224,8 @@ def cyclic_level_sums(fns):
     * otherwise :func:`cyclic_spectral_sums` of the :func:`bfn.walsh_transform`
       spectra, a symmetric member's gathered from its levels.
     """
+    if len({fn.n for fn in fns}) > 1:
+        raise ValidationError(f"arities differ: {', '.join(str(fn.n) for fn in fns)}")
     found = {fn: bfn.read_structure(fn) for fn in set(fns)}
     levels = [found[fn][0] for fn in fns]
     if all(a is not None for a in levels):

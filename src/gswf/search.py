@@ -24,7 +24,7 @@ _SAMPLE_BATCH = 1 << 16
 #: Ceiling on |F| * |G| * |H| for the exhaustive triple scan.
 TRIPLE_BUDGET = 10**9
 
-#: Ceilings on the random search's trial count (320 MB of up-front draws at
+#: Ceilings on the random search's trial count (240 MB of up-front draws at
 #: n <= ENUM_MAX) and on its work, trials times ``2^n`` table entries (about
 #: a minute of sampling and transforms at n = 12, 16 or 20).
 TRIALS_MAX = 10**7
@@ -380,19 +380,6 @@ def _sample_member(n: int, filt: ClassFilter, rng: np.random.Generator) -> np.nd
     raise _rejection_error(filt, n)
 
 
-def _sample_tables(n, filters, rows, rng) -> np.ndarray:
-    """The tables of ``rows`` sampled triples in trial order ``(f, g, h)``,
-    shape ``(rows, 3, 2^n)``: in one draw when every filter is
-    balanced-only, else member by member by rejection."""
-    if not all(map(_balanced_only, filters)):
-        return np.array([[_sample_member(n, filt, rng) for filt in filters] for _ in range(rows)])
-    tables = _half_ones(n, 3 * rows, rng).reshape(rows, 3, -1)
-    for c, filt in enumerate(filters):
-        if filt.select(tables[:, c]).size < rows:
-            raise _rejection_error(filt, n)
-    return tables
-
-
 def _best_row(values: np.ndarray, triple, maximize: bool) -> int:
     """Row of the optimum of ``values``; exact ties go to the row whose
     ``triple(row)`` has the least packed ``(f, g, h)``."""
@@ -401,52 +388,41 @@ def _best_row(values: np.ndarray, triple, maximize: bool) -> int:
     return int(min(rows, key=lambda r: tuple(f.packed for f in triple(r))))
 
 
-def _random_search_enumerated(n, filters, d, maximize, trials, rng):
-    # Classes are enumerable: sample member indices in bulk and evaluate
-    # the closed form on gathered spectrum rows, one block at a time.
+def _enumerated_blocks(n, filters, trials, rows, rng):
+    # Classes are enumerable: member indices are drawn up front, and each
+    # block's spectrum rows are gathered into one buffer per class (fresh
+    # gathers per block let malloc trim and re-fault pages).
     classes = [class_table(n, filt) for filt in filters]
     for filt, (members, _) in zip(filters, classes):
         if not members:
             raise ValidationError(f"class filter {filt} matches no function")
     picks = [rng.integers(0, len(members), size=trials) for members, _ in classes]
-    values = np.empty(trials)
-    rows = max(1, _SAMPLE_BATCH >> n)
-    # One buffer per class: fresh gathers per block let malloc trim and re-fault pages.
     bufs = [np.empty((min(rows, trials), 1 << n)) for _ in classes]
     for start in range(0, trials, rows):
-        block = slice(start, start + rows)
-        gathered = [np.take(spectra, idx[block], axis=0, out=buf[: len(idx[block])])
-                    for (_, spectra), idx, buf in zip(classes, picks, bufs)]
-        values[block] = w_batch(*gathered, d)[0]
-
-    def triple(t):
-        return tuple(members[int(p[t])] for (members, _), p in zip(classes, picks))
-
-    t = _best_row(values, triple, maximize)
-    return float(values[t]), triple(t)
+        idx = [p[start : start + rows] for p in picks]
+        gathered = [np.take(spectra, i, axis=0, out=buf[: len(i)])
+                    for (_, spectra), i, buf in zip(classes, idx, bufs)]
+        yield gathered, lambda t, idx=idx: tuple(
+            members[int(i[t])] for (members, _), i in zip(classes, idx))
 
 
-def _random_search_sampled(n, filters, d, maximize, trials, rng):
-    # Triples are sampled as many at a time as fit in one batch, and each
-    # batch is evaluated on stacked spectra.  The best triple so far joins
-    # the next batch's candidates, so one tie-break decides.
-    rows = max(1, _SAMPLE_BATCH >> n)
-    best_w, best = np.empty(0), None
+def _sampled_blocks(n, filters, trials, rows, rng):
+    # Each block's tables in trial order (f, g, h): in one draw when every
+    # filter is balanced-only, else member by member by rejection.
+    one_draw = all(map(_balanced_only, filters))
     for start in range(0, trials, rows):
-        tables = _sample_tables(n, filters, min(rows, trials - start), rng)
+        m = min(rows, trials - start)
+        if one_draw:
+            tables = _half_ones(n, 3 * m, rng).reshape(m, 3, -1)
+            for c, filt in enumerate(filters):
+                if filt.select(tables[:, c]).size < m:
+                    raise _rejection_error(filt, n)
+        else:
+            tables = np.array([[_sample_member(n, filt, rng) for filt in filters] for _ in range(m)])
         spectra = bfn.walsh_coeffs(tables)
         bfn.check_boolean_spectra(spectra)
-        values = np.concatenate([w_batch(*spectra.transpose(1, 0, 2), d)[0], best_w])
-
-        def triple(t):
-            # functions are built only for tied rows and the winner
-            if t == len(tables):
-                return best
-            return tuple(BooleanFunction(n, table) for table in tables[t])
-
-        t = _best_row(values, triple, maximize)
-        best_w, best = values[t : t + 1], triple(t)
-    return float(best_w[0]), best
+        yield spectra.transpose(1, 0, 2), lambda t, tables=tables: tuple(
+            BooleanFunction(n, table) for table in tables[t])
 
 
 def random_search(
@@ -479,13 +455,25 @@ def random_search(
     bfn.check_arity(n)
     if trials << n > TRIAL_WORK_MAX:
         raise CapacityError(f"trials * 2^n limited to 2^28: at most {TRIAL_WORK_MAX >> n} at n={n}")
-    rng = np.random.default_rng(seed)
-    search = _random_search_enumerated if n <= ENUM_MAX else _random_search_sampled
-    value, witness = search(n, filters, d, objective == "max_w", trials, rng)
+    rows = max(1, _SAMPLE_BATCH >> n)
+    sampler = _enumerated_blocks if n <= ENUM_MAX else _sampled_blocks
+    # Each block is evaluated with the best row so far as its last
+    # candidate, so one tie-break decides across blocks.
+    best_w, best = np.empty(0), None
+    for spectra, triple in sampler(n, filters, trials, rows, np.random.default_rng(seed)):
+        fresh = w_batch(*spectra, d)[0]
+
+        def row(t):
+            # functions are built only for tied rows and the winner
+            return best if t == len(fresh) else triple(t)
+
+        values = np.concatenate([fresh, best_w])
+        t = _best_row(values, row, objective == "max_w")
+        best_w, best = values[t : t + 1], row(t)
     return ExtremalResult(
         objective=objective,
-        value=value,
-        witness=witness,
+        value=float(best_w[0]),
+        witness=best,
         distribution=d,
         enumeration_count=trials,
         tie_break=_TIE_BREAK_NOTE,

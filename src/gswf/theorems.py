@@ -41,6 +41,7 @@ from .search import (
     all_tables,
     class_table,
     cross_planes,
+    extremal_w,
     first_optimum,
     random_search,
     scan_planes,
@@ -145,6 +146,7 @@ def _check_count(name: str, value) -> None:
 
 _MONOTONE = ClassFilter(("monotone",))
 _BALANCED = ClassFilter(("balanced",))
+_BALANCED_MONOTONE = ClassFilter(("balanced", "monotone"))
 
 
 # --------------------------------------------------------------------------
@@ -210,15 +212,13 @@ def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -
             f"got ({d.alpha}, {d.beta}, {d.gamma})"
         )
     members, S = class_table(n, _MONOTONE)
-    planes = cross_planes(S, S, S, d)
-    value, (i, j, k), _ = scan_planes(*planes, True)
+    value, (i, j, k), _ = scan_planes(*cross_planes(S, S, S, d), True)
     worst_triple = (members[i], members[j], members[k])
-    sel = np.flatnonzero(S[:, 0] == 0.5)  # the balanced members
-    bal_value, bal_idx, _ = scan_planes(*(m[np.ix_(sel, sel)] for m in planes), True)
+    bal = extremal_w(n, _BALANCED_MONOTONE, _BALANCED_MONOTONE, _BALANCED_MONOTONE, d, "max_w")
     extra = {
-        "balanced_max_w": 0.25 + bal_value,
-        "balanced_witness": _triple_payload(tuple(members[sel[x]] for x in bal_idx)),
-        "balanced_count": len(sel),
+        "balanced_max_w": bal.value,
+        "balanced_witness": _triple_payload(bal.witness),
+        "balanced_count": len(class_table(n, _BALANCED_MONOTONE)[0]),
         "monotone_count": len(members),
     }
     if n >= 3:
@@ -392,27 +392,23 @@ def check_balanced_bound(
     d = EvenProductDistribution.uniform()
     size = 1 << n
     if math.comb(size, size // 2) ** 3 <= TRIPLE_BUDGET:
-        members, S = class_table(n, _BALANCED)
-        value, (i, j, k), count = scan_planes(*cross_planes(S, S, S, d), True)
-        best = (members[i], members[j], members[k])
-        max_w = 0.25 + value
+        res = extremal_w(n, _BALANCED, _BALANCED, _BALANCED, d, "max_w")
     else:
         res = random_search(n, (_BALANCED,) * 3, d, "max_w", trials, seed)
-        max_w, best, count = res.value, res.witness, trials
     pseudo_w = w_from_spectra(*pseudo_extremal_spectra(max(n, 3)), d).w
     first_w = w_formula(first_level_example(max(n, 2)), d).w
     second_w = w_formula(second_level_example(max(n, 2)), d).w
-    witness = _w_triple(max_w, d, best, {
-        "triples_scanned": count,
+    witness = _w_triple(res.value, d, res.witness, {
+        "triples_scanned": res.enumeration_count,
         "pseudo_extremal_w": pseudo_w,
         "first_level_example_w": first_w,
         "second_level_example_w": second_w,
     })
     return _report(
         "balanced_bound",
-        lhs=max_w,
+        lhs=res.value,
         rhs=0.375,
-        margin=0.375 - max_w,
+        margin=0.375 - res.value,
         tolerance=TOL_EXACT,
         witness=witness,
     )

@@ -411,6 +411,21 @@ class TestCyclicLevelSums:
                 route = level_sums_route(fns, butterfly_lengths)
                 assert max(route, default=0) <= 1 << pool.size
 
+    @pytest.mark.parametrize("fns", [
+        (majority(7), majority(9)),
+        (tribes(8, 3), majority(9)),
+        (dictator(8, 3), dictator(9, 1)),
+    ])
+    def test_arities_that_differ_are_refused_before_structure_is_read(self, fns, monkeypatch):
+        # symmetric, unstructured and junta members: each route would have
+        # failed differently, or read two 8-voter dictators
+        read, real = [], bfn.read_structure
+        monkeypatch.setattr(bfn, "read_structure", lambda fn: read.append(fn) or real(fn))
+        with pytest.raises(ValidationError) as exc:
+            rationality.cyclic_level_sums(list(fns))
+        assert str(exc.value) == f"arities differ: {fns[0].n}, {fns[1].n}"
+        assert read == []
+
 
 class TestWFromSpectra:
     def test_pseudo_extremal_three_eighths(self):

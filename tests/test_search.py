@@ -313,21 +313,19 @@ class TestRandomSearch:
         assert [f.hex for f in result.witness] == witness
 
     def test_enumerated_blocks_equal_one_unblocked_batch(self, monkeypatch):
-        # 1050 trials in blocks of 100 rows: the last block is partial
-        seen, rows = [], []
-        best_row, real_w_batch = search._best_row, search.w_batch
+        # 1050 trials in blocks of 100 rows: the last block is partial, and
+        # the blocks' values, concatenated, are one unblocked batch's bytes
+        values, rows = [], []
+        real_w_batch = search.w_batch
 
-        def recording_best_row(values, triple, maximize):
-            seen.append(values.copy())
-            return best_row(values, triple, maximize)
-
-        def counting_w_batch(sf, sg, sh, d):
+        def recording_w_batch(sf, sg, sh, d):
             rows.append(len(sf))
-            return real_w_batch(sf, sg, sh, d)
+            out = real_w_batch(sf, sg, sh, d)
+            values.append(out[0].copy())
+            return out
 
         monkeypatch.setattr(search, "_SAMPLE_BATCH", 100 << 4)
-        monkeypatch.setattr(search, "_best_row", recording_best_row)
-        monkeypatch.setattr(search, "w_batch", counting_w_batch)
+        monkeypatch.setattr(search, "w_batch", recording_w_batch)
         d = EvenProductDistribution(0.3, 0.15, 0.05)
         filters = (BALANCED, MONOTONE, NON_CONST)
         result = random_search(4, filters, d, "min_w", trials=1050, seed=5)
@@ -336,8 +334,43 @@ class TestRandomSearch:
         classes = [class_table(4, filt) for filt in filters]
         picks = [rng.integers(0, len(members), size=1050) for members, _ in classes]
         expected = real_w_batch(*(spectra[p] for (_, spectra), p in zip(classes, picks)), d)[0]
-        assert len(seen) == 1 and seen[0].tobytes() == expected.tobytes()
+        assert np.concatenate(values).tobytes() == expected.tobytes()
         assert result.value == float(expected.min())
+
+    def test_ties_across_blocks_go_to_the_least_packed_triple(self, monkeypatch):
+        # 30 000 balanced monotone triples at n = 4: the 52 rows tied at the
+        # optimum span 8 default blocks, and 100-row blocks give the same
+        # result, the least packed tied triple of one unblocked batch
+        filters = (BAL_MONO,) * 3
+        default = random_search(4, filters, UNIFORM, "max_w", trials=30_000, seed=2)
+        block_rows = search._SAMPLE_BATCH >> 4
+        monkeypatch.setattr(search, "_SAMPLE_BATCH", 100 << 4)
+        small = random_search(4, filters, UNIFORM, "max_w", trials=30_000, seed=2)
+        rng = np.random.default_rng(2)
+        members, spectra = class_table(4, BAL_MONO)
+        picks = [rng.integers(0, len(members), size=30_000) for _ in range(3)]
+        values = search.w_batch(*(spectra[p] for p in picks), UNIFORM)[0]
+        tied = np.flatnonzero(values == values.max())
+        assert len(tied) == 52 and len(set(tied // block_rows)) == 8
+        least = min(tied, key=lambda t: tuple(members[int(p[t])].packed for p in picks))
+        expected = [members[int(p[least])].hex for p in picks]
+        assert expected == ["aaaa", "cccc", "ff00"]
+        for result in (default, small):
+            assert result.value == float(values.max()) == 0.25
+            assert [f.hex for f in result.witness] == expected
+
+    @pytest.mark.parametrize(
+        "n, filters, d, seed",
+        [
+            (4, (BALANCED, MONOTONE, NON_CONST), EvenProductDistribution(0.3, 0.15, 0.05), 9),
+            (6, (BALANCED,) * 3, UNIFORM, 3),
+        ],
+    )
+    @pytest.mark.parametrize("objective", ["max_w", "min_w"])
+    def test_value_is_w_formula_of_the_witness_bit_for_bit(self, n, filters, d, seed, objective):
+        # the enumerated path (n = 4) and the sampled one (n = 6)
+        result = random_search(n, filters, d, objective, trials=2000, seed=seed)
+        assert result.value == w_formula(Gswf(*result.witness), d).w
 
     def test_enumerated_path_memory_is_bounded_by_the_block(self):
         # gathering all 200k spectrum rows of f, g and h at once peaked at

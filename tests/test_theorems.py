@@ -407,6 +407,12 @@ class TestSuite:
                 claimed, abs=max(r.tolerance, 1e-12)
             ), r.name
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_every_witness_reevaluates_exactly(self, seed):
+        # every reported value is the re-evaluation of its witness, bit for bit
+        for r in run_all(seed=seed):
+            assert reevaluate_witness(r) == r.witness["value"], r.name
+
     def test_pass_iff_margin_clears_tolerance(self):
         for r in run_all(seed=7):
             assert r.passed == (r.margin >= -r.tolerance)
