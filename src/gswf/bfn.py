@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, is_integer
 
 #: Largest supported arity.  A dense spectrum at the default ceiling is
 #: ``2**24`` float64 coefficients (128 MiB); raise with care, and never to
@@ -35,9 +35,9 @@ NAIVE_MAX = 12
 
 
 def check_arity(n: int) -> None:
-    """Reject an arity that is not an integer in ``1..N_MAX``, before any
-    ``2**n``-sized allocation."""
-    if not isinstance(n, (int, np.integer)):
+    """Reject an arity that is not an integer (a bool is not one) in
+    ``1..N_MAX``, before any ``2**n``-sized allocation."""
+    if not is_integer(n):
         raise ValidationError(f"arity must be an integer, got {n!r}")
     if n < 1:
         raise ValidationError(f"arity must be >= 1, got {n}")
@@ -323,7 +323,7 @@ def per_voter_pass(values, kernel) -> np.ndarray:
     if kern.ndim != 2 or kern.shape[1] != 2:
         raise ValidationError(f"kernel must have shape (k, 2), got {kern.shape}")
     arr = np.asarray(values)
-    n, k = _arity_of(arr), kern.shape[0]
+    n, k = arity_of(arr), kern.shape[0]
     rows = arr.size >> n
     # sizes[i] is pass i's output; passes alternate between two buffers,
     # the last pass landing in the first.
@@ -345,8 +345,8 @@ def per_voter_pass(values, kernel) -> np.ndarray:
     return result.reshape(*arr.shape[:-1], k**n)
 
 
-def _zero_one(arr: np.ndarray) -> bool:
-    # A bool array, or an integer one whose entries are all 0 or 1.
+def is_zero_one(arr: np.ndarray) -> bool:
+    """True for a bool array, or an integer one whose entries are all 0 or 1."""
     kind = arr.dtype.kind
     if kind == "b":
         return True
@@ -367,8 +367,8 @@ def walsh_coeffs(values) -> np.ndarray:
     once.  No Booleanity check is made; :func:`walsh_transform` makes it.
     """
     arr = np.asarray(values)
-    n = _arity_of(arr)
-    if _zero_one(arr):
+    n = arity_of(arr)
+    if is_zero_one(arr):
         return _analysis_butterfly(arr, n) / float(1 << n)
     floats = arr.astype(np.float64, order="C")
     _butterfly_passes(floats, 0, n)
@@ -441,7 +441,7 @@ def symmetric_function(n: int, profile) -> BooleanFunction:
     """
     check_arity(n)
     profile = np.asarray(profile)
-    if profile.shape != (n + 1,) or not _zero_one(profile):
+    if profile.shape != (n + 1,) or not is_zero_one(profile):
         raise ValidationError(f"a weight profile must be n + 1 = {n + 1} entries of 0 or 1")
     profile = profile.astype(np.uint8)
     if n < 6:
@@ -495,8 +495,7 @@ def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ..
 def _voters(voters, n: int) -> tuple[int, ...]:
     # 0-based voter indices, each an integer (not a bool) in 0..n-1.
     voters = tuple(voters)
-    integral = all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in voters)
-    if not integral or not all(0 <= v < n for v in voters):
+    if not all(is_integer(v) and 0 <= v < n for v in voters):
         raise ValidationError(f"voters must be integers in 0..{n - 1}, got {voters!r}")
     return tuple(map(int, voters))
 
@@ -564,7 +563,8 @@ def level_weights(s: PseudoSpectrum) -> np.ndarray:
     return level_sums(s.coeffs, s.coeffs)
 
 
-def _arity_of(tables: np.ndarray) -> int:
+def arity_of(tables: np.ndarray) -> int:
+    """The arity of tables of length ``2^n`` along the last axis."""
     size = tables.shape[-1]
     n = size.bit_length() - 1
     if size != 1 << n:
@@ -605,7 +605,7 @@ def is_monotone_values(values, *, decreasing: bool = False, atol: float = 0.0):
     rather than a genuine truth table.
     """
     arr = np.asarray(values)
-    n = _arity_of(arr)
+    n = arity_of(arr)
     lead = arr.shape[:-1]
     ok = np.ones(lead, dtype=bool)
     for i in range(n):
@@ -646,7 +646,7 @@ def is_invariant_under(f, generators) -> bool:
     tables' ``(2,) * n`` cubes (axis ``a`` is voter ``n - 1 - a``).
     """
     t = _tables(f)
-    n = _arity_of(t)
+    n = arity_of(t)
     # Leading stack axes are flattened into one: n + 1 <= 25 axes stay
     # under the 32 that numpy 1.x allows.
     cubes = t.reshape((-1,) + (2,) * n)
@@ -663,7 +663,7 @@ def is_invariant_under(f, generators) -> bool:
 
 def is_cyclic_invariant(f) -> bool:
     """True iff ``f`` is invariant under the cyclic rotation of voters."""
-    n = _arity_of(_tables(f))
+    n = arity_of(_tables(f))
     return is_invariant_under(f, [tuple((i + 1) % n for i in range(n))])
 
 

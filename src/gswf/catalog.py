@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bfn
 from .bfn import BooleanFunction
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .rationality import Gswf
 
 
@@ -201,8 +201,7 @@ def eta(n: int, q: float) -> float:
     This is ``2^{-eps n} / (n+1)`` with ``eps = 1 - H(q)``, the form the
     instability construction guarantees for its component expectations.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     if not 0.0 < q < 0.5:
         raise ValidationError(f"q must lie strictly between 0 and 1/2, got {q!r}")
     return 2.0 ** (n * (binary_entropy(q) - 1.0)) / (n + 1)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bfn, catalog, theorems
 from .bfn import walsh_transform
-from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution, as_even_product
+from .dist import TRIPLE_LABELS, EvenProductDistribution, TripleDistribution
 from .errors import CapacityError, GswfError, ValidationError
 from .rationality import Gswf, cyclic_level_sums, w_formula, w_monte_carlo, w_oracle
 from .search import ClassFilter, extremal_w, random_search
@@ -31,7 +31,7 @@ def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _write_output(text: str, out: str | None, append: bool = False) -> None:
+def _write_output(text: str, out: str | None, append: bool) -> None:
     if out is None:
         sys.stdout.write(text)
         return
@@ -40,6 +40,13 @@ def _write_output(text: str, out: str | None, append: bool = False) -> None:
             handle.write(text)
     except OSError as exc:
         raise ValidationError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+def _add_output_flags(parser: argparse.ArgumentParser, formats: bool = True,
+                      out_help: str = "write output to this path instead of stdout") -> None:
+    if formats:
+        parser.add_argument("--format", choices=("json", "pretty"), default="json")
+    parser.add_argument("--out", help=out_help)
 
 
 def _add_dist_flags(parser: argparse.ArgumentParser) -> None:
@@ -131,7 +138,7 @@ def _pretty_wresult(res) -> str:
 # --------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[str, int]:
     if args.full_coeffs and args.format == "pretty":
         raise ValidationError("--full-coeffs applies only to --format json")
     f = catalog.parse_function_spec(args.function)
@@ -153,17 +160,15 @@ def _cmd_spectrum(args) -> int:
         },
         "coefficients": [float(x) for x in walsh_transform(f).coeffs] if include else None,
     }
-    if args.format == "pretty":
-        text = [f"function n={f.n} hex={f.hex}  E[f]={payload['expectation']:.6f}"]
-        text.append(
-            "predicates: "
-            + ", ".join(k for k, v in payload["predicates"].items() if v)
-        )
-        text.append("level weights: " + ", ".join(f"{x:.6f}" for x in payload["level_weights"]))
-        _write_output("\n".join(text) + "\n", args.out)
-    else:
-        _write_output(_json_text(payload), args.out)
-    return 0
+    if args.format == "json":
+        return _json_text(payload), 0
+    text = [f"function n={f.n} hex={f.hex}  E[f]={payload['expectation']:.6f}"]
+    text.append(
+        "predicates: "
+        + ", ".join(k for k, v in payload["predicates"].items() if v)
+    )
+    text.append("level weights: " + ", ".join(f"{x:.6f}" for x in payload["level_weights"]))
+    return "\n".join(text) + "\n", 0
 
 
 def _run_methods(gswf, dist, args) -> list:
@@ -172,13 +177,7 @@ def _run_methods(gswf, dist, args) -> list:
         raise ValidationError("--samples and --seed apply only to --method monte-carlo")
     results = []
     if method in ("formula", "both"):
-        even = as_even_product(dist)
-        if even is None:
-            raise ValidationError(
-                "the closed form only applies to even product distributions; "
-                "use --method oracle or monte-carlo with --triples"
-            )
-        results.append(w_formula(gswf, even))
+        results.append(w_formula(gswf, dist))
     if method in ("oracle", "both"):
         results.append(w_oracle(gswf, dist))
     if method == "monte-carlo":
@@ -188,7 +187,7 @@ def _run_methods(gswf, dist, args) -> list:
     return results
 
 
-def _cmd_rationality(args) -> int:
+def _cmd_rationality(args) -> tuple[str, int]:
     gswf, preset = _parse_gswf(args)
     dist = _parse_dist(args)
     results = _run_methods(gswf, dist, args)
@@ -201,20 +200,17 @@ def _cmd_rationality(args) -> int:
         "reference_bound": AND_ENVELOPE**gswf.n if preset == "and_dual_majority" else None,
         "results": [r.to_json_dict() for r in results],
     }
-    if args.format == "pretty":
-        head = [f"n = {gswf.n}  f={gswf.f.hex} g={gswf.g.hex} h={gswf.h.hex}"]
-        if preset:
-            head.append(f"preset: {preset}")
-        if payload["reference_bound"] is not None:
-            head.append(f"decay envelope {AND_ENVELOPE}^n = {payload['reference_bound']:.6e}")
-        body = [_pretty_wresult(r) for r in results]
-        _write_output("\n".join(head + body) + "\n", args.out)
-    else:
-        _write_output(_json_text(payload), args.out)
-    return 0
+    if args.format == "json":
+        return _json_text(payload), 0
+    head = [f"n = {gswf.n}  f={gswf.f.hex} g={gswf.g.hex} h={gswf.h.hex}"]
+    if preset:
+        head.append(f"preset: {preset}")
+    if payload["reference_bound"] is not None:
+        head.append(f"decay envelope {AND_ENVELOPE}^n = {payload['reference_bound']:.6e}")
+    return "\n".join(head + [_pretty_wresult(r) for r in results]) + "\n", 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     if args.all == bool(args.check):
         raise ValidationError("give either --all or at least one --check NAME")
     reports = run_all(seed=args.seed, names=None if args.all else args.check)
@@ -224,25 +220,22 @@ def _cmd_verify(args) -> int:
         "all_passed": suite_passed(reports),
         "reports": [r.to_json_dict() for r in reports],
     }
-    if args.format == "pretty":
-        lines = []
-        for r in reports:
-            tag = "PASS" if r.passed else "FAIL"
-            extra = " (inverted)" if r.inverted else ""
-            lines.append(
-                f"{tag:4} {r.name:<40} margin={r.margin:+.3e} tol={r.tolerance:.0e}{extra}"
-            )
-        lines.append("all passed" if payload["all_passed"] else "FAILURES present")
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(_json_text(payload), args.out)
-    return 0 if payload["all_passed"] else 1
+    status = 0 if payload["all_passed"] else 1
+    if args.format == "json":
+        return _json_text(payload), status
+    lines = []
+    for r in reports:
+        tag = "PASS" if r.passed else "FAIL"
+        extra = " (inverted)" if r.inverted else ""
+        lines.append(
+            f"{tag:4} {r.name:<40} margin={r.margin:+.3e} tol={r.tolerance:.0e}{extra}"
+        )
+    lines.append("all passed" if payload["all_passed"] else "FAILURES present")
+    return "\n".join(lines) + "\n", status
 
 
-def _cmd_search(args) -> int:
-    dist = as_even_product(_parse_dist(args))
-    if dist is None:
-        raise ValidationError("search evaluates the closed form; use an even product distribution")
+def _cmd_search(args) -> tuple[str, int]:
+    dist = _parse_dist(args)
     if args.mode == "exhaustive" and (args.trials is not None or args.seed is not None):
         raise ValidationError("--trials and --seed apply only to --mode random")
     if args.mode == "random" and args.exclude_dictators:
@@ -263,12 +256,10 @@ def _cmd_search(args) -> int:
             raise ValidationError("random mode needs --trials and --seed")
         result = random_search(args.n, filters, dist, args.objective, args.trials, args.seed)
     payload = {"kind": "search_result", **result.to_json_dict()}
-    text = json.dumps(payload, sort_keys=True) + "\n"  # JSON lines for scans
-    _write_output(text, args.out, append=True)
-    return 0
+    return json.dumps(payload, sort_keys=True) + "\n", 0  # JSON lines for scans
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> tuple[str, int]:
     payload = {
         "kind": "catalog_listing",
         "families": [
@@ -281,15 +272,13 @@ def _cmd_catalog(args) -> int:
             {"name": name, "parameters": list(params)} for name, params in catalog.PRESETS.items()
         ],
     }
-    if args.format == "pretty":
-        lines = ["families:"]
-        lines += [f"  {f['spec']:<22} params: {', '.join(f['parameters'])}" for f in payload["families"]]
-        lines.append("presets:")
-        lines += [f"  {p['name']:<22} params: {', '.join(p['parameters'])}" for p in payload["presets"]]
-        _write_output("\n".join(lines) + "\n", args.out)
-    else:
-        _write_output(_json_text(payload), args.out)
-    return 0
+    if args.format == "json":
+        return _json_text(payload), 0
+    lines = ["families:"]
+    lines += [f"  {f['spec']:<22} params: {', '.join(f['parameters'])}" for f in payload["families"]]
+    lines.append("presets:")
+    lines += [f"  {p['name']:<22} params: {', '.join(p['parameters'])}" for p in payload["presets"]]
+    return "\n".join(lines) + "\n", 0
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -313,7 +302,7 @@ def _parse_n_list(text: str) -> list[int]:
     return list(values)
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> tuple[str, int]:
     # each curve reads one of --rho and --q
     flag, value = ("--q", args.q) if args.check == "majority-stability" else ("--rho", args.rho)
     if value is not None:
@@ -325,12 +314,11 @@ def _cmd_curve(args) -> int:
         rho = args.rho
         if rho is None:
             raise ValidationError("majority-stability needs --rho")
-        if not -1.0 <= rho <= 1.0:
-            raise ValidationError(f"--rho must lie in [-1, 1], got {rho!r}")
         writer.writerow(["n", "rho", "value", "reference", "abs_err"])
-        reference = math.asin(rho) / (2.0 * math.pi)
         for n in n_list:
             value = theorems.majority_self_correlation(n, rho)
+            # after the check of rho: asin raises a bare ValueError outside [-1, 1]
+            reference = math.asin(rho) / (2.0 * math.pi)
             writer.writerow([n, rho, repr(value), repr(reference), repr(abs(value - reference))])
     else:  # instability
         q = args.q
@@ -340,8 +328,7 @@ def _cmd_curve(args) -> int:
         for n in n_list:
             row = theorems.instability_row(n, q)
             writer.writerow([n, q, *(repr(row[k]) for k in ("w", "eta", "ratio"))])
-    _write_output(buffer.getvalue(), args.out)
-    return 0
+    return buffer.getvalue(), 0
 
 
 # --------------------------------------------------------------------------
@@ -364,13 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common_out = {"default": None, "help": "write output to this path instead of stdout"}
-
     p = sub.add_parser("spectrum", help="transform one function and report its structure")
     p.add_argument("--function", required=True, help="function spec, e.g. maj:3 or hex:3:e8")
     p.add_argument("--full-coeffs", action="store_true")
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.add_argument("--out", **common_out)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("rationality", help="probability of an irrational outcome")
@@ -384,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.add_argument("--out", **common_out)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_rationality)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of the irrationality probability")
@@ -393,8 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_flags(p)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.add_argument("--out", **common_out)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_rationality, method="monte-carlo")
 
     p = sub.add_parser("verify", help="run the bound-verification battery")
@@ -406,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one named check (repeatable)",
     )
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.add_argument("--out", **common_out)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="extremal search over function classes")
@@ -422,13 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude-dictators", action="store_true",
                    help="skip the always-rational dictator-type triples")
     _add_dist_flags(p)
-    p.add_argument("--out", help="append one JSON line per run to this path")
+    _add_output_flags(p, formats=False, out_help="append one JSON line per run to this path")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("catalog", help="list families and presets")
     p.add_argument("action", choices=("list",))
-    p.add_argument("--format", choices=("json", "pretty"), default="json")
-    p.add_argument("--out", **common_out)
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("curve", help="emit CSV curves for the asymptotic claims")
@@ -436,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float)
     p.add_argument("--q", type=float)
     p.add_argument("--n-list", required=True, help="comma list or start:stop[:step]")
-    p.add_argument("--out", **common_out)
+    _add_output_flags(p, formats=False)
     p.set_defaults(func=_cmd_curve)
 
     return parser
@@ -445,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        text, status = args.func(args)
+        _write_output(text, args.out, append=args.command == "search")
+        return status
     except GswfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

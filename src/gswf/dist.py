@@ -151,7 +151,8 @@ def as_even_product(dist) -> EvenProductDistribution | None:
 def even_product_law(dist) -> EvenProductDistribution:
     """:func:`as_even_product`, raising ValidationError for a law that is not even."""
     if (even := as_even_product(dist)) is None:
-        raise ValidationError("the closed form only applies to even product distributions")
+        raise ValidationError("the closed form only applies to even product distributions "
+                              "(each triple as likely as its complement)")
     return even
 
 

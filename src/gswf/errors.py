@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that
+raise them: each rule on an argument is checked by one function here."""
+
+import numpy as np
 
 
 class GswfError(Exception):
@@ -15,3 +18,36 @@ class CapacityError(GswfError, ValueError):
 
 class HypothesisViolation(GswfError, ValueError):
     """A verification check was invoked outside the hypothesis it assumes."""
+
+
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """Refuse a count or seed that is not an integer of at least ``low``
+    with ValidationError, and one above ``high`` with CapacityError."""
+    if not is_integer(value) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise CapacityError(f"{name} limited to {high}, got {value}")
+
+
+def check_unit(name: str, x) -> None:
+    """Refuse a noise or correlation parameter outside ``[-1, 1]`` (NaN too)."""
+    if not -1.0 <= x <= 1.0:
+        raise ValidationError(f"{name} must lie in [-1, 1], got {x!r}")
+
+
+def check_same_arity(*ns) -> None:
+    """Refuse arities ``ns`` that are not all equal: one triple's rules share one electorate."""
+    if len(set(ns)) > 1:
+        raise ValidationError(f"arities differ: {', '.join(map(str, ns))}")
+
+
+def check_objective(objective: str) -> bool:
+    """Refuse an objective other than ``min_w`` and ``max_w``; True for ``max_w``."""
+    if objective not in ("min_w", "max_w"):
+        raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
+    return objective == "max_w"

@@ -32,7 +32,7 @@ import numpy as np
 from . import bfn
 from .bfn import BooleanFunction, PseudoSpectrum, WalshSpectrum, level_sums, mask_levels, walsh_transform
 from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distribution, even_product_law
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_count, check_same_arity, check_unit
 
 #: Ceiling on the oracle's contracted tables, two ``4^n`` float64 tables
 #: per row, in bytes; the process peaks at about 2.5 times this.
@@ -64,10 +64,7 @@ class Gswf:
     h: BooleanFunction
 
     def __post_init__(self) -> None:
-        if not (self.f.n == self.g.n == self.h.n):
-            raise ValidationError(
-                f"arities differ: {self.f.n}, {self.g.n}, {self.h.n}"
-            )
+        check_same_arity(self.f.n, self.g.n, self.h.n)
 
     @property
     def n(self) -> int:
@@ -144,10 +141,8 @@ def cross_term(sums: np.ndarray, delta: float):
 
 def biased_inner_product(sf: PseudoSpectrum, sg: PseudoSpectrum, delta: float) -> float:
     """``sum over nonempty S of sf[S] sg[S] delta^{|S|}``."""
-    if sf.n != sg.n:
-        raise ValidationError(f"arities differ: {sf.n} != {sg.n}")
-    if not -1.0 <= delta <= 1.0:
-        raise ValidationError(f"delta must lie in [-1, 1], got {delta!r}")
+    check_same_arity(sf.n, sg.n)
+    check_unit("delta", delta)
     return float(cross_term(level_sums(sf.coeffs, sg.coeffs), delta))
 
 
@@ -164,8 +159,7 @@ def pair_matrix(sa: np.ndarray, sb: np.ndarray, delta: float) -> np.ndarray:
 
 def noise_operator_spectral(s: PseudoSpectrum, eps: float) -> PseudoSpectrum:
     """Attenuate level-``k`` coefficients by ``eps^k``."""
-    if not -1.0 <= eps <= 1.0:
-        raise ValidationError(f"eps must lie in [-1, 1], got {eps!r}")
+    check_unit("eps", eps)
     return PseudoSpectrum(s.n, s.coeffs * np.power(float(eps), mask_levels(s.n)))
 
 
@@ -176,8 +170,7 @@ def noise_operator_convolution(f: BooleanFunction, eps: float) -> np.ndarray:
     ``(1+eps)/2`` and 1 with probability ``(1-eps)/2``; the expectation is
     evaluated by one averaging pass per coordinate.
     """
-    if not -1.0 <= eps <= 1.0:
-        raise ValidationError(f"eps must lie in [-1, 1], got {eps!r}")
+    check_unit("eps", eps)
     keep = (1.0 + eps) / 2.0
     flip = (1.0 - eps) / 2.0
     return bfn.per_voter_pass(f.table, [[keep, flip], [flip, keep]])
@@ -224,8 +217,7 @@ def cyclic_level_sums(fns):
     * otherwise :func:`cyclic_spectral_sums` of the :func:`bfn.walsh_transform`
       spectra, a symmetric member's gathered from its levels.
     """
-    if len({fn.n for fn in fns}) > 1:
-        raise ValidationError(f"arities differ: {', '.join(str(fn.n) for fn in fns)}")
+    check_same_arity(*(fn.n for fn in fns))
     found = {fn: bfn.read_structure(fn) for fn in set(fns)}
     levels = [found[fn][0] for fn in fns]
     if all(a is not None for a in levels):
@@ -260,8 +252,7 @@ def w_from_spectra(
     No Booleanity is demanded, so this also evaluates coefficient patterns
     that no genuine Boolean function realizes.
     """
-    if not (sf.n == sg.n == sh.n):
-        raise ValidationError(f"arities differ: {sf.n}, {sg.n}, {sh.n}")
+    check_same_arity(sf.n, sg.n, sh.n)
     d = even_product_law(d)
     return _formula_result(sf.n, d, *w_batch(sf.coeffs, sg.coeffs, sh.coeffs, d))
 
@@ -304,12 +295,9 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
         raise ValidationError(
             f"expected three equal-shape table stacks, got {ft.shape}, {gt.shape}, {ht.shape}"
         )
-    rows, size = ft.shape
+    rows, n = len(ft), bfn.arity_of(ft)
     if rows == 0:
         raise ValidationError("the table stacks are empty")
-    n = size.bit_length() - 1
-    if size != 1 << n:
-        raise ValidationError(f"table length {size} is not a power of two")
     bfn.check_arity(n)
     if rows * 16 * 4**n > ORACLE_BYTES:
         raise CapacityError(
@@ -317,7 +305,7 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
             f"(one row fits up to n = {ORACLE_MAX}); use w_monte_carlo for larger arities"
         )
     for tables in (ft, gt, ht):
-        if tables.dtype.kind not in "biu" or tables.min() < 0 or tables.max() > 1:
+        if not bfn.is_zero_one(tables):
             raise ValidationError("table entries must be 0 or 1")
     x, y, z = _TRIPLE_BITS.T
     kernel = np.zeros((4, 2))
@@ -373,10 +361,8 @@ def w_monte_carlo(gswf: Gswf, t, samples: int, seed: int) -> WResult:
     estimate does not depend on how the profiles are split into chunks.
     """
     t = as_triple_distribution(t)
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    if samples > SAMPLES_MAX:
-        raise CapacityError(f"samples limited to {SAMPLES_MAX}, got {samples}")
+    check_count("samples", samples, high=SAMPLES_MAX)
+    check_count("seed", seed, low=0)
     n = gswf.n
     hits = 0
     for masks in _profile_masks(np.random.default_rng(seed), t, samples, n):

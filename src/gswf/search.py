@@ -11,7 +11,7 @@ import numpy as np
 from . import bfn, catalog
 from .bfn import BooleanFunction
 from .dist import EvenProductDistribution, even_product_law
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, check_count, check_objective
 from .rationality import pair_matrix, w_batch
 
 #: Largest arity for full class enumeration (2^16 candidate tables at n=4).
@@ -192,7 +192,7 @@ class ClassMembers(Sequence):
         return int(rows[0]) if rows.size else None
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=64, typed=True)
 def class_table(n: int, filt: ClassFilter) -> tuple[ClassMembers, np.ndarray]:
     """Members of a class in ascending truth-table order, with their spectra.
 
@@ -301,8 +301,7 @@ def extremal_w(
     where the common function is a dictator or a negated dictator (the
     always-rational rules).
     """
-    if objective not in ("min_w", "max_w"):
-        raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
+    maximize = check_objective(objective)
     d = even_product_law(d)
     (F, sf), (G, sg), (H, sh) = (class_table(n, x) for x in (filter_f, filter_g, filter_h))
     count = len(F) * len(G) * len(H)
@@ -334,7 +333,7 @@ def extremal_w(
 
     value, (i, j, k), _ = scan_planes(
         *cross_planes(sf, sg, sh, d),
-        objective == "max_w",
+        maximize,
         means=(sf[:, 0], sg[:, 0], sh[:, 0]),
         allowed=allowed,
     )
@@ -445,16 +444,13 @@ def random_search(
     which consumes the generator exactly as one ``rng.shuffle`` per table
     does.  So the result does not depend on the block size.
     """
-    if objective not in ("min_w", "max_w"):
-        raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
+    maximize = check_objective(objective)
     d = even_product_law(d)
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    if trials > TRIALS_MAX:
-        raise CapacityError(f"trials limited to {TRIALS_MAX}, got {trials}")
+    check_count("trials", trials, high=TRIALS_MAX)
     bfn.check_arity(n)
     if trials << n > TRIAL_WORK_MAX:
         raise CapacityError(f"trials * 2^n limited to 2^28: at most {TRIAL_WORK_MAX >> n} at n={n}")
+    check_count("seed", seed, low=0)
     rows = max(1, _SAMPLE_BATCH >> n)
     sampler = _enumerated_blocks if n <= ENUM_MAX else _sampled_blocks
     # Each block is evaluated with the best row so far as its last
@@ -468,7 +464,7 @@ def random_search(
             return best if t == len(fresh) else triple(t)
 
         values = np.concatenate([fresh, best_w])
-        t = _best_row(values, row, objective == "max_w")
+        t = _best_row(values, row, maximize)
         best_w, best = values[t : t + 1], row(t)
     return ExtremalResult(
         objective=objective,

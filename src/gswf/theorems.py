@@ -21,7 +21,7 @@ import numpy as np
 from . import bfn, catalog
 from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
 from .dist import EvenProductDistribution
-from .errors import CapacityError, HypothesisViolation, ValidationError
+from .errors import CapacityError, HypothesisViolation, ValidationError, check_count, check_unit
 from .rationality import (
     Gswf,
     biased_inner_product,
@@ -138,12 +138,6 @@ def _functions_from_payload(w: dict):
     return tuple(BooleanFunction.from_hex(n, w[k]) for k in ("f", "g", "h"))
 
 
-def _check_count(name: str, value) -> None:
-    # A check's size parameter: an integer of at least 1.
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 _MONOTONE = ClassFilter(("monotone",))
 _BALANCED = ClassFilter(("balanced",))
 _BALANCED_MONOTONE = ClassFilter(("balanced", "monotone"))
@@ -165,7 +159,8 @@ def check_formula_vs_oracle(
     worst in ``(n, distribution, triple)`` order is the witness.
     """
     for name, value in (("n_max", n_max), ("trials", trials), ("dists", dists)):
-        _check_count(name, value)
+        check_count(name, value)
+    check_count("seed", seed, low=0)
     rng = np.random.default_rng(seed)
 
     def blocks():
@@ -422,7 +417,7 @@ def check_lemma_power_sums(grid_steps: int = 200) -> BoundReport:
     Checked on a regular grid (step ``1/grid_steps``); the identity is
     exact on the slice boundary.
     """
-    _check_count("grid_steps", grid_steps)
+    check_count("grid_steps", grid_steps)
     axis = np.arange(-grid_steps, grid_steps + 1, dtype=np.float64) / grid_steps
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     Z = 1.0 - X - Y
@@ -529,6 +524,7 @@ def _majority_sums(n: int) -> np.ndarray:
 
 def majority_self_correlation(n: int, rho: float) -> float:
     """``<<maj_n, maj_n>>_rho`` from the level coefficients."""
+    check_unit("rho", rho)
     return float(cross_term(_majority_sums(n), rho))
 
 
@@ -852,6 +848,8 @@ def check_alpha_half_ceiling(trials: int = 10_000, seed: int = _DEFAULT_SEED) ->
     ``trials`` random triples on :data:`_ALPHA_HALF_N` voters are evaluated
     at every law of the eighth grid (:data:`_GRID_STEPS` steps per axis).
     """
+    check_count("trials", trials)
+    check_count("seed", seed, low=0)
     n = _ALPHA_HALF_N
     rng = np.random.default_rng(seed)
     members, S = class_table(n, ClassFilter(("balanced", "monotone")))
@@ -906,7 +904,9 @@ CHECKS = {
 
 
 def run_all(seed: int = _DEFAULT_SEED, names=None) -> list[BoundReport]:
-    """Run the selected checks (all by default), sorted by name."""
+    """Run the selected checks (all by default), sorted by name.  ``seed``
+    is checked even when no selected check reads it."""
+    check_count("seed", seed, low=0)
     selected = sorted(CHECKS) if names is None else list(names)
     unknown = [x for x in selected if x not in CHECKS]
     if unknown:

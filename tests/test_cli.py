@@ -121,7 +121,10 @@ class TestRationalityCommand:
         assert even.stdout == abc.stdout
         odd = run_cli(*argv, "--triples", "0.3,0.1,0.1,0.2,0.2,0.1")
         assert odd.returncode == 2
-        assert odd.stderr == "error: search evaluates the closed form; use an even product distribution\n"
+        assert odd.stderr == (
+            "error: the closed form only applies to even product distributions "
+            "(each triple as likely as its complement)\n"
+        )
 
     def test_general_triples_oracle_path(self):
         proc = run_cli(
@@ -482,6 +485,36 @@ class TestOtherCommands:
             main(["rationality", "--help"])
         assert exc.value.code == 0
         assert "usage: gswf rationality" in capsys.readouterr().out
+
+
+class TestOutFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--function", "maj:5", "--format", "pretty"],
+            ["rationality", "--preset", "condorcet", "--n", "3", "--uniform"],
+            ["simulate", "--preset", "condorcet", "--n", "5", "--uniform", "--samples", "500",
+             "--seed", "2", "--format", "pretty"],
+            ["verify", "--check", "fkg", "--check", "instability_example", "--format", "pretty"],
+            ["catalog", "list"],
+            ["curve", "--check", "instability", "--q", "0.2", "--n-list", "5:9:2"],
+            ["search", "--n", "3", "--class-f", "balanced", "--class-g", "monotone",
+             "--class-h", "balanced", "--objective", "min_w", "--mode", "random",
+             "--trials", "50", "--seed", "4", "--uniform"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_file_holds_the_stdout_bytes(self, argv, tmp_path, capsys):
+        status = main(argv)
+        stdout = capsys.readouterr().out
+        out = tmp_path / "report"
+        assert main([*argv, "--out", str(out)]) == status
+        assert capsys.readouterr() == ("", "")
+        assert out.read_bytes() == stdout.encode()
+        if argv[0] == "search":  # a second run appends its one line
+            assert main([*argv, "--out", str(out)]) == status
+            assert out.read_bytes() == 2 * stdout.encode()
+            assert stdout.count("\n") == 1
 
 
 # Fast argv pieces: arities up to 9 and small sample and trial counts.  Half
