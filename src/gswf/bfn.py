@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, is_integer
+from .errors import ValidationError, check_count, check_range
 
 #: Largest supported arity.  A dense spectrum at the default ceiling is
 #: ``2**24`` float64 coefficients (128 MiB); raise with care, and never to
@@ -35,14 +35,8 @@ NAIVE_MAX = 12
 
 
 def check_arity(n: int) -> None:
-    """Reject an arity that is not an integer (a bool is not one) in
-    ``1..N_MAX``, before any ``2**n``-sized allocation."""
-    if not is_integer(n):
-        raise ValidationError(f"arity must be an integer, got {n!r}")
-    if n < 1:
-        raise ValidationError(f"arity must be >= 1, got {n}")
-    if n > N_MAX:
-        raise CapacityError(f"arity {n} exceeds N_MAX={N_MAX}")
+    """Reject an arity outside ``1..N_MAX`` before any ``2**n``-sized allocation."""
+    check_count("arity", n, high=N_MAX)
 
 
 @functools.lru_cache(maxsize=None)
@@ -94,12 +88,6 @@ def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sums.reshape(*prod.shape[:-1], n + 1)
 
 
-#: A packed table in hex, as ``from_hex`` and ``hex:<n>:<digits>`` accept it
-#: (``fullmatch``); ``int(text, 16)`` alone would also read a ``0x``, a sign,
-#: underscores and surrounding whitespace.
-HEX_DIGITS = re.compile("[0-9a-fA-F]+")
-
-
 class BooleanFunction:
     """A choice function ``f: {0,1}^n -> {0,1}`` stored as a truth table.
 
@@ -138,17 +126,19 @@ class BooleanFunction:
     def from_packed(cls, n: int, value: int) -> "BooleanFunction":
         """Build from the packed integer whose bit ``x`` is ``f(x)``."""
         check_arity(n)
+        check_count("packed value", value, low=0)
         size = 1 << n
-        if not 0 <= value < (1 << size):
+        if value >= 1 << size:
             raise ValidationError(f"packed value out of range for n={n}")
-        raw = value.to_bytes((size + 7) // 8, "little")
+        raw = int(value).to_bytes((size + 7) // 8, "little")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         return cls._from_bits(n, bits[:size], raw)
 
     @classmethod
     def from_hex(cls, n: int, digits: str) -> "BooleanFunction":
-        """Build from the hex encoding of the packed table (digits only)."""
-        if not HEX_DIGITS.fullmatch(digits):
+        """Build from the hex encoding of the packed table, digits only: ``int(text, 16)``
+        alone would also read a ``0x``, a sign, underscores and whitespace."""
+        if not re.fullmatch("[0-9a-fA-F]+", digits):
             raise ValidationError("a packed table must be hex digits [0-9a-fA-F] only")
         return cls.from_packed(n, int(digits, 16))
 
@@ -495,8 +485,8 @@ def read_structure(f: BooleanFunction) -> tuple[np.ndarray | None, tuple[int, ..
 def _voters(voters, n: int) -> tuple[int, ...]:
     # 0-based voter indices, each an integer (not a bool) in 0..n-1.
     voters = tuple(voters)
-    if not all(is_integer(v) and 0 <= v < n for v in voters):
-        raise ValidationError(f"voters must be integers in 0..{n - 1}, got {voters!r}")
+    for v in voters:
+        check_range("voter", v, 0, n - 1)
     return tuple(map(int, voters))
 
 
@@ -522,9 +512,7 @@ def walsh_transform(f: BooleanFunction) -> WalshSpectrum:
 
 def character_table(n: int) -> np.ndarray:
     """Dense matrix of signed characters, entry ``[S, x] = r_S(x)``."""
-    if n > NAIVE_MAX:
-        raise CapacityError(f"dense character table limited to n <= {NAIVE_MAX}")
-    check_arity(n)
+    check_count("arity", n, high=NAIVE_MAX)
     masks = np.arange(1 << n, dtype=np.int32)
     flipped = masks ^ ((1 << n) - 1)
     # r_S(x) = (-1)^{#(i in S with x_i = 0)}
@@ -548,8 +536,7 @@ def inverse_walsh_transform(s: PseudoSpectrum) -> np.ndarray:
 
 def evaluate(f: BooleanFunction, x: int) -> int:
     """``f(x)`` for the input mask ``x``."""
-    if not 0 <= x < (1 << f.n):
-        raise ValidationError(f"input mask {x} out of range for n={f.n}")
+    check_range("x", x, 0, (1 << f.n) - 1)
     return int(f.table[x])
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bfn
 from .bfn import BooleanFunction
-from .errors import ValidationError, check_count
+from .errors import ValidationError, check_below_half, check_count, check_odd, check_range
 from .rationality import Gswf
 
 
@@ -31,8 +31,7 @@ class FamilySpec:
 
 def dictator(n: int, voter: int) -> BooleanFunction:
     bfn.check_arity(n)
-    if not 1 <= voter <= n:
-        raise ValidationError(f"voter index must be in 1..{n}, got {voter}")
+    check_range("voter", voter, 1, n)
     # Runs of 2^(voter-1) zeros then as many ones, repeated.
     half = np.repeat(np.array([0, 1], dtype=np.uint8), 1 << (voter - 1))
     return BooleanFunction(n, np.tile(half, 1 << (n - voter)))
@@ -41,14 +40,12 @@ def dictator(n: int, voter: int) -> BooleanFunction:
 def threshold(n: int, k: int) -> BooleanFunction:
     """1 exactly on inputs with at least ``k`` ones; monotone by construction."""
     bfn.check_arity(n)
-    if not 0 <= k <= n + 1:
-        raise ValidationError(f"threshold must be in 0..{n + 1}, got {k}")
+    check_range("k", k, 0, n + 1)
     return bfn.symmetric_function(n, np.arange(n + 1) >= k)
 
 
 def majority(n: int) -> BooleanFunction:
-    if n % 2 == 0:
-        raise ValidationError(f"majority requires odd arity, got {n}")
+    check_odd("n", n)
     return threshold(n, (n + 1) // 2)
 
 
@@ -67,8 +64,7 @@ def parity(n: int) -> BooleanFunction:
 
 def constant(n: int, bit: int) -> BooleanFunction:
     bfn.check_arity(n)
-    if bit not in (0, 1):
-        raise ValidationError(f"constant bit must be 0 or 1, got {bit}")
+    check_range("bit", bit, 0, 1)
     return BooleanFunction(n, np.full(1 << n, bit, dtype=np.uint8))
 
 
@@ -79,8 +75,7 @@ def tribes(n: int, tribe_size: int) -> BooleanFunction:
     shorter; cyclic invariance holds only in the divisible case.
     """
     bfn.check_arity(n)
-    if not 1 <= tribe_size <= n:
-        raise ValidationError(f"tribe size must be in 1..{n}, got {tribe_size}")
+    check_range("tribe_size", tribe_size, 1, n)
     # Doubled one tribe at a time: over the next tribe's voters, the table so
     # far repeats while they are not all ones, and is 1 where they are.
     table = np.zeros(1, dtype=np.uint8)
@@ -169,20 +164,17 @@ def preset_gswf(name: str, n: int, *, voter: int = 1, q: float | None = None) ->
         d = dictator(n, voter)
         return Gswf(d, d, d)
     if name == "split_dictators":
-        if n < 3:
-            raise ValidationError("split_dictators needs at least three voters")
+        check_count("n", n, low=3)
         return Gswf(dictator(n, 1), dictator(n, 2), dictator(n, 3))
     if name == "and_dual_majority":
         f = conjunction(n)
         return Gswf(f, bfn.dual(f), majority(n))
     if name == "threshold_instability":
-        if q is None or not 0.0 < q < 0.5:
-            raise ValidationError("threshold_instability requires 0 < q < 1/2")
+        check_below_half("q", q)
         f = threshold(n, instability_cutoff(n, q))
         return Gswf(f, bfn.dual(f), majority(n))
     if name == "alpha_half_extremal":
-        if n < 2:
-            raise ValidationError("alpha_half_extremal needs at least two voters")
+        check_count("n", n, low=2)
         d1 = dictator(n, 1)
         return Gswf(d1, d1, dictator(n, 2))
     raise ValidationError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
@@ -202,8 +194,7 @@ def eta(n: int, q: float) -> float:
     instability construction guarantees for its component expectations.
     """
     check_count("n", n)
-    if not 0.0 < q < 0.5:
-        raise ValidationError(f"q must lie strictly between 0 and 1/2, got {q!r}")
+    check_below_half("q", q)
     return 2.0 ** (n * (binary_entropy(q) - 1.0)) / (n + 1)
 
 
@@ -221,15 +212,12 @@ def parse_function_spec(text: str) -> BooleanFunction:
         n = int(parts[1])
         if head == "hex":
             (digits,) = parts[2:]
-            if not bfn.HEX_DIGITS.fullmatch(digits):
-                raise ValueError(digits)
-            packed = int(digits, 16)
         else:
             args = [int(p) for p in parts[2:]]
     except (IndexError, ValueError) as exc:
         raise ValidationError(f"malformed function spec {text!r}") from exc
     if head == "hex":
-        return BooleanFunction.from_packed(n, packed)
+        return BooleanFunction.from_hex(n, digits)
     fam = _BY_HEAD.get(head)
     if fam is None:
         raise ValidationError(f"unknown function spec {text!r}")

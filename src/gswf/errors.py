@@ -34,10 +34,28 @@ def check_count(name: str, value, low: int = 1, high: int | None = None) -> None
         raise CapacityError(f"{name} limited to {high}, got {value}")
 
 
+def check_range(name: str, value, low: int, high: int) -> None:
+    """Refuse a value that is not an integer (a bool is not one) in ``low..high``."""
+    if not is_integer(value) or not low <= value <= high:
+        raise ValidationError(f"{name} must be an integer in {low}..{high}, got {value!r}")
+
+
+def check_odd(name: str, value) -> None:
+    """Refuse an arity that is not an odd integer >= 1, as majority needs."""
+    if not is_integer(value) or value < 1 or value % 2 == 0:
+        raise ValidationError(f"{name} must be an odd integer >= 1, got {value!r}")
+
+
 def check_unit(name: str, x) -> None:
     """Refuse a noise or correlation parameter outside ``[-1, 1]`` (NaN too)."""
     if not -1.0 <= x <= 1.0:
         raise ValidationError(f"{name} must lie in [-1, 1], got {x!r}")
+
+
+def check_below_half(name: str, x) -> None:
+    """Refuse a fraction outside the open interval ``(0, 1/2)`` (NaN and None too)."""
+    if x is None or not 0.0 < x < 0.5:
+        raise ValidationError(f"{name} must lie strictly between 0 and 1/2, got {x!r}")
 
 
 def check_same_arity(*ns) -> None:

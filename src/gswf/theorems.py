@@ -21,7 +21,7 @@ import numpy as np
 from . import bfn, catalog
 from .bfn import BooleanFunction, PseudoSpectrum, mask_levels, walsh_transform
 from .dist import EvenProductDistribution
-from .errors import CapacityError, HypothesisViolation, ValidationError, check_count, check_unit
+from .errors import CapacityError, HypothesisViolation, ValidationError, check_count, check_odd, check_unit
 from .rationality import (
     Gswf,
     biased_inner_product,
@@ -345,8 +345,7 @@ def pseudo_extremal_spectra(n: int = 3):
     ``a = 1/(2 sqrt 6)``; the squared mass adds to 1/4 as for a genuine
     balanced function.
     """
-    if n < 3:
-        raise ValidationError("the pattern needs at least three voters")
+    check_count("n", n, low=3, high=bfn.N_MAX)
     a = 1.0 / (2.0 * math.sqrt(6.0))
     out = []
     for lead in range(3):
@@ -361,8 +360,7 @@ def pseudo_extremal_spectra(n: int = 3):
 def second_level_example(n: int = 2) -> Gswf:
     """Balanced triple with all nonempty mass on level two: equality of the
     two pairwise choices for voters 1 and 2, used three times."""
-    if n < 2:
-        raise ValidationError("needs at least two voters")
+    check_count("n", n, low=2, high=bfn.N_MAX)
     f = BooleanFunction(n, np.tile(np.array([1, 0, 0, 1], dtype=np.uint8), 1 << (n - 2)))
     return Gswf(f, f, f)
 
@@ -384,6 +382,9 @@ def check_balanced_bound(
     pattern reaching exactly 3/8, and the two balanced Boolean examples
     (first-level and second-level) reaching exactly 1/3.
     """
+    bfn.check_arity(n)
+    check_count("trials", trials)
+    check_count("seed", seed, low=0)
     d = EvenProductDistribution.uniform()
     size = 1 << n
     if math.comb(size, size // 2) ** 3 <= TRIPLE_BUDGET:
@@ -464,8 +465,7 @@ def check_lemma_power_sums(grid_steps: int = 200) -> BoundReport:
 
 def majority_first_level_mass(n: int) -> float:
     """Exact sum of squared level-1 coefficients of majority on ``n`` voters."""
-    if n % 2 == 0:
-        raise ValidationError("majority requires odd arity")
+    check_odd("n", n)
     single = math.comb(n - 1, (n - 1) // 2) / float(1 << n)
     return n * single * single
 
@@ -537,13 +537,19 @@ def check_majority_stability(
     The absolute error must be non-increasing in ``n`` at every grid point
     and at most 0.01 at the largest arity.
     """
+    ns = list(n_list)
+    if len(ns) < 2:
+        raise ValidationError(f"n_list must hold at least two arities, got {n_list!r}")
+    if len(rho_grid) == 0:
+        raise ValidationError("rho_grid must hold at least one value")
+    for r in rho_grid:
+        check_unit("rho", r)
     errs = {}
-    for n in n_list:
+    for n in ns:
         sums = _majority_sums(n)
         errs[n] = [
             abs(float(cross_term(sums, r)) - math.asin(r) / (2.0 * math.pi)) for r in rho_grid
         ]
-    ns = list(n_list)
     mono_margin = min(
         errs[a][j] - errs[b][j]
         for a, b in zip(ns, ns[1:])
@@ -686,8 +692,7 @@ def w_prime_first_level_bound(n: int) -> float:
     Valid because every discarded term is nonpositive; evaluated in
     log space so large arities stay finite.
     """
-    if n % 2 == 0:
-        raise ValidationError("the construction requires odd arity")
+    check_odd("n", n)
     log2_binom = (math.lgamma(n) - 2.0 * math.lgamma((n + 1) / 2.0)) / math.log(2.0)
     first_level = (n / 3.0) * 2.0 ** (log2_binom - 2.0 * n)
     return 2.0**-n - 4.0**-n - first_level

@@ -348,8 +348,8 @@ class TestOtherCommands:
             ("thr:15", "thr spec needs exactly one parameter: 'thr:15'"),
             ("warp:3", "unknown function spec 'warp:3'"),
             ("hex:3", "malformed function spec 'hex:3'"),
-            ("hex:3:zz", "malformed function spec 'hex:3:zz'"),
-            ("hex:60:0", "arity 60 exceeds N_MAX=24"),
+            ("hex:3:zz", "a packed table must be hex digits [0-9a-fA-F] only"),
+            ("hex:60:0", "arity limited to 24, got 60"),
             ("hex:3:1ff", "packed value out of range for n=3"),
         ],
     )

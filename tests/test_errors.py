@@ -6,10 +6,19 @@ import math
 
 import pytest
 
-from gswf import catalog
-from gswf.bfn import BooleanFunction
+from gswf import catalog, theorems
+from gswf.bfn import BooleanFunction, evaluate
 from gswf.dist import EvenProductDistribution
-from gswf.errors import CapacityError, ValidationError, check_count, check_same_arity, check_unit
+from gswf.errors import (
+    CapacityError,
+    ValidationError,
+    check_below_half,
+    check_count,
+    check_odd,
+    check_range,
+    check_same_arity,
+    check_unit,
+)
 from gswf.rationality import Gswf, w_monte_carlo
 from gswf.search import ClassFilter, class_table, extremal_w, random_search
 from gswf.theorems import check_fkg, majority_self_correlation, run_all
@@ -45,6 +54,39 @@ def _search(trials, seed):
         pytest.param("rho", lambda: majority_self_correlation(3, 2.0), id="majority-rho-2.0"),
         pytest.param("rho", lambda: majority_self_correlation(3, math.nan), id="majority-rho-nan"),
         pytest.param("n", lambda: catalog.eta(2.5, 0.2), id="eta-n-2.5"),
+        pytest.param("tribe_size", lambda: catalog.tribes(4, 2.0), id="tribes-size-2.0"),
+        pytest.param("k", lambda: catalog.threshold(3, 2.0), id="threshold-k-2.0"),
+        pytest.param("voter", lambda: catalog.dictator(3, True), id="dictator-voter-True"),
+        pytest.param("voter", lambda: catalog.dictator(3, 1.0), id="dictator-voter-1.0"),
+        pytest.param("bit", lambda: catalog.constant(3, True), id="constant-bit-True"),
+        pytest.param("voter", lambda: catalog.preset_gswf("dictator_triple", 3, voter=True),
+                     id="dictator_triple-voter-True"),
+        pytest.param("x", lambda: evaluate(catalog.majority(3), 2.5), id="evaluate-x-2.5"),
+        pytest.param("x", lambda: evaluate(catalog.majority(3), True), id="evaluate-x-True"),
+        pytest.param("packed value", lambda: BooleanFunction.from_packed(3, 2.0),
+                     id="from_packed-2.0"),
+        pytest.param("packed value", lambda: BooleanFunction.from_packed(3, True),
+                     id="from_packed-True"),
+        pytest.param("n", lambda: theorems.majority_first_level_mass(2.5),
+                     id="majority_first_level_mass-2.5"),
+        pytest.param("n", lambda: theorems.majority_first_level_mass(-1),
+                     id="majority_first_level_mass--1"),
+        pytest.param("n", lambda: theorems.w_prime_first_level_bound(2.5),
+                     id="w_prime_first_level_bound-2.5"),
+        pytest.param("n", lambda: theorems.w_prime_first_level_bound(-3),
+                     id="w_prime_first_level_bound--3"),
+        pytest.param("n", lambda: theorems.pseudo_extremal_spectra(3.0),
+                     id="pseudo_extremal_spectra-3.0"),
+        pytest.param("n", lambda: theorems.second_level_example(3.0),
+                     id="second_level_example-3.0"),
+        pytest.param("trials", lambda: theorems.check_balanced_bound(2, trials=2.5),
+                     id="balanced_bound-trials-2.5"),
+        pytest.param("seed", lambda: theorems.check_balanced_bound(2, seed=-1),
+                     id="balanced_bound-seed--1"),
+        pytest.param("n_list", lambda: theorems.check_majority_stability(n_list=(3,)),
+                     id="majority_stability-one-arity"),
+        pytest.param("rho_grid", lambda: theorems.check_majority_stability(rho_grid=()),
+                     id="majority_stability-no-rho"),
     ],
 )
 def test_bad_library_arguments_name_the_parameter(name, call, warm):
@@ -61,9 +103,9 @@ def test_a_warm_class_table_cache_keeps_the_arity_check():
     # 3.0 == 3 and hash equally: an untyped cache would hand back the n = 3 table
     class_table(3, MONOTONE)
     class_table(2, BALANCED)
-    with pytest.raises(ValidationError, match="^arity must be an integer, got 3.0"):
+    with pytest.raises(ValidationError, match="^arity must be an integer >= 1, got 3.0"):
         check_fkg(n=3.0)
-    with pytest.raises(ValidationError, match="^arity must be an integer, got 2.0"):
+    with pytest.raises(ValidationError, match="^arity must be an integer >= 1, got 2.0"):
         extremal_w(2.0, BALANCED, BALANCED, BALANCED, UNIFORM, "max_w")
 
 
@@ -76,9 +118,20 @@ def test_a_warm_class_table_cache_keeps_the_arity_check():
         (check_count, ("samples", 11, 1, 10), CapacityError, "samples limited to 10, got 11"),
         (check_unit, ("eps", -1.5), ValidationError, "eps must lie in [-1, 1], got -1.5"),
         (check_same_arity, (7, 7, 9), ValidationError, "arities differ: 7, 7, 9"),
+        (check_range, ("voter", 0, 1, 3), ValidationError, "voter must be an integer in 1..3, got 0"),
+        (check_range, ("voter", 4, 1, 3), ValidationError, "voter must be an integer in 1..3, got 4"),
+        (check_odd, ("n", 4), ValidationError, "n must be an odd integer >= 1, got 4"),
+        (check_below_half, ("q", 0.5), ValidationError,
+         "q must lie strictly between 0 and 1/2, got 0.5"),
     ],
 )
 def test_each_rule_has_one_message(check, args, error, text):
     with pytest.raises(error) as exc:
         check(*args)
     assert str(exc.value) == text
+
+
+def test_a_huge_packed_value_is_refused_without_printing_it():
+    # str() of an int of more than 4300 digits raises a bare ValueError
+    with pytest.raises(ValidationError, match="^packed value out of range for n=24$"):
+        BooleanFunction.from_packed(24, 1 << (1 << 24))
