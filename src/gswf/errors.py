@@ -25,37 +25,46 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _shown(value) -> str:
+    """``repr(value)``, but an int past Python's int-to-str digit limit by its bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
     """Refuse a count or seed that is not an integer of at least ``low``
     with ValidationError, and one above ``high`` with CapacityError."""
     if not is_integer(value) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {low}, got {_shown(value)}")
     if high is not None and value > high:
-        raise CapacityError(f"{name} limited to {high}, got {value}")
+        # int(): the message shows a numpy count as its str, 11, not np.int64(11)
+        raise CapacityError(f"{name} limited to {high}, got {_shown(int(value))}")
 
 
 def check_range(name: str, value, low: int, high: int) -> None:
     """Refuse a value that is not an integer (a bool is not one) in ``low..high``."""
     if not is_integer(value) or not low <= value <= high:
-        raise ValidationError(f"{name} must be an integer in {low}..{high}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer in {low}..{high}, got {_shown(value)}")
 
 
 def check_odd(name: str, value) -> None:
     """Refuse an arity that is not an odd integer >= 1, as majority needs."""
     if not is_integer(value) or value < 1 or value % 2 == 0:
-        raise ValidationError(f"{name} must be an odd integer >= 1, got {value!r}")
+        raise ValidationError(f"{name} must be an odd integer >= 1, got {_shown(value)}")
 
 
 def check_unit(name: str, x) -> None:
     """Refuse a noise or correlation parameter outside ``[-1, 1]`` (NaN too)."""
     if not -1.0 <= x <= 1.0:
-        raise ValidationError(f"{name} must lie in [-1, 1], got {x!r}")
+        raise ValidationError(f"{name} must lie in [-1, 1], got {_shown(x)}")
 
 
 def check_below_half(name: str, x) -> None:
     """Refuse a fraction outside the open interval ``(0, 1/2)`` (NaN and None too)."""
     if x is None or not 0.0 < x < 0.5:
-        raise ValidationError(f"{name} must lie strictly between 0 and 1/2, got {x!r}")
+        raise ValidationError(f"{name} must lie strictly between 0 and 1/2, got {_shown(x)}")
 
 
 def check_same_arity(*ns) -> None:
@@ -67,5 +76,5 @@ def check_same_arity(*ns) -> None:
 def check_objective(objective: str) -> bool:
     """Refuse an objective other than ``min_w`` and ``max_w``; True for ``max_w``."""
     if objective not in ("min_w", "max_w"):
-        raise ValidationError(f"objective must be min_w or max_w, got {objective!r}")
+        raise ValidationError(f"objective must be min_w or max_w, got {_shown(objective)}")
     return objective == "max_w"

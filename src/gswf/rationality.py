@@ -42,6 +42,16 @@ ORACLE_BYTES = 1 << 27
 #: row, ``16 4^n`` bytes, fits in :data:`ORACLE_BYTES`.
 ORACLE_MAX = ((ORACLE_BYTES // 16).bit_length() - 1) // 2
 
+
+def check_oracle_size(rows: int, n: int) -> None:
+    """Refuse an oracle call on ``rows`` rows at arity ``n`` past :data:`ORACLE_BYTES`."""
+    if rows * 16 * 4**n > ORACLE_BYTES:
+        raise CapacityError(
+            f"oracle tables for {rows} rows at n={n} would exceed {ORACLE_BYTES >> 20} MiB "
+            f"(one row fits up to n = {ORACLE_MAX}); use w_monte_carlo for larger arities"
+        )
+
+
 #: Largest sample count accepted by the Monte Carlo estimator.
 SAMPLES_MAX = 10**9
 
@@ -299,11 +309,7 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
     if rows == 0:
         raise ValidationError("the table stacks are empty")
     bfn.check_arity(n)
-    if rows * 16 * 4**n > ORACLE_BYTES:
-        raise CapacityError(
-            f"oracle tables for {rows} rows at n={n} would exceed {ORACLE_BYTES >> 20} MiB "
-            f"(one row fits up to n = {ORACLE_MAX}); use w_monte_carlo for larger arities"
-        )
+    check_oracle_size(rows, n)
     for tables in (ft, gt, ht):
         if not bfn.is_zero_one(tables):
             raise ValidationError("table entries must be 0 or 1")

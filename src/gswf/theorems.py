@@ -25,6 +25,7 @@ from .errors import CapacityError, HypothesisViolation, ValidationError, check_c
 from .rationality import (
     Gswf,
     biased_inner_product,
+    check_oracle_size,
     closed_form,
     cross_term,
     cyclic_level_sums,
@@ -36,14 +37,12 @@ from .rationality import (
     w_prime,
 )
 from .search import (
-    TRIPLE_BUDGET,
     ClassFilter,
     all_tables,
     class_table,
     cross_planes,
     extremal_w,
     first_optimum,
-    random_search,
     scan_planes,
 )
 
@@ -63,14 +62,22 @@ _DELTA_GRID = (-1.0, -2.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
 _SIGN_DEMO_N = 2
 _SIGN_DEMO_DEPTH = 1e-6
 _POWER_K_MAX = 6
+_POWER_GRID_STEPS = 200
 _DUAL_N_MAX = 3
 _BOUND_DELTA_GRID = (-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0)
 _ARROW_N = 2
 _W_PRIME_N_LARGE = 61
 _W_PRIME_DEPTH = 1e-21
 _W_PRIME_SCAN_MAX = 101
+_MAJORITY_N_LIST = (3, 5, 7, 9, 11, 13, 15, 17, 19)
+_RHO_GRID = (0.0, 1.0 / 3.0, 0.5, 0.8, 1.0)
 _ALPHA_HALF_N = 4
+_ALPHA_HALF_TRIALS = 10_000
 _GRID_STEPS = 4
+_AND_N_LIST = (3, 5, 7, 9, 11, 13, 15)
+_THRESHOLD_N_LIST = (5, 7, 9, 11, 13, 15)
+_THRESHOLD_Q = 0.2
+_EXPONENT_Q_GRID = tuple(round(0.05 * i, 2) for i in range(1, 10))
 
 
 @dataclass(frozen=True)
@@ -134,8 +141,8 @@ def _w_triple(value, d: EvenProductDistribution, fs, extra: dict) -> dict:
 
 
 def _functions_from_payload(w: dict):
-    n = w["n"]
-    return tuple(BooleanFunction.from_hex(n, w[k]) for k in ("f", "g", "h"))
+    # a pair witness names f and g, a dual_function witness f alone
+    return tuple(BooleanFunction.from_hex(w["n"], w[k]) for k in "fgh" if k in w)
 
 
 _MONOTONE = ClassFilter(("monotone",))
@@ -156,11 +163,14 @@ def check_formula_vs_oracle(
     Exhaustive over all function triples for n <= 2, random triples above,
     each against random even product distributions.  The claim is exact
     agreement, so the margin is the worst absolute difference; the first
-    worst in ``(n, distribution, triple)`` order is the witness.
+    worst in ``(n, distribution, triple)`` order is the witness.  Every
+    arity's oracle call is sized before the first draw.
     """
     for name, value in (("n_max", n_max), ("trials", trials), ("dists", dists)):
         check_count(name, value)
     check_count("seed", seed, low=0)
+    for n in range(1, n_max + 1):
+        check_oracle_size(len(all_tables(n)) ** 3 if n <= 2 else trials, n)
     rng = np.random.default_rng(seed)
 
     def blocks():
@@ -371,26 +381,16 @@ def first_level_example(n: int = 2) -> Gswf:
     return Gswf(d, d, BooleanFunction(n, 1 - d.table))
 
 
-def check_balanced_bound(
-    n: int = 2, trials: int = 10_000, seed: int = _DEFAULT_SEED
-) -> BoundReport:
+def check_balanced_bound(n: int = 2) -> BoundReport:
     """Balanced triples under the uniform distribution satisfy ``W <= 3/8``.
 
-    Every triple is scanned when their count fits :data:`TRIPLE_BUDGET`
-    (``n <= 3``); above it ``trials`` random triples are.  Also evaluates
-    the three reference points: the non-Boolean extremal coefficient
-    pattern reaching exactly 3/8, and the two balanced Boolean examples
-    (first-level and second-level) reaching exactly 1/3.
+    Every triple is scanned by :func:`extremal_w`, whose budget admits
+    ``n <= 3``.  Also evaluates the three reference points: the non-Boolean
+    extremal coefficient pattern reaching exactly 3/8, and the two balanced
+    Boolean examples (first-level and second-level) reaching exactly 1/3.
     """
-    bfn.check_arity(n)
-    check_count("trials", trials)
-    check_count("seed", seed, low=0)
     d = EvenProductDistribution.uniform()
-    size = 1 << n
-    if math.comb(size, size // 2) ** 3 <= TRIPLE_BUDGET:
-        res = extremal_w(n, _BALANCED, _BALANCED, _BALANCED, d, "max_w")
-    else:
-        res = random_search(n, (_BALANCED,) * 3, d, "max_w", trials, seed)
+    res = extremal_w(n, _BALANCED, _BALANCED, _BALANCED, d, "max_w")
     pseudo_w = w_from_spectra(*pseudo_extremal_spectra(max(n, 3)), d).w
     first_w = w_formula(first_level_example(max(n, 2)), d).w
     second_w = w_formula(second_level_example(max(n, 2)), d).w
@@ -410,16 +410,16 @@ def check_balanced_bound(
     )
 
 
-def check_lemma_power_sums(grid_steps: int = 200) -> BoundReport:
+def check_lemma_power_sums() -> BoundReport:
     """``x^3+y^3+z^3 >= x^(2k+1)+y^(2k+1)+z^(2k+1)`` on the slice
     ``x+y+z = 1`` of the cube ``[-1,1]^3``, for ``k = 1, ...,``
     :data:`_POWER_K_MAX`.
 
-    Checked on a regular grid (step ``1/grid_steps``); the identity is
-    exact on the slice boundary.
+    Checked on a regular grid (step ``1 /`` :data:`_POWER_GRID_STEPS`); the
+    identity is exact on the slice boundary.
     """
-    check_count("grid_steps", grid_steps)
-    axis = np.arange(-grid_steps, grid_steps + 1, dtype=np.float64) / grid_steps
+    steps = _POWER_GRID_STEPS
+    axis = np.arange(-steps, steps + 1, dtype=np.float64) / steps
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     Z = 1.0 - X - Y
     ok = np.abs(Z) <= 1.0 + 1e-15
@@ -428,7 +428,7 @@ def check_lemma_power_sums(grid_steps: int = 200) -> BoundReport:
     del X, Y, Z, ok
 
     def power_sum(e):
-        # x and y take the 2 grid_steps + 1 axis values: one power each.
+        # x and y take the 2 steps + 1 axis values: one power each.
         a = axis**e
         return a[ix] + a[iy] + z**e
 
@@ -470,12 +470,9 @@ def majority_first_level_mass(n: int) -> float:
     return n * single * single
 
 
-def check_neutral_symmetric_bound(
-    n_list=(3, 5, 7, 9, 11, 13, 15, 17, 19),
-    d: EvenProductDistribution | None = None,
-) -> BoundReport:
-    """For the majority triple, ``W`` dominates the first-level floor
-    ``(1/4 - d_m) (1 + (4a-1)^3 + (4b-1)^3 + (4c-1)^3)``.
+def check_neutral_symmetric_bound(d: EvenProductDistribution | None = None) -> BoundReport:
+    """For the majority triple at each arity of :data:`_MAJORITY_N_LIST`,
+    ``W`` dominates the floor ``(1/4 - d_m) (1 + (4a-1)^3 + (4b-1)^3 + (4c-1)^3)``.
 
     ``d_m`` is majority's level-1 squared mass; at ``n = 3`` under the
     uniform distribution the two sides agree exactly (majority has mass
@@ -485,7 +482,7 @@ def check_neutral_symmetric_bound(
     d1, d2, d3 = d.deltas
     factor = 1.0 + d1**3 + d2**3 + d3**3
     rows = []
-    for n in n_list:
+    for n in _MAJORITY_N_LIST:
         dm = majority_first_level_mass(n)
         rows.append({
             "n": n,
@@ -528,43 +525,30 @@ def majority_self_correlation(n: int, rho: float) -> float:
     return float(cross_term(_majority_sums(n), rho))
 
 
-def check_majority_stability(
-    n_list=(3, 5, 7, 9, 11, 13, 15, 17, 19),
-    rho_grid=(0.0, 1.0 / 3.0, 0.5, 0.8, 1.0),
-) -> BoundReport:
+def check_majority_stability() -> BoundReport:
     """``<<maj_n, maj_n>>_rho -> arcsin(rho) / (2 pi)``.
 
-    The absolute error must be non-increasing in ``n`` at every grid point
-    and at most 0.01 at the largest arity.
+    The absolute error at every point of :data:`_RHO_GRID` must not increase
+    along :data:`_MAJORITY_N_LIST` and must be at most 0.01 at its last arity.
     """
-    ns = list(n_list)
-    if len(ns) < 2:
-        raise ValidationError(f"n_list must hold at least two arities, got {n_list!r}")
-    if len(rho_grid) == 0:
-        raise ValidationError("rho_grid must hold at least one value")
-    for r in rho_grid:
-        check_unit("rho", r)
+    ns = _MAJORITY_N_LIST
     errs = {}
     for n in ns:
         sums = _majority_sums(n)
         errs[n] = [
-            abs(float(cross_term(sums, r)) - math.asin(r) / (2.0 * math.pi)) for r in rho_grid
+            abs(float(cross_term(sums, r)) - math.asin(r) / (2.0 * math.pi)) for r in _RHO_GRID
         ]
-    mono_margin = min(
-        errs[a][j] - errs[b][j]
-        for a, b in zip(ns, ns[1:])
-        for j in range(len(rho_grid))
-    )
+    mono_margin = min(x - y for a, b in zip(ns, ns[1:]) for x, y in zip(errs[a], errs[b]))
     final, _, (j_worst,) = first_optimum([(None, errs[ns[-1]])], True)
     margin = min(mono_margin, TOL_LIMIT - final)
     witness = {
         "kind": "stability_point",
         "value": final,
         "n": ns[-1],
-        "rho": rho_grid[j_worst],
+        "rho": _RHO_GRID[j_worst],
         "extra": {
             "errors": {str(n): errs[n] for n in ns},
-            "rho_grid": list(rho_grid),
+            "rho_grid": list(_RHO_GRID),
             "monotonicity_margin": mono_margin,
         },
     }
@@ -748,11 +732,6 @@ def check_w_prime_negative() -> BoundReport:
 #: The AND / dual / majority triple's ``W`` decays below ``AND_ENVELOPE^n``.
 AND_ENVELOPE = 0.471
 
-_AND_N_LIST = (3, 5, 7, 9, 11, 13, 15)
-_THRESHOLD_N_LIST = (5, 7, 9, 11, 13, 15)
-_THRESHOLD_Q = 0.2
-_EXPONENT_Q_GRID = tuple(round(0.05 * i, 2) for i in range(1, 10))
-
 
 def instability_row(n: int, q: float) -> dict:
     """The threshold instability construction at ``n`` voters and fraction
@@ -845,17 +824,16 @@ def _even_product_grid():
             for a in axis for b in axis if 0.5 - a - b >= -1e-12]
 
 
-def check_alpha_half_ceiling(trials: int = 10_000, seed: int = _DEFAULT_SEED) -> BoundReport:
+def check_alpha_half_ceiling(seed: int = _DEFAULT_SEED) -> BoundReport:
     """Balanced monotone triples never exceed ``W = 1/2`` under any even
     product distribution; the two-dictator rule at ``alpha = 1/2`` attains
     it exactly.
 
-    ``trials`` random triples on :data:`_ALPHA_HALF_N` voters are evaluated
-    at every law of the eighth grid (:data:`_GRID_STEPS` steps per axis).
+    :data:`_ALPHA_HALF_TRIALS` random triples on :data:`_ALPHA_HALF_N` voters
+    are evaluated at every law of the eighth grid (:data:`_GRID_STEPS` steps per axis).
     """
-    check_count("trials", trials)
     check_count("seed", seed, low=0)
-    n = _ALPHA_HALF_N
+    n, trials = _ALPHA_HALF_N, _ALPHA_HALF_TRIALS
     rng = np.random.default_rng(seed)
     members, S = class_table(n, ClassFilter(("balanced", "monotone")))
     picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
@@ -943,21 +921,15 @@ def reevaluate_witness(report: BoundReport) -> float:
         res = w_formula(Gswf(*fs), dst)
         return res.w - res.base
     if kind in ("scaled_biased_pair", "bounded_pair"):
-        n = w["n"]
-        f = BooleanFunction.from_hex(n, w["f"])
-        g = BooleanFunction.from_hex(n, w["g"])
+        f, g = _functions_from_payload(w)
         value = biased_inner_product(walsh_transform(f), walsh_transform(g), w["delta"])
         if kind == "scaled_biased_pair":
             return value / w["delta"]
         p1, p2 = bfn.expectation(f), bfn.expectation(g)
         return value + min(p1 * p2, (1 - p1) * (1 - p2))
     if kind == "covariance_pair":
-        n = w["n"]
-        f = BooleanFunction.from_hex(n, w["f"])
-        g = BooleanFunction.from_hex(n, w["g"])
-        efg = float(np.dot(f.table.astype(np.float64), g.table.astype(np.float64))) / (
-            1 << n
-        )
+        f, g = _functions_from_payload(w)
+        efg = float(np.dot(f.table.astype(np.float64), g.table.astype(np.float64))) / (1 << f.n)
         return efg - bfn.expectation(f) * bfn.expectation(g)
     if kind == "power_sum_point":
         x, y, z, k = w["x"], w["y"], w["z"], w["k"]
@@ -972,9 +944,8 @@ def reevaluate_witness(report: BoundReport) -> float:
             - math.asin(w["rho"]) / (2.0 * math.pi)
         )
     if kind == "dual_function":
-        n = w["n"]
-        f = BooleanFunction.from_hex(n, w["f"])
-        signs = np.where(mask_levels(n) & 1, 1.0, -1.0)
+        (f,) = _functions_from_payload(w)
+        signs = np.where(mask_levels(f.n) & 1, 1.0, -1.0)
         dev = np.abs(walsh_transform(bfn.dual(f)).coeffs - signs * walsh_transform(f).coeffs)
         dev[0] = 0.0
         return float(dev.max())

@@ -79,14 +79,10 @@ def _search(trials, seed):
                      id="pseudo_extremal_spectra-3.0"),
         pytest.param("n", lambda: theorems.second_level_example(3.0),
                      id="second_level_example-3.0"),
-        pytest.param("trials", lambda: theorems.check_balanced_bound(2, trials=2.5),
-                     id="balanced_bound-trials-2.5"),
-        pytest.param("seed", lambda: theorems.check_balanced_bound(2, seed=-1),
-                     id="balanced_bound-seed--1"),
-        pytest.param("n_list", lambda: theorems.check_majority_stability(n_list=(3,)),
-                     id="majority_stability-one-arity"),
-        pytest.param("rho_grid", lambda: theorems.check_majority_stability(rho_grid=()),
-                     id="majority_stability-no-rho"),
+        # an int past Python's 4300-digit str limit is shown by its bit length
+        pytest.param("x", lambda: evaluate(catalog.majority(3), 1 << 20000), id="evaluate-x-huge"),
+        pytest.param("voter", lambda: catalog.dictator(3, -(1 << 20000)), id="dictator-voter-huge"),
+        pytest.param("n", lambda: catalog.majority(1 << 20000), id="majority-n-huge"),
     ],
 )
 def test_bad_library_arguments_name_the_parameter(name, call, warm):
@@ -116,6 +112,8 @@ def test_a_warm_class_table_cache_keeps_the_arity_check():
         (check_count, ("seed", -1, 0), ValidationError, "seed must be an integer >= 0, got -1"),
         (check_count, ("seed", False, 0), ValidationError, "seed must be an integer >= 0, got False"),
         (check_count, ("samples", 11, 1, 10), CapacityError, "samples limited to 10, got 11"),
+        (check_count, ("trials", 1 << 20000, 1, 10), CapacityError,
+         "trials limited to 10, got <int of 20001 bits>"),
         (check_unit, ("eps", -1.5), ValidationError, "eps must lie in [-1, 1], got -1.5"),
         (check_same_arity, (7, 7, 9), ValidationError, "arities differ: 7, 7, 9"),
         (check_range, ("voter", 0, 1, 3), ValidationError, "voter must be an integer in 1..3, got 0"),
