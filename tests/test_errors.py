@@ -112,8 +112,6 @@ def test_a_warm_class_table_cache_keeps_the_arity_check():
         (check_count, ("seed", -1, 0), ValidationError, "seed must be an integer >= 0, got -1"),
         (check_count, ("seed", False, 0), ValidationError, "seed must be an integer >= 0, got False"),
         (check_count, ("samples", 11, 1, 10), CapacityError, "samples limited to 10, got 11"),
-        (check_count, ("trials", 1 << 20000, 1, 10), CapacityError,
-         "trials limited to 10, got <int of 20001 bits>"),
         (check_unit, ("eps", -1.5), ValidationError, "eps must lie in [-1, 1], got -1.5"),
         (check_same_arity, (7, 7, 9), ValidationError, "arities differ: 7, 7, 9"),
         (check_range, ("voter", 0, 1, 3), ValidationError, "voter must be an integer in 1..3, got 0"),
@@ -121,6 +119,8 @@ def test_a_warm_class_table_cache_keeps_the_arity_check():
         (check_odd, ("n", 4), ValidationError, "n must be an odd integer >= 1, got 4"),
         (check_below_half, ("q", 0.5), ValidationError,
          "q must lie strictly between 0 and 1/2, got 0.5"),
+        (check_count, ("trials", 1 << 20000, 1, 10), CapacityError,
+         "trials limited to 10, got <int of 20001 bits>"),
     ],
 )
 def test_each_rule_has_one_message(check, args, error, text):

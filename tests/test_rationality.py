@@ -36,6 +36,7 @@ from gswf.rationality import (
     Gswf,
     WResult,
     biased_inner_product,
+    check_oracle_size,
     noise_operator_convolution,
     noise_operator_spectral,
     pair_matrix,
@@ -468,6 +469,23 @@ class TestWOracle:
     def test_oracle_max_is_the_largest_row_that_fits(self):
         # one row is 2 * 4^n float64; the arity ceiling follows the byte one
         assert 16 * 4**ORACLE_MAX <= ORACLE_BYTES < 16 * 4 ** (ORACLE_MAX + 1)
+
+    @pytest.mark.parametrize(
+        "rows, n, fits",
+        [
+            (1, ORACLE_MAX, True),
+            (1, ORACLE_MAX + 1, False),
+            (ORACLE_BYTES // (16 * 4**5), 5, True),
+            (ORACLE_BYTES // (16 * 4**5) + 1, 5, False),
+        ],
+    )
+    def test_oracle_size_rule_is_exact_at_the_byte_ceiling(self, rows, n, fits):
+        # rows * 16 * 4^n bytes are allowed up to ORACLE_BYTES and not one row more
+        if fits:
+            check_oracle_size(rows, n)
+        else:
+            with pytest.raises(CapacityError, match=f"^oracle tables for {rows} rows at n={n} "):
+                check_oracle_size(rows, n)
 
     @pytest.mark.parametrize("law", [UNIFORM, EvenProductDistribution(0.3, 0.15, 0.05)])
     def test_oracle_at_its_ceiling_checks_the_level_route(self, law):

@@ -1,6 +1,7 @@
 """The verification battery: every check runs, reports honestly, and its
 witness re-evaluates."""
 
+import inspect
 import json
 import time
 import tracemalloc
@@ -221,6 +222,21 @@ class TestIndividualChecks:
         with pytest.raises(CapacityError):
             check_balanced_bound(n)
         assert time.perf_counter() - t0 < 0.1
+
+    @pytest.mark.parametrize(
+        "check, params",
+        [
+            (check_lemma_power_sums, []),
+            (check_majority_stability, []),
+            (check_neutral_symmetric_bound, ["d"]),
+            (check_alpha_half_ceiling, ["seed"]),
+            (check_balanced_bound, ["n"]),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else None,
+    )
+    def test_battery_grids_are_not_parameters(self, check, params):
+        # the grids, sample counts and arity lists are module constants
+        assert list(inspect.signature(check).parameters) == params
 
     def test_lemma_power_sums(self):
         r = check_lemma_power_sums()
