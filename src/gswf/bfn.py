@@ -305,9 +305,9 @@ def per_voter_pass(values, kernel) -> np.ndarray:
     One pass per voter, stack-major: the stack is the last axis, so pass
     ``i`` works on runs of ``k^i * rows`` entries, and writes one output
     digit at a time, ``out[:, d] = v0 * K[d, 0] + v1 * K[d, 1]`` with scalar
-    kernel entries, into preallocated buffers; the result is transposed
-    back to row-major at the end.  Every entry is computed elementwise, so
-    a row comes out the same in any stack.
+    kernel entries, into an output allocated for the pass; the result is
+    transposed back to row-major at the end.  Every entry is computed
+    elementwise, so a row comes out the same in any stack.
     """
     kern = np.asarray(kernel, dtype=np.float64)
     if kern.ndim != 2 or kern.shape[1] != 2:
@@ -315,22 +315,17 @@ def per_voter_pass(values, kernel) -> np.ndarray:
     arr = np.asarray(values)
     n, k = arity_of(arr), kern.shape[0]
     rows = arr.size >> n
-    # sizes[i] is pass i's output; passes alternate between two buffers,
-    # the last pass landing in the first.
-    sizes = [(k**i << (n - i)) * rows for i in range(1, n + 1)]
-    buffers = [np.empty(max(sizes[-1::-2], default=0)), np.empty(max(sizes[-2::-2], default=0))]
-    scratch = np.empty(max(sizes, default=0) // k)
     cur = np.ascontiguousarray(arr.reshape(rows, 1 << n).T, dtype=np.float64)
     for i in range(n):
         # Voters below i are already base-k digits; voter i's bit is axis 1.
         v = cur.reshape(1 << (n - i - 1), 2, k**i * rows)
-        out = buffers[(n - 1 - i) % 2][: sizes[i]].reshape(1 << (n - i - 1), k, -1)
-        tmp = scratch[: sizes[i] // k].reshape(v.shape[0], -1)
+        # tmp first: the previous pass's tmp is freed before cur is allocated
+        tmp = np.empty((v.shape[0], v.shape[2]))
+        cur = np.empty((v.shape[0], k, v.shape[2]))
         for d in range(k):
-            np.multiply(v[:, 0], kern[d, 0], out=out[:, d])
+            np.multiply(v[:, 0], kern[d, 0], out=cur[:, d])
             np.multiply(v[:, 1], kern[d, 1], out=tmp)
-            np.add(out[:, d], tmp, out=out[:, d])
-        cur = out
+            np.add(cur[:, d], tmp, out=cur[:, d])
     result = np.ascontiguousarray(cur.reshape(k**n, rows).T)
     return result.reshape(*arr.shape[:-1], k**n)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import bfn
 from .bfn import BooleanFunction
-from .errors import ValidationError, check_below_half, check_count, check_odd, check_range
+from .errors import ValidationError, check_below_half, check_count, check_odd, check_open_unit, check_range
 from .rationality import Gswf
 
 
@@ -182,8 +182,7 @@ def preset_gswf(name: str, n: int, *, voter: int = 1, q: float | None = None) ->
 
 def binary_entropy(q: float) -> float:
     """``H(q) = -q log2 q - (1-q) log2 (1-q)`` for ``0 < q < 1``."""
-    if not 0.0 < q < 1.0:
-        raise ValidationError(f"entropy argument must be in (0, 1), got {q!r}")
+    check_open_unit("entropy argument", q)
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 

@@ -171,26 +171,16 @@ def _cmd_spectrum(args) -> tuple[str, int]:
     return "\n".join(text) + "\n", 0
 
 
-def _run_methods(gswf, dist, args) -> list:
-    method = args.method
-    if method != "monte-carlo" and (args.samples is not None or args.seed is not None):
-        raise ValidationError("--samples and --seed apply only to --method monte-carlo")
-    results = []
-    if method in ("formula", "both"):
-        results.append(w_formula(gswf, dist))
-    if method in ("oracle", "both"):
-        results.append(w_oracle(gswf, dist))
-    if method == "monte-carlo":
-        if args.samples is None or args.seed is None:
-            raise ValidationError("monte-carlo needs --samples and --seed")
-        results.append(w_monte_carlo(gswf, dist, args.samples, args.seed))
-    return results
-
-
 def _cmd_rationality(args) -> tuple[str, int]:
     gswf, preset = _parse_gswf(args)
     dist = _parse_dist(args)
-    results = _run_methods(gswf, dist, args)
+    results = []
+    if args.method in ("formula", "both"):
+        results.append(w_formula(gswf, dist))
+    if args.method in ("oracle", "both"):
+        results.append(w_oracle(gswf, dist))
+    if args.method == "monte-carlo":  # simulate's, with its required --samples and --seed
+        results.append(w_monte_carlo(gswf, dist, args.samples, args.seed))
     payload = {
         "kind": "rationality_report",
         "n": gswf.n,
@@ -362,12 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_flags(p)
     p.add_argument(
         "--method",
-        choices=("formula", "oracle", "monte-carlo", "both"),
+        choices=("formula", "oracle", "both"),
         default="both",
         help="both = closed form and exhaustive enumeration",
     )
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_rationality)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfn import walsh_coeffs
-from .errors import ValidationError
+from .errors import ValidationError, float_array
 
 #: Admissible per-voter triples ``(x_i, y_i, z_i)`` in canonical order.
 ADMISSIBLE_TRIPLES: tuple[tuple[int, int, int], ...] = (
@@ -47,7 +47,7 @@ class TripleDistribution:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.p, dtype=np.float64).copy()
+        arr = float_array("probabilities", self.p)
         if arr.shape != (6,):
             raise ValidationError(f"expected six probabilities, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -86,7 +86,7 @@ class EvenProductDistribution:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            v = float(getattr(self, name))
+            v = float(float_array(name, getattr(self, name)))
             if not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite, got {v!r}")
             if v < 0:
@@ -94,9 +94,7 @@ class EvenProductDistribution:
             object.__setattr__(self, name, v)
         total = self.alpha + self.beta + self.gamma
         if abs(total - 0.5) > RENORM_TOL:
-            raise ValidationError(
-                f"alpha+beta+gamma must equal 1/2, got {total!r}"
-            )
+            raise ValidationError(f"alpha+beta+gamma must equal 1/2, got {total!r}")
         # Absorb sub-RENORM_TOL decimal noise into gamma.
         adjusted = 0.5 - self.alpha - self.beta
         if adjusted < -RENORM_TOL:
@@ -132,8 +130,8 @@ def as_triple_distribution(dist) -> TripleDistribution:
     raise ValidationError(f"not a distribution: {dist!r}")
 
 
-def as_even_product(dist) -> EvenProductDistribution | None:
-    """The even product law ``dist`` is, or None if it is not one.
+def even_product_law(dist) -> EvenProductDistribution:
+    """The even product law ``dist`` is; ValidationError if it is not one.
 
     A six-probability law that :func:`is_even_product` accepts becomes
     ``D(alpha, beta, gamma)`` with each parameter the mean of a triple's and
@@ -144,16 +142,9 @@ def as_even_product(dist) -> EvenProductDistribution | None:
         return dist
     t = as_triple_distribution(dist)
     if not is_even_product(t):
-        return None
-    return EvenProductDistribution(*((t.p[:3] + t.p[3:]) / 2))
-
-
-def even_product_law(dist) -> EvenProductDistribution:
-    """:func:`as_even_product`, raising ValidationError for a law that is not even."""
-    if (even := as_even_product(dist)) is None:
         raise ValidationError("the closed form only applies to even product distributions "
                               "(each triple as likely as its complement)")
-    return even
+    return EvenProductDistribution(*((t.p[:3] + t.p[3:]) / 2))
 
 
 def per_voter_spectrum(t: TripleDistribution) -> np.ndarray:

@@ -30,7 +30,17 @@ def _shown(value) -> str:
     try:
         return repr(value)
     except ValueError:
+        if isinstance(value, (list, tuple)):  # shown as a list
+            return f"[{', '.join(map(_shown, value))}]"
         return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
+def float_array(name: str, value) -> np.ndarray:
+    """``value`` as a new float64 array; ValidationError for an int too large for a float."""
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValidationError(f"{name} must lie within the float range, got {_shown(value)}") from None
 
 
 def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
@@ -59,6 +69,12 @@ def check_unit(name: str, x) -> None:
     """Refuse a noise or correlation parameter outside ``[-1, 1]`` (NaN too)."""
     if not -1.0 <= x <= 1.0:
         raise ValidationError(f"{name} must lie in [-1, 1], got {_shown(x)}")
+
+
+def check_open_unit(name: str, x) -> None:
+    """Refuse a value outside the open interval ``(0, 1)`` (NaN too)."""
+    if not 0.0 < x < 1.0:
+        raise ValidationError(f"{name} must be in (0, 1), got {_shown(x)}")
 
 
 def check_below_half(name: str, x) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 from . import bfn, catalog
 from .bfn import BooleanFunction
 from .dist import EvenProductDistribution, even_product_law
-from .errors import CapacityError, ValidationError, check_count, check_objective
+from .errors import CapacityError, ValidationError, check_count, check_objective, float_array
 from .rationality import pair_matrix, w_batch
 
 #: Largest arity for full class enumeration (2^16 candidate tables at n=4).
@@ -56,8 +56,8 @@ class ClassFilter:
                     f"unknown predicate {name!r}; known: {', '.join(sorted(PREDICATES))}"
                 )
         if self.expectation_range is not None:
-            lo, hi = self.expectation_range
-            object.__setattr__(self, "expectation_range", (float(lo), float(hi)))
+            lo, hi = float_array("expectation_range", self.expectation_range).tolist()
+            object.__setattr__(self, "expectation_range", (lo, hi))
             if not lo <= hi:
                 raise ValidationError(f"empty expectation range {self.expectation_range}")
         if not preds and self.expectation_range is None:

@@ -55,6 +55,8 @@ TOL_LIMIT = 1e-2
 STRICT_FLOOR = 1e-9
 
 _DEFAULT_SEED = 20260810
+#: Most laws check_formula_vs_oracle draws per arity, each one oracle call.
+FORMULA_DISTS_MAX = 1000
 
 # The battery's fixed grids, depths and arities; the docstring of each check
 # names the ones it reads.
@@ -166,8 +168,9 @@ def check_formula_vs_oracle(
     worst in ``(n, distribution, triple)`` order is the witness.  Every
     arity's oracle call is sized before the first draw.
     """
-    for name, value in (("n_max", n_max), ("trials", trials), ("dists", dists)):
-        check_count(name, value)
+    check_count("n_max", n_max)
+    check_count("trials", trials)
+    check_count("dists", dists, high=FORMULA_DISTS_MAX)
     check_count("seed", seed, low=0)
     for n in range(1, n_max + 1):
         check_oracle_size(len(all_tables(n)) ** 3 if n <= 2 else trials, n)

@@ -409,8 +409,9 @@ class TestOtherCommands:
             ["rationality", "--preset", "condorcet", "--n", "3", "--triples", "a,b"],
             ["verify", "--all", "--seed", "-1"],
             ["simulate", "--preset", "condorcet", "--n", "3", "--samples", "10", "--seed", "-1"],
+            # simulate is the one Monte Carlo command
             ["rationality", "--preset", "condorcet", "--n", "3", "--method", "monte-carlo",
-             "--samples", "10", "--seed", "-1"],
+             "--samples", "10", "--seed", "1"],
             ["search", "--n", "3", "--class-f", "balanced", "--class-g", "balanced",
              "--class-h", "balanced", "--objective", "max_w", "--mode", "random",
              "--trials", "5", "--seed", "-1"],
@@ -459,6 +460,7 @@ class TestOtherCommands:
             ["spectrum", "--function", "hex:3:7_f"],
             ["spectrum", "--function", "hex:3: 7f"],
             *_HUGE_COUNTS,
+            ["rationality", "--preset", "condorcet", "--n", "3", "--samples", "10", "--seed", "1"],
         ],
     )
     def test_bad_input_is_one_error_line(self, argv, capsys):
@@ -530,7 +532,7 @@ _GOOD = {
              "const:3:1", "hex:3:e8", "hex:3:96"],
     "class": ["balanced", "monotone", "self_dual", "cyclic_invariant", "non_constant",
               "balanced,monotone", "expectation:0.2:0.8"],
-    "method": ["formula", "oracle", "both", "monte-carlo"],
+    "method": ["formula", "oracle", "both"],
     "check": sorted(CHECKS),
 }
 _BAD = {
@@ -540,7 +542,7 @@ _BAD = {
     "float": ["-0.2", "1/6", "nan", "inf"],
     "spec": ["maj:4", "dict:3:9", "tribes:5:0", "hex:2:zz", "hex:1:7", "bogus:3", "maj"],
     "class": ["expectation:0.9:0.1", "nope", ""],
-    "method": ["exact"],
+    "method": ["exact", "monte-carlo"],
     "check": ["bogus"],
 }
 
@@ -587,11 +589,9 @@ def _argv(draw):
         else:
             argv += ["--f", pick("spec"), "--g", pick("spec"), "--h", pick("spec")]
         argv += dist_flags()
-        method = "monte-carlo"
         if command == "rationality":
-            method = pick("method")
-            argv += ["--method", method]
-        if method == "monte-carlo" or not valid:
+            argv += ["--method", pick("method")]
+        if command == "simulate" or not valid:
             argv += ["--samples", pick("count"), "--seed", pick("seed")]
     elif command == "spectrum":
         argv += ["--function", pick("spec")]

@@ -9,7 +9,7 @@ from gswf.dist import (
     ADMISSIBLE_TRIPLES,
     EvenProductDistribution,
     TripleDistribution,
-    as_even_product,
+    even_product_law,
     is_even_product,
     per_voter_spectrum,
     profile_probability,
@@ -171,10 +171,11 @@ class TestPerVoterSpectrum:
         p = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
         assert not is_even_product(TripleDistribution(p))
 
-    def test_as_even_product_round_trips_the_six_values(self, rng):
+    def test_even_product_law_round_trips_the_six_values(self, rng):
         for _ in range(50):
             d = EvenProductDistribution(*(rng.dirichlet(np.ones(3)) / 2))
-            assert as_even_product(d) is d
-            assert as_even_product(d.to_triple_distribution()) == d
+            assert even_product_law(d) is d
+            assert even_product_law(d.to_triple_distribution()) == d
         p = np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1])
-        assert as_even_product(TripleDistribution(p)) is None
+        with pytest.raises(ValidationError, match="only applies to even product"):
+            even_product_law(TripleDistribution(p))

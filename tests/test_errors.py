@@ -8,16 +8,18 @@ import pytest
 
 from gswf import catalog, theorems
 from gswf.bfn import BooleanFunction, evaluate
-from gswf.dist import EvenProductDistribution
+from gswf.dist import EvenProductDistribution, TripleDistribution
 from gswf.errors import (
     CapacityError,
     ValidationError,
     check_below_half,
     check_count,
     check_odd,
+    check_open_unit,
     check_range,
     check_same_arity,
     check_unit,
+    float_array,
 )
 from gswf.rationality import Gswf, w_monte_carlo
 from gswf.search import ClassFilter, class_table, extremal_w, random_search
@@ -83,6 +85,15 @@ def _search(trials, seed):
         pytest.param("x", lambda: evaluate(catalog.majority(3), 1 << 20000), id="evaluate-x-huge"),
         pytest.param("voter", lambda: catalog.dictator(3, -(1 << 20000)), id="dictator-voter-huge"),
         pytest.param("n", lambda: catalog.majority(1 << 20000), id="majority-n-huge"),
+        # a real-valued parameter past the float range
+        pytest.param("alpha", lambda: EvenProductDistribution(1 << 20000, 0, 0),
+                     id="EvenProductDistribution-alpha-huge"),
+        pytest.param("probabilities", lambda: TripleDistribution([1 << 20000, 0, 0, 0, 0, 0]),
+                     id="TripleDistribution-huge"),
+        pytest.param("expectation_range", lambda: ClassFilter(("balanced",), (1 << 20000, 1)),
+                     id="ClassFilter-window-huge"),
+        pytest.param("entropy argument", lambda: catalog.binary_entropy(1 << 20000),
+                     id="binary_entropy-huge"),
     ],
 )
 def test_bad_library_arguments_name_the_parameter(name, call, warm):
@@ -121,6 +132,12 @@ def test_a_warm_class_table_cache_keeps_the_arity_check():
          "q must lie strictly between 0 and 1/2, got 0.5"),
         (check_count, ("trials", 1 << 20000, 1, 10), CapacityError,
          "trials limited to 10, got <int of 20001 bits>"),
+        (check_open_unit, ("entropy argument", 1.0), ValidationError,
+         "entropy argument must be in (0, 1), got 1.0"),
+        (float_array, ("alpha", -(1 << 20000)), ValidationError,
+         "alpha must lie within the float range, got -<int of 20001 bits>"),
+        (float_array, ("expectation_range", (0, 1 << 20000)), ValidationError,
+         "expectation_range must lie within the float range, got [0, <int of 20001 bits>]"),
     ],
 )
 def test_each_rule_has_one_message(check, args, error, text):

@@ -140,18 +140,22 @@ class TestIndividualChecks:
         [
             ({"n_max": 9}, "oracle tables for 60 rows at n=9 would exceed 128 MiB"),
             ({"n_max": 3, "trials": 10**6}, "oracle tables for 1000000 rows at n=3 would exceed"),
+            ({"dists": 10**9}, "dists limited to 1000, got 1000000000$"),
         ],
     )
     def test_formula_vs_oracle_sizes_every_arity_before_drawing(self, monkeypatch, kwargs, text):
-        # the oracle's size rule is checked for every n before the first draw
-        # or oracle call, not when the first oversized n comes up
+        # the oracle's size rule and the law count are checked for every n
+        # before the first draw or oracle call, not when the first oversized
+        # n comes up
         def unreachable(*args, **kwargs):
             raise AssertionError("reached past the size check")
 
         monkeypatch.setattr(theorems, "w_oracle_batch", unreachable)
         monkeypatch.setattr(np.random, "default_rng", unreachable)
+        t0 = time.perf_counter()
         with pytest.raises(CapacityError, match=f"^{text}"):
             check_formula_vs_oracle(**kwargs)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_monotone_bound_uniform(self):
         r = check_monotone_bound(n=3)
