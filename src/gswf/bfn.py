@@ -21,9 +21,10 @@ import numpy as np
 
 from .errors import ValidationError, check_count, check_range
 
-#: Largest supported arity.  A dense spectrum at the default ceiling is
-#: ``2**24`` float64 coefficients (128 MiB); raise with care, and never to
-#: 31, where the int32 butterfly's partial sums of up to ``2^n`` overflow.
+#: Largest supported arity.  The closed form's dense route holds three int32
+#: spectra of ``2**24`` entries (64 MiB each) at the default ceiling; raise
+#: with care, and never to 27, where their squared sums of up to ``4^n``
+#: leave float64's exact integers, or 31, where the butterfly overflows.
 N_MAX = 24
 
 #: Absolute tolerance for the sum-of-squares consistency check on spectra of
@@ -55,8 +56,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 #: Largest arity whose level sums are one product with the ``2^n x (n+1)``
-#: level indicator.  Above it, blocks of ``2^12`` entries are summed by the
-#: level of their low voters, then grouped by that of their high voters.
+#: level indicator.  Above it, the products are formed and summed by the
+#: level of their low 12 voters in blocks of ``2^16``, then grouped by the
+#: level of their high voters.
 LEVEL_MATMUL_MAX = 12
 
 
@@ -68,24 +70,31 @@ def _level_indicator(n: int) -> np.ndarray:
 
 def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entry ``[..., k]`` is ``L_k = sum over |S| = k of a[..., S] b[..., S]``
-    for row-aligned stacks along the last axis.  For spectra of Boolean
-    functions each product is a multiple of ``4^-n`` and, by Cauchy-Schwarz
-    and Parseval, their absolute values sum to at most 1: no partial sum is
-    rounded, in any order, so a row's sums do not depend on its stack."""
+    in float64, for row-aligned stacks along the last axis of float spectra
+    or of :func:`integer_spectrum`'s, ``4^n`` times the coefficients' sums.
+    For Boolean spectra each product is an integer multiple of ``4^-n`` (of 1)
+    and, by Cauchy-Schwarz and Parseval, their absolute values sum to at most
+    1 (``4^n < 2^53``): no partial sum is rounded, in any order, so a row's
+    sums depend neither on its stack nor on its spectra's dtype."""
     n = a.shape[-1].bit_length() - 1
-    prod = a * b
     if n <= LEVEL_MATMUL_MAX:
-        return prod @ _level_indicator(n)
+        return np.multiply(a, b, dtype=np.float64) @ _level_indicator(n)
     low, high = LEVEL_MATMUL_MAX, n - LEVEL_MATMUL_MAX
-    # grouped[r, j, l]: row r's products with j high and l low voters, in numpy's own
-    # loops: BLAS products this size start threads that spin on after the call.
-    blocks = prod.reshape(-1, 1 << high, 1 << low)
-    part = np.einsum("rhx,lx->rhl", blocks, _level_indicator(low).T.copy())
+    # part[r, h, l]: row r's products with high voters h and l low voters,
+    # formed 2^16 at a time (16 lines of 2^12), in numpy's own loops: BLAS
+    # products this size start threads that spin on after the call.
+    lines_a, lines_b = a.reshape(-1, 1 << low), b.reshape(-1, 1 << low)
+    part = np.empty((len(lines_a), low + 1))
+    weights, step = _level_indicator(low).T.copy(), 16
+    for i in range(0, len(part), step):
+        block = np.multiply(lines_a[i : i + step], lines_b[i : i + step], dtype=np.float64)
+        np.einsum("hx,lx->hl", block, weights, out=part[i : i + step])
+    part = part.reshape(-1, 1 << high, low + 1)
     grouped = np.einsum("hj,rhl->rjl", _level_indicator(high), part)
     sums = np.zeros((len(grouped), n + 1))
     for j in range(high + 1):
         sums[:, j : j + low + 1] += grouped[:, j]
-    return sums.reshape(*prod.shape[:-1], n + 1)
+    return sums.reshape(*a.shape[:-1], n + 1)
 
 
 class BooleanFunction:
@@ -220,11 +229,17 @@ def check_boolean_spectra(coeffs: np.ndarray) -> None:
     """Parseval consistency of each spectrum along the last axis.
 
     For a 0/1-valued source the sum of squared coefficients equals the
-    empty-set coefficient, which lies in ``[0, 1]``.
+    empty-set coefficient, which lies in ``[0, 1]``: within
+    :data:`PARSEVAL_TOL` for a float spectrum, exactly in int64 for an
+    integer one, ``2^n`` times the coefficients (:func:`integer_spectrum`).
     """
-    total = np.atleast_1d(np.einsum("...i,...i->...", coeffs, coeffs))
-    mean = np.atleast_1d(coeffs[..., 0])
-    gap = np.abs(total - mean) > PARSEVAL_TOL
+    exact = coeffs.dtype.kind in "iu"
+    tol, scale = (0, coeffs.shape[-1]) if exact else (PARSEVAL_TOL, 1)
+    squares = np.einsum("...i,...i->...", coeffs, coeffs, dtype=np.int64 if exact else None)
+    total, mean = np.atleast_1d(squares), np.atleast_1d(coeffs[..., 0])
+    gap = np.abs(total - scale * mean.astype(total.dtype)) > tol
+    inside = (mean >= -tol) & (mean <= scale + tol)
+    total, mean = total / float(scale) ** 2, mean / float(scale)  # reported as coefficients
     if gap.any():
         # A boolean mask indexes every leading axis; the first bad spectrum
         # in C order is reported.
@@ -232,7 +247,6 @@ def check_boolean_spectra(coeffs: np.ndarray) -> None:
             "coefficients are not consistent with a Boolean source: "
             f"sum of squares {float(total[gap][0])!r} != mean {float(mean[gap][0])!r}"
         )
-    inside = (mean >= -PARSEVAL_TOL) & (mean <= 1.0 + PARSEVAL_TOL)
     if not inside.all():
         bad = float(mean[~inside][0])
         raise ValidationError(f"mean coefficient {bad!r} outside [0, 1]")
@@ -243,10 +257,13 @@ def check_boolean_spectra(coeffs: np.ndarray) -> None:
 _INT16_VOTERS = 14
 
 
-def _analysis_butterfly(tables: np.ndarray, n: int) -> np.ndarray:
-    # Entry S of each 0/1 row of tables becomes sum_x v(x) r_S(x), in a new
-    # C-contiguous integer array: voters 0..13 in int16, which halves their
-    # passes' memory traffic, then the rest in int32.
+def integer_spectrum(tables: np.ndarray) -> np.ndarray:
+    """``sum_x v(x) r_S(x)``, ``2^n`` times :func:`walsh_coeffs`, for each 0/1
+    table ``v`` (unchecked) along the last axis, exactly, in a new integer
+    array: voters 0..13 in int16, which halves their passes' memory traffic,
+    then the rest in int32; after ``k`` voters every partial sum is at most
+    ``2^k`` in absolute value."""
+    n = arity_of(tables)
     low = min(n, _INT16_VOTERS)
     values = tables.astype(np.int16, order="C")
     _butterfly_passes(values, 0, low)
@@ -344,17 +361,16 @@ def walsh_coeffs(values) -> np.ndarray:
     """``2^-n sum_x v(x) r_S(x)`` for each table ``v`` along the last axis.
 
     One butterfly over the whole stack.  A table of 0/1 entries (bool, or an
-    integer dtype, or nested lists of them) runs it exactly in integers,
-    int16 for the first 14 voters and int32 for the rest: after ``k`` voters
-    every partial sum has magnitude at most ``2^k``.  Any other input (a
-    float table, or an integer one with an entry outside {0, 1}, whose sums
-    could overflow int32) runs it in float64.  Either is scaled by ``2^-n``
-    once.  No Booleanity check is made; :func:`walsh_transform` makes it.
+    integer dtype, or nested lists of them) runs :func:`integer_spectrum`.
+    Any other input (a float table, or an integer one with an entry outside
+    {0, 1}, whose sums could overflow int32) runs it in float64.  Either is
+    scaled by ``2^-n`` once.  No Booleanity check is made;
+    :func:`walsh_transform` makes it.
     """
     arr = np.asarray(values)
     n = arity_of(arr)
     if is_zero_one(arr):
-        return _analysis_butterfly(arr, n) / float(1 << n)
+        return integer_spectrum(arr) / float(1 << n)
     floats = arr.astype(np.float64, order="C")
     _butterfly_passes(floats, 0, n)
     return np.divide(floats, float(1 << n), out=floats)

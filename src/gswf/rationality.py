@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bfn
-from .bfn import BooleanFunction, PseudoSpectrum, WalshSpectrum, level_sums, mask_levels, walsh_transform
+from .bfn import BooleanFunction, PseudoSpectrum, level_sums, mask_levels, walsh_transform
 from .dist import ADMISSIBLE_TRIPLES, EvenProductDistribution, as_triple_distribution, even_product_law
 from .errors import CapacityError, ValidationError, check_count, check_same_arity, check_unit
 
@@ -224,8 +224,10 @@ def cyclic_level_sums(fns):
     * all symmetric: :func:`level_products` of the levels, ``O(n)``;
     * the relevant voters' union ``J`` smaller than ``n``: the ``|J| + 1``
       level sums of the functions restricted to ``J`` (the rest are 0);
-    * otherwise :func:`cyclic_spectral_sums` of the :func:`bfn.walsh_transform`
-      spectra, a symmetric member's gathered from its levels.
+    * otherwise :func:`cyclic_spectral_sums` of the integer spectra
+      (:func:`bfn.integer_spectrum`, a symmetric member's gathered from its
+      levels), each under :func:`bfn.check_boolean_spectra`, scaled by
+      ``2^-n`` and ``4^-n`` at the end.
     """
     check_same_arity(*(fn.n for fn in fns))
     found = {fn: bfn.read_structure(fn) for fn in set(fns)}
@@ -238,10 +240,13 @@ def cyclic_level_sums(fns):
         return cyclic_level_sums([bfn.restrict(fn, union) for fn in fns])
     spectra = {}
     for fn, (a, _) in found.items():
-        if a is not None:  # read-only, so that WalshSpectrum keeps it uncopied
-            (a := a[mask_levels(n)]).setflags(write=False)
-        spectra[fn] = walsh_transform(fn).coeffs if a is None else WalshSpectrum(n, a).coeffs
-    return cyclic_spectral_sums([spectra[fn] for fn in fns])
+        if a is None:
+            spectra[fn] = bfn.integer_spectrum(fn.table)
+        else:  # the integer levels 2^n a, gathered
+            spectra[fn] = (a * float(1 << n)).astype(np.int32)[mask_levels(n)]
+        bfn.check_boolean_spectra(spectra[fn])
+    means, sums = cyclic_spectral_sums([spectra[fn] for fn in fns])
+    return [m / float(1 << n) for m in means], [s / 4.0**n for s in sums]
 
 
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:
@@ -318,14 +323,27 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
     kernel[2 * x + y, z] = t.p
     xs, ys = _digit_voters(n)
     ft, gt, ht = (tables.astype(np.uint8, copy=False) for tables in (ft, gt, ht))
-    # h and 1-h take one pass each: at n = 9 two one-row passes took a
-    # third of the time of one pass over the two-row stack.
+    # h and 1-h take one pass each, over the distinct h rows, gathered back:
+    # the exhaustive n = 2 stack has 16 in 4096.
+    first, which = _distinct_rows(ht)
     w = []
-    for fv, gv, hv in ((ft, gt, ht), (1 - ft, 1 - gt, 1 - ht)):
+    for fv, gv, hv in ((ft, gt, ht[first]), (1 - ft, 1 - gt, 1 - ht[first])):
         # Voter i is digit 2x_i + y_i of m: f is read at the x bits, g at the y bits.
         agree = fv.take(xs, axis=1) & gv.take(ys, axis=1)
-        w.append((bfn.per_voter_pass(hv, kernel) * agree).sum(axis=-1))
+        w.append((bfn.per_voter_pass(hv, kernel).take(which, axis=0) * agree).sum(axis=-1))
     return w[0] + w[1]
+
+
+def _distinct_rows(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The first of each distinct row of a uint8 stack and each row's index
+    # among them, from one lexsort of the rows read as words: np.unique on
+    # rows sorted the n = 2 stack more slowly than the passes it saves.
+    words = np.ascontiguousarray(tables).view(f"u{min(tables.shape[1], 8)}")
+    order = np.lexsort(words.T)
+    new = np.r_[True, (words[order[1:]] != words[order[:-1]]).any(axis=1)]
+    which = np.empty(len(tables), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return order[new], which
 
 
 def w_oracle(gswf: Gswf, t) -> WResult:

@@ -256,11 +256,11 @@ def rng():
 def butterfly_lengths(monkeypatch):
     # Record the length of every array the dense butterfly transforms.
     lengths = []
-    dense = bfn._analysis_butterfly
+    dense = bfn.integer_spectrum
 
-    def recording(tables, n):
+    def recording(tables):
         lengths.append(tables.size)
-        return dense(tables, n)
+        return dense(tables)
 
-    monkeypatch.setattr(bfn, "_analysis_butterfly", recording)
+    monkeypatch.setattr(bfn, "integer_spectrum", recording)
     return lengths

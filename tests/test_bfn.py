@@ -230,11 +230,11 @@ class TestTransform:
             rng.integers(0, 2, size=(3, 1 << n), dtype=np.uint8),
         ):
             expected = int32_butterfly(tables)
-            got = bfn._analysis_butterfly(tables, n)
+            got = bfn.integer_spectrum(tables)
             assert got.dtype == (np.int16 if n <= 14 else np.int32)
             assert got.astype(np.int32).tobytes() == expected.tobytes()
             assert bfn.walsh_coeffs(tables).tobytes() == (expected / float(1 << n)).tobytes()
-        assert bfn._analysis_butterfly(np.ones(1 << n, dtype=np.uint8), n)[0] == 1 << n
+        assert bfn.integer_spectrum(np.ones(1 << n, dtype=np.uint8))[0] == 1 << n
 
     def test_integer_entries_outside_zero_one_take_the_float_route(self, butterfly_lengths):
         # 255 * 2^24 would overflow int32; no entry may wrap.
@@ -317,6 +317,14 @@ class TestTransform:
     def test_boolean_check_on_a_stack_with_two_leading_axes(self, rng):
         spectra = bfn.walsh_coeffs(rng.integers(0, 2, size=(3, 2, 4)))
         spectra[2, 1] = [0.25, 0.5, 0.0, 0.0]
+        with pytest.raises(ValidationError, match=r"sum of squares 0\.3125 != mean 0\.25"):
+            bfn.check_boolean_spectra(spectra)
+
+    def test_boolean_check_reads_integer_spectra_exactly(self, rng):
+        # 2^n times the coefficients: the same refusal, from int64 sums
+        spectra = bfn.integer_spectrum(rng.integers(0, 2, size=(3, 2, 4)))
+        bfn.check_boolean_spectra(spectra)
+        spectra[2, 1] = [1, 2, 0, 0]
         with pytest.raises(ValidationError, match=r"sum of squares 0\.3125 != mean 0\.25"):
             bfn.check_boolean_spectra(spectra)
 

@@ -48,6 +48,7 @@ from gswf.rationality import (
     w_oracle_batch,
     w_prime,
 )
+from gswf.search import all_tables
 from gswf.theorems import pseudo_extremal_spectra
 
 from conftest import (
@@ -137,6 +138,49 @@ class TestLevelSums:
         reference = integer_level_sums(fa, fb, n)
         assert reference.shape == sa.shape[:-1] + (n + 1,)
         assert np.array_equal(bfn.level_sums(sa, sb) * 4.0**n, reference)
+        # integer spectra, 2^n times the coefficients, give the integers themselves
+        assert np.array_equal(bfn.level_sums(fa, fb), reference)
+
+
+def unblocked_level_sums(a, b):
+    # The level sums above 12 voters as they were before the blocked
+    # products: the whole 2^n product at once, summed by the level of its
+    # low 12 voters, then grouped by that of its high voters.
+    n = a.shape[-1].bit_length() - 1
+    low, high = bfn.LEVEL_MATMUL_MAX, n - bfn.LEVEL_MATMUL_MAX
+    prod = a * b
+    blocks = prod.reshape(-1, 1 << high, 1 << low)
+    part = np.einsum("rhx,lx->rhl", blocks, np.eye(low + 1)[bfn.mask_levels(low)].T.copy())
+    grouped = np.einsum("hj,rhl->rjl", np.eye(high + 1)[bfn.mask_levels(high)], part)
+    sums = np.zeros((len(grouped), n + 1))
+    for j in range(high + 1):
+        sums[:, j : j + low + 1] += grouped[:, j]
+    return sums.reshape(*prod.shape[:-1], n + 1)
+
+
+class TestBlockedLevelSums:
+    @pytest.mark.parametrize("n", [13, 20])
+    def test_float_pseudo_spectra_keep_the_unblocked_bytes(self, n, rng):
+        # Non-Boolean coefficients round, so the summation order shows.
+        sa, sb = (PseudoSpectrum(n, rng.standard_normal(1 << n)) for _ in range(2))
+        expected = unblocked_level_sums(sa.coeffs, sb.coeffs)
+        assert bfn.level_sums(sa.coeffs, sb.coeffs).tobytes() == expected.tobytes()
+        assert bfn.level_weights(sa).tobytes() == unblocked_level_sums(sa.coeffs, sa.coeffs).tobytes()
+        stack = rng.standard_normal((2, 3, 1 << n))
+        assert bfn.level_sums(*stack).tobytes() == unblocked_level_sums(*stack).tobytes()
+
+    def test_products_are_held_one_block_at_a_time(self, rng):
+        n = 20
+        a, b = (bfn.integer_spectrum(rng.integers(0, 2, size=1 << n, dtype=np.uint8)) for _ in range(2))
+        bfn.level_sums(a, b)
+        tracemalloc.start()
+        try:
+            bfn.level_sums(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2^20 float64 product would be 8 MiB
+        assert peak < 2 << 20
 
 
 class TestBiasedInnerProduct:
@@ -303,16 +347,16 @@ LAWS = (UNIFORM, EvenProductDistribution(0.2, 0.1, 0.2), EvenProductDistribution
 
 @pytest.fixture
 def dense_sizes(monkeypatch):
-    # Record the spectrum length of every walsh_transform call in rationality,
-    # the dense route of cyclic_level_sums.
+    # Record the spectrum length of every bfn.integer_spectrum call, which
+    # the dense route of cyclic_level_sums makes.
     sizes = []
-    dense = rationality.walsh_transform
+    dense = bfn.integer_spectrum
 
-    def recording(fn):
-        sizes.append(1 << fn.n)
-        return dense(fn)
+    def recording(tables):
+        sizes.append(tables.size)
+        return dense(tables)
 
-    monkeypatch.setattr(rationality, "walsh_transform", recording)
+    monkeypatch.setattr(bfn, "integer_spectrum", recording)
     return sizes
 
 
@@ -371,6 +415,57 @@ class TestWFormulaRoutes:
                     got, ref = w_formula(gswf, d), dense_w(gswf, d)
                     assert got.n == n
                     assert (got.w, got.base, got.cross_terms) == (ref.w, ref.base, ref.cross_terms)
+
+
+def w_bytes(r):
+    return np.array([r.w, r.base, *r.cross_terms]).tobytes()
+
+
+class TestIntegerDenseRoute:
+    @pytest.mark.parametrize("n", [7, 13, 14, 15, 20])
+    def test_bit_identical_to_the_float_spectra(self, n, rng, dense_sizes):
+        # Random tables, a symmetric member (threshold, gathered from its
+        # levels) and a constant one, with the butterflies each runs.
+        triples = [
+            ([bfn.random_function(n, rng) for _ in range(3)], 3),
+            ([tribes(n, 3), tribes(n, 4), threshold(n, n // 2)], 2),
+            ([bfn.random_function(n, rng), constant(n, 1), bfn.random_function(n, rng)], 2),
+        ]
+        for fns, butterflies in triples:
+            spectra = [walsh_transform(fn) for fn in fns]
+            for d in (UNIFORM, random_even(rng)):
+                dense_sizes.clear()
+                got = w_formula(Gswf(*fns), d)
+                assert dense_sizes == [1 << n] * butterflies
+                assert w_bytes(got) == w_bytes(w_from_spectra(*spectra, d))
+
+    def test_peak_memory_of_a_random_n20_triple(self, rng):
+        # Three int32 spectra (12 MiB) and one butterfly's scratch; the
+        # float64 spectra and their 2^n products took 32.4 MiB.
+        gswf = Gswf(*(bfn.random_function(20, rng) for _ in range(3)))
+        w_formula(gswf, UNIFORM)
+        tracemalloc.start()
+        try:
+            w_formula(gswf, UNIFORM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 << 20
+
+    @pytest.mark.parametrize("n", [7, 20])
+    def test_an_altered_integer_spectrum_is_refused(self, n, rng, monkeypatch):
+        # One entry moved by 1 changes the sum of squares by an odd amount.
+        exact = bfn.integer_spectrum
+
+        def altered(tables):
+            spectrum = exact(tables)
+            spectrum[3] += 1
+            return spectrum
+
+        monkeypatch.setattr(bfn, "integer_spectrum", altered)
+        gswf = Gswf(*(bfn.random_function(n, rng) for _ in range(3)))
+        with pytest.raises(ValidationError, match="not consistent with a Boolean source"):
+            w_formula(gswf, UNIFORM)
 
 
 class TestCyclicLevelSums:
@@ -539,13 +634,43 @@ class TestWOracle:
             )
             assert abs(got[r] - expected) < 1e-12
 
+    def test_one_voter_pass_per_distinct_h_row(self, rng, monkeypatch):
+        # check_formula_vs_oracle's exhaustive n = 2 stack: 4096 rows, 16
+        # distinct h tables, and the bits of each row's lone evaluation.
+        pool = all_tables(2)
+        ft, gt, ht = pool[np.indices((len(pool),) * 3).reshape(3, -1)]
+        d = random_even(rng)
+        lone = [w_oracle_batch(ft[r : r + 1], gt[r : r + 1], ht[r : r + 1], d)[0] for r in range(len(ft))]
+        rows, passes = [], bfn.per_voter_pass
+
+        def recording(values, kernel):
+            rows.append(len(values))
+            return passes(values, kernel)
+
+        monkeypatch.setattr(bfn, "per_voter_pass", recording)
+        got = w_oracle_batch(ft, gt, ht, d)
+        assert rows == [16, 16]
+        assert got.tobytes() == np.array(lone).tobytes()
+        # n = 7: rows of 16 words; the three h tables pairwise share their
+        # first or their last word
+        ft, gt = rng.integers(0, 2, size=(2, 12, 1 << 7), dtype=np.uint8)
+        distinct = np.zeros((3, 1 << 7), dtype=np.uint8)
+        distinct[1:, -1] = distinct[2, 0] = 1
+        ht = distinct[rng.permutation(np.arange(12) % 3)]
+        monkeypatch.undo()
+        lone = [w_oracle_batch(ft[r : r + 1], gt[r : r + 1], ht[r : r + 1], d)[0] for r in range(12)]
+        monkeypatch.setattr(bfn, "per_voter_pass", recording)
+        rows.clear()
+        assert w_oracle_batch(ft, gt, ht, d).tobytes() == np.array(lone).tobytes()
+        assert rows == [3, 3]
+
     def test_oracle_needs_no_spectral_code(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle must not use the formula's code")
 
         for owner, name in (
             (bfn, "walsh_coeffs"),
-            (bfn, "_analysis_butterfly"),
+            (bfn, "integer_spectrum"),
             (bfn, "walsh_transform"),
             (rationality, "w_batch"),
             (rationality, "walsh_transform"),
