@@ -29,7 +29,6 @@ from .dist import (
     TripleDistribution,
     is_even_product,
     per_voter_spectrum,
-    profile_probability,
 )
 from .errors import CapacityError, GswfError, HypothesisViolation, ValidationError
 from .rationality import (
@@ -86,7 +85,6 @@ __all__ = [
     "parse_function_spec",
     "per_voter_spectrum",
     "preset_gswf",
-    "profile_probability",
     "random_search",
     "run_all",
     "suite_passed",

@@ -358,22 +358,17 @@ def is_zero_one(arr: np.ndarray) -> bool:
 
 
 def walsh_coeffs(values) -> np.ndarray:
-    """``2^-n sum_x v(x) r_S(x)`` for each table ``v`` along the last axis.
-
-    One butterfly over the whole stack.  A table of 0/1 entries (bool, or an
-    integer dtype, or nested lists of them) runs :func:`integer_spectrum`.
-    Any other input (a float table, or an integer one with an entry outside
-    {0, 1}, whose sums could overflow int32) runs it in float64.  Either is
-    scaled by ``2^-n`` once.  No Booleanity check is made;
+    """``2^-n sum_x v(x) r_S(x)`` for each 0/1 table ``v`` (bool, or an integer
+    dtype, or nested lists of them) along the last axis: one
+    :func:`integer_spectrum` butterfly over the whole stack, scaled by ``2^-n``
+    once.  Any other table is refused.  No Booleanity check is made;
     :func:`walsh_transform` makes it.
     """
     arr = np.asarray(values)
     n = arity_of(arr)
-    if is_zero_one(arr):
-        return integer_spectrum(arr) / float(1 << n)
-    floats = arr.astype(np.float64, order="C")
-    _butterfly_passes(floats, 0, n)
-    return np.divide(floats, float(1 << n), out=floats)
+    if not is_zero_one(arr):
+        raise ValidationError("table entries must be 0 or 1")
+    return integer_spectrum(arr) / float(1 << n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bfn import walsh_coeffs
+from .bfn import per_voter_pass
 from .errors import ValidationError, float_array
 
 #: Admissible per-voter triples ``(x_i, y_i, z_i)`` in canonical order.
@@ -29,8 +29,6 @@ ADMISSIBLE_TRIPLES: tuple[tuple[int, int, int], ...] = (
 TRIPLE_LABELS: tuple[str, ...] = tuple(
     "".join(str(b) for b in t) for t in ADMISSIBLE_TRIPLES
 )
-
-_TRIPLE_INDEX = {t: i for i, t in enumerate(ADMISSIBLE_TRIPLES)}
 
 #: Tolerance for validating that probability vectors sum to one.
 SUM_TOL = 1e-12
@@ -60,12 +58,6 @@ class TripleDistribution:
             raise ValidationError(f"probabilities sum to {total!r}, expected 1")
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
-
-    def probability(self, triple: tuple[int, int, int]) -> float:
-        idx = _TRIPLE_INDEX.get(tuple(triple))
-        if idx is None:
-            raise ValidationError(f"inadmissible triple {triple!r}")
-        return float(self.p[idx])
 
     def as_dict(self) -> dict[str, float]:
         return {f"p{label}": float(v) for label, v in zip(TRIPLE_LABELS, self.p)}
@@ -159,7 +151,7 @@ def per_voter_spectrum(t: TripleDistribution) -> np.ndarray:
     values = np.zeros(8, dtype=np.float64)
     for (x, y, z), p in zip(ADMISSIBLE_TRIPLES, t.p):
         values[x | (y << 1) | (z << 2)] = p
-    return walsh_coeffs(values)
+    return per_voter_pass(values, [[1.0, 1.0], [-1.0, 1.0]]) / 8.0
 
 
 #: How far a triple's and its complement's probabilities may differ.
@@ -175,10 +167,3 @@ def is_even_product(t: TripleDistribution) -> bool:
     """
     return bool(np.all(np.abs(t.p[:3] - t.p[3:]) <= _EVEN_TOL))
 
-
-def profile_probability(t: TripleDistribution, profile) -> float:
-    """Probability of a full profile (one admissible triple per voter)."""
-    out = 1.0
-    for triple in profile:
-        out *= t.probability(tuple(triple))
-    return out

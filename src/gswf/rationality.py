@@ -23,7 +23,6 @@ A seeded Monte Carlo estimator covers arities beyond the oracle ceiling.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -272,24 +271,6 @@ def w_from_spectra(
     return _formula_result(sf.n, d, *w_batch(sf.coeffs, sg.coeffs, sh.coeffs, d))
 
 
-@functools.lru_cache(maxsize=None)
-def _digit_voters(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # The x and y voter masks of every base-4 entry, whose digit i is
-    # 2 x_i + y_i, read-only.  Built by quadrupling, the way mask_levels
-    # doubles: digit i = 1, 2, 3 repeats the entries below 4^i with
-    # (x_i, y_i) = (0, 1), (1, 0), (1, 1).
-    xs, ys = np.zeros((2, 4**n), dtype=np.intp)
-    for i in range(n):
-        low = 4**i
-        for d in (1, 2, 3):
-            part = slice(d * low, (d + 1) * low)
-            np.bitwise_or(xs[:low], (d >> 1) << i, out=xs[part])
-            np.bitwise_or(ys[:low], (d & 1) << i, out=ys[part])
-    xs.setflags(write=False)
-    ys.setflags(write=False)
-    return xs, ys
-
-
 def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndarray:
     """Exact ``W`` per row of three row-aligned 0/1 truth-table stacks.
 
@@ -299,10 +280,10 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
     :func:`bfn.per_voter_pass` over ``h`` gives ``m[(x, y)] = sum_z h(z)
     P(x, y, z)``, one over ``1-h`` its complement ``m'``, and
     ``W = sum f(x) g(y) m + (1-f)(1-g) m'``.  The agreement masks
-    ``f(x) g(y)`` are gathered from the tables by the cached x and y voter
-    masks of every base-4 entry.  Tables must be integer or bool stacks of
-    0 and 1 entries at an arity :func:`bfn.check_arity` accepts, with at
-    least one row.
+    ``f(x) g(y)`` are the outer products of the tables, with the stack last,
+    whose x and y voter axes one transpose interleaves into ``m``'s base-4
+    digits.  Tables must be integer or bool stacks of 0 and 1 entries at an
+    arity :func:`bfn.check_arity` accepts, with at least one row.
     """
     t = as_triple_distribution(t)
     ft, gt, ht = (np.asarray(x) for x in (ft, gt, ht))
@@ -321,17 +302,29 @@ def w_oracle_batch(ft: np.ndarray, gt: np.ndarray, ht: np.ndarray, t) -> np.ndar
     x, y, z = _TRIPLE_BITS.T
     kernel = np.zeros((4, 2))
     kernel[2 * x + y, z] = t.p
-    xs, ys = _digit_voters(n)
     ft, gt, ht = (tables.astype(np.uint8, copy=False) for tables in (ft, gt, ht))
     # h and 1-h take one pass each, over the distinct h rows, gathered back:
     # the exhaustive n = 2 stack has 16 in 4096.
     first, which = _distinct_rows(ht)
     w = []
     for fv, gv, hv in ((ft, gt, ht[first]), (1 - ft, 1 - gt, 1 - ht[first])):
-        # Voter i is digit 2x_i + y_i of m: f is read at the x bits, g at the y bits.
-        agree = fv.take(xs, axis=1) & gv.take(ys, axis=1)
+        agree = _agreement(fv, gv)
         w.append((bfn.per_voter_pass(hv, kernel).take(which, axis=0) * agree).sum(axis=-1))
     return w[0] + w[1]
+
+
+def _agreement(ft: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    # f(x) g(y) per row at every base-4 entry of m, whose digit i is
+    # 2 x_i + y_i: the outer product over (x, y) with the stack last, its x
+    # and y voter axes interleaved by one transpose (voter n - 1 first), then
+    # row-major.  With the stack last the product's inner loop runs over all
+    # of g; broadcast straight into the interleaved axes, one row's would run
+    # over two entries at a time.
+    rows, n = ft.shape[0], bfn.arity_of(ft)
+    outer = np.ascontiguousarray(ft.T)[:, None] & np.ascontiguousarray(gt.T)[None]
+    voters = [axis for i in range(n) for axis in (i, n + i)]
+    cube = outer.reshape((2,) * (2 * n) + (rows,)).transpose(voters + [2 * n])
+    return np.ascontiguousarray(cube.reshape(-1, rows).T)
 
 
 def _distinct_rows(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -126,6 +126,20 @@ def int32_butterfly(tables):
     return values
 
 
+def digit_voters(n):
+    """The x and y voter masks of every base-4 entry, whose digit ``i`` is
+    ``2 x_i + y_i``, built by quadrupling: digit ``i`` = 1, 2, 3 repeats the
+    entries below ``4^i`` with ``(x_i, y_i)`` = (0, 1), (1, 0), (1, 1)."""
+    xs, ys = np.zeros((2, 4**n), dtype=np.intp)
+    for i in range(n):
+        low = 4**i
+        for d in (1, 2, 3):
+            part = slice(d * low, (d + 1) * low)
+            np.bitwise_or(xs[:low], (d >> 1) << i, out=xs[part])
+            np.bitwise_or(ys[:low], (d & 1) << i, out=ys[part])
+    return xs, ys
+
+
 def random_junta(n, voters, rng):
     """A random table on ``len(voters)`` inputs, read off those voters of x."""
     inner = rng.integers(0, 2, size=1 << len(voters), dtype=np.uint8)

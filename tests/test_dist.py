@@ -12,7 +12,6 @@ from gswf.dist import (
     even_product_law,
     is_even_product,
     per_voter_spectrum,
-    profile_probability,
 )
 from gswf.errors import ValidationError
 
@@ -91,23 +90,6 @@ class TestTripleDistribution:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError, match="finite"):
             TripleDistribution(np.array([np.nan, 0, 0, 0, 0, 1.0]))
-
-    def test_profile_probability(self):
-        uniform = EvenProductDistribution.uniform().to_triple_distribution()
-        profile = [(1, 1, 0), (0, 0, 1), (1, 0, 1)]
-        assert profile_probability(uniform, profile) == pytest.approx(
-            (1 / 6) ** 3, abs=1e-15
-        )
-        corner = EvenProductDistribution(0.5, 0, 0).to_triple_distribution()
-        assert profile_probability(corner, [(1, 1, 0)] * 4) == 0.5**4
-        assert profile_probability(corner, [(1, 1, 0), (1, 0, 0)]) == 0.0
-
-    def test_profile_probability_rejects_inadmissible(self):
-        uniform = EvenProductDistribution.uniform().to_triple_distribution()
-        with pytest.raises(ValidationError):
-            profile_probability(uniform, [(0, 0, 0)])
-        with pytest.raises(ValidationError):
-            profile_probability(uniform, [(1, 1, 1)])
 
 
 class TestPerVoterSpectrum:

@@ -1,5 +1,6 @@
 """Biased inner products, noise averaging, and the W computations."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -54,6 +55,7 @@ from gswf.theorems import pseudo_extremal_spectra
 from conftest import (
     TRIPLES,
     brute_force_w,
+    digit_voters,
     fraction_biased_product,
     fraction_spectrum,
     level_sums_route,
@@ -730,17 +732,31 @@ class TestWOracle:
             got = w_oracle_batch(*(x.astype(dtype) for x in (ft, gt, ht)), UNIFORM)
             assert got.tobytes() == expected
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_gathered_agreement_equals_the_broadcast(self, rng, n):
-        # The broadcast the oracle used before the digit maps: voter i of a
-        # base-4 entry is digit 2 x_i + y_i, f spread over x and g over y.
-        rows = 5
+    @pytest.mark.parametrize("n, rows", [(n, rows) for n in range(1, 7) for rows in (1, 5)] + [(2, 4096)])
+    def test_agreement_masks_equal_the_gathered_reference(self, rng, n, rows):
+        # The oracle's masks in m's base-4 order: f read at the x voter masks
+        # and g at the y voter masks of every entry.
         ft, gt = rng.integers(0, 2, size=(2, rows, 1 << n), dtype=np.uint8)
-        fx, gy = ft.reshape(rows, *(2, 1) * n), gt.reshape(rows, *(1, 2) * n)
-        xs, ys = rationality._digit_voters(n)
-        for f, g, (a, b) in ((ft, gt, (fx, gy)), (1 - ft, 1 - gt, (1 - fx, 1 - gy))):
-            expected = (a & b).reshape(rows, -1)
-            assert np.array_equal(f.take(xs, axis=1) & g.take(ys, axis=1), expected)
+        xs, ys = digit_voters(n)
+        for f, g in ((ft, gt), (1 - ft, 1 - gt)):
+            got = rationality._agreement(f, g)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == (f.take(xs, axis=1) & g.take(ys, axis=1)).tobytes()
+
+    def test_a_call_holds_no_memory_after_it_returns(self, rng):
+        # The oracle keeps nothing per arity: one 4^n intp map at n = 8 is 512 KiB.
+        ft, gt, ht = rng.integers(0, 2, size=(3, 1, 1 << 8), dtype=np.uint8)
+        w_oracle_batch(ft[:, :4], gt[:, :4], ht[:, :4], UNIFORM)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            w_oracle_batch(ft, gt, ht, UNIFORM)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 4**8
 
     def test_formula_agrees_with_oracle_randomized(self, rng):
         for n in (1, 2, 3, 4):
