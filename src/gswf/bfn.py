@@ -68,6 +68,12 @@ def _level_indicator(n: int) -> np.ndarray:
     return _frozen(np.eye(n + 1)[mask_levels(n)])
 
 
+@functools.lru_cache(maxsize=None)
+def _level_weights(n: int) -> np.ndarray:
+    # The transposed indicator, C-contiguous and read-only.
+    return _frozen(_level_indicator(n).T.copy())
+
+
 def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entry ``[..., k]`` is ``L_k = sum over |S| = k of a[..., S] b[..., S]``
     in float64, for row-aligned stacks along the last axis of float spectra
@@ -85,7 +91,7 @@ def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # products this size start threads that spin on after the call.
     lines_a, lines_b = a.reshape(-1, 1 << low), b.reshape(-1, 1 << low)
     part = np.empty((len(lines_a), low + 1))
-    weights, step = _level_indicator(low).T.copy(), 16
+    weights, step = _level_weights(low), 16
     for i in range(0, len(part), step):
         block = np.multiply(lines_a[i : i + step], lines_b[i : i + step], dtype=np.float64)
         np.einsum("hx,lx->hl", block, weights, out=part[i : i + step])

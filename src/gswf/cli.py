@@ -27,8 +27,33 @@ def load_schema() -> dict:
     return json.loads(text)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+#: Marks a hex truth table's place in a report payload; the table itself is
+#: handed to :func:`_json_text`.
+_TABLE = object()
+
+
+def _hole(obj):
+    if obj is _TABLE:
+        return "\x00"  # written as "\u0000", which no hex table holds
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_text(payload, tables=()) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline, with
+    ``tables``, in output order, where ``payload`` holds :data:`_TABLE`.
+
+    Hex digits need no escaping, so the tables are joined into the dumped
+    skeleton as they are: json never scans or copies them."""
+    skeleton = json.dumps(payload, sort_keys=True, indent=2, default=_hole)
+    pieces = skeleton.split("\\u0000")
+    if len(pieces) != len(tables) + 1:  # some other string wrote \u0000 too
+        rest = iter(tables)
+        return json.dumps(payload, sort_keys=True, indent=2, default=lambda _: next(rest)) + "\n"
+    pieces[-1] += "\n"
+    parts = [pieces[0]]
+    for table, piece in zip(tables, pieces[1:]):
+        parts += (table, piece)
+    return "".join(parts)
 
 
 def _write_output(text: str, out: str | None, append: bool) -> None:
@@ -149,7 +174,7 @@ def _cmd_spectrum(args) -> tuple[str, int]:
     include = args.full_coeffs or f.n <= 6
     payload = {
         "kind": "spectrum_report",
-        "function": {"n": f.n, "hex": f.hex},
+        "function": {"n": f.n, "hex": _TABLE},
         "expectation": bfn.expectation(f),
         "level_weights": weights + [0.0] * (f.n + 1 - len(weights)),
         "predicates": {
@@ -161,7 +186,7 @@ def _cmd_spectrum(args) -> tuple[str, int]:
         "coefficients": [float(x) for x in walsh_transform(f).coeffs] if include else None,
     }
     if args.format == "json":
-        return _json_text(payload), 0
+        return _json_text(payload, (f.hex,)), 0
     text = [f"function n={f.n} hex={f.hex}  E[f]={payload['expectation']:.6f}"]
     text.append(
         "predicates: "
@@ -184,14 +209,14 @@ def _cmd_rationality(args) -> tuple[str, int]:
     payload = {
         "kind": "rationality_report",
         "n": gswf.n,
-        "functions": {"f": gswf.f.hex, "g": gswf.g.hex, "h": gswf.h.hex},
+        "functions": {"f": _TABLE, "g": _TABLE, "h": _TABLE},
         "distribution": dist.as_dict(),
         "preset": preset,
         "reference_bound": AND_ENVELOPE**gswf.n if preset == "and_dual_majority" else None,
         "results": [r.to_json_dict() for r in results],
     }
     if args.format == "json":
-        return _json_text(payload), 0
+        return _json_text(payload, (gswf.f.hex, gswf.g.hex, gswf.h.hex)), 0
     head = [f"n = {gswf.n}  f={gswf.f.hex} g={gswf.g.hex} h={gswf.h.hex}"]
     if preset:
         head.append(f"preset: {preset}")

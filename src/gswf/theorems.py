@@ -423,17 +423,19 @@ def check_lemma_power_sums() -> BoundReport:
     """
     steps = _POWER_GRID_STEPS
     axis = np.arange(-steps, steps + 1, dtype=np.float64) / steps
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
-    Z = 1.0 - X - Y
+    # Z[i, j] = (1 - x) - y, rounded in that order, for x = axis[i], y = axis[j]
+    Z = (1.0 - axis)[:, None] - axis
     ok = np.abs(Z) <= 1.0 + 1e-15
     ix, iy = np.nonzero(ok)
     z = Z[ok]
-    del X, Y, Z, ok
+    del Z, ok
+    zs, iz = np.unique(z, return_inverse=True)
 
     def power_sum(e):
-        # x and y take the 2 steps + 1 axis values: one power each.
+        # x and y take the 2 steps + 1 axis values, z its distinct values:
+        # one power each.
         a = axis**e
-        return a[ix] + a[iy] + z**e
+        return a[ix] + a[iy] + (zs**e)[iz]
 
     cubes = power_sum(3)
     value, k, (t,) = first_optimum(

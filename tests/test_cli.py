@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gswf import catalog
+from gswf import catalog, cli
 from gswf.bfn import level_weights, walsh_transform
 from gswf.cli import load_schema, main
 from gswf.theorems import CHECKS
@@ -517,6 +517,71 @@ class TestOutFile:
             assert main([*argv, "--out", str(out)]) == status
             assert out.read_bytes() == 2 * stdout.encode()
             assert stdout.count("\n") == 1
+
+
+
+def _plain_json(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+class TestReportWriter:
+    """Reports with hex tables, whose tables are joined in unescaped, read
+    as the plain ``json.dumps`` of what they hold."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rationality", "--preset", "condorcet", "--n", "5", "--uniform", "--method", "formula"],
+            ["rationality", "--f", "tribes:6:2", "--g", "thr:6:3", "--h", "dict:6:4", "--alpha",
+             "0.3", "--beta", "0.15", "--gamma", "0.05", "--method", "formula"],
+            ["rationality", "--preset", "and_dual_majority", "--n", "3", "--uniform",
+             "--method", "oracle"],
+            ["rationality", "--preset", "condorcet", "--n", "5", "--triples",
+             "0.2,0.1,0.1,0.2,0.3,0.1", "--method", "oracle"],
+            ["rationality", "--preset", "split_dictators", "--n", "4", "--uniform",
+             "--method", "both"],
+            ["rationality", "--preset", "condorcet", "--n", "21", "--uniform", "--method", "formula"],
+            ["rationality", "--f", "tribes:20:4", "--g", "dict:20:2", "--h", "thr:20:11",
+             "--uniform", "--method", "formula"],
+            ["simulate", "--preset", "condorcet", "--n", "7", "--uniform", "--samples", "500",
+             "--seed", "2"],
+            ["spectrum", "--function", "maj:5"],
+            ["spectrum", "--function", "tribes:9:3"],
+            ["spectrum", "--function", "maj:21"],
+            ["spectrum", "--function", "tribes:8:3", "--full-coeffs"],
+        ],
+        ids=["formula", "formula-tables", "oracle", "oracle-triples", "both", "formula-n21",
+             "formula-n20", "simulate", "spectrum", "spectrum-dense", "spectrum-n21",
+             "spectrum-full-coeffs"],
+    )
+    def test_reports_are_plain_json_on_stdout_and_out(self, argv, tmp_path, capsys):
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert stdout == _plain_json(stdout)
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert text == stdout and text == _plain_json(text)
+
+    @pytest.mark.parametrize(
+        "value",
+        ["\x00", '"\x00', '\x00"', ': "\x00"', '": "\\u0000"', "\\u0000", "a\x00b"],
+    )
+    def test_placeholder_like_strings_are_escaped_as_usual(self, value):
+        # as a dict value, a list entry and a key next to the tables; each
+        # value sorts before "functions", so its table is written first
+        plain = {
+            value: "0f",
+            "functions": {"f": "e8", "g": value, "h": "96"},
+            "other": [value, {value: value}],
+        }
+        payload = {
+            value: cli._TABLE,
+            "functions": {"f": cli._TABLE, "g": value, "h": cli._TABLE},
+            "other": [value, {value: value}],
+        }
+        text = cli._json_text(payload, ["0f", "e8", "96"])
+        assert text == json.dumps(plain, sort_keys=True, indent=2) + "\n"
 
 
 # Fast argv pieces: arities up to 9 and small sample and trial counts.  Half

@@ -143,6 +143,14 @@ class TestLevelSums:
         # integer spectra, 2^n times the coefficients, give the integers themselves
         assert np.array_equal(bfn.level_sums(fa, fb), reference)
 
+    def test_blocked_sums_read_one_cached_read_only_weight_table(self):
+        # the transposed low-voter indicator is built once, not per call
+        low = bfn.LEVEL_MATMUL_MAX
+        weights = bfn._level_weights(low)
+        assert weights is bfn._level_weights(low)
+        assert not weights.flags.writeable and weights.flags.c_contiguous
+        assert np.array_equal(weights, bfn._level_indicator(low).T)
+
 
 def unblocked_level_sums(a, b):
     # The level sums above 12 voters as they were before the blocked

@@ -270,6 +270,35 @@ class TestIndividualChecks:
             e = 2 * k + 1
             assert gaps.tobytes() == (cubes - (x**e + y**e + z**e)).tobytes()
 
+    def test_lemma_power_sums_report_is_the_per_point_reference(self):
+        # each power taken at every grid point, and the first strict minimum
+        # over k, then over the grid in C order
+        axis = np.arange(-200, 201, dtype=np.float64) / 200
+        X, Y = np.meshgrid(axis, axis, indexing="ij")
+        Z = 1.0 - X - Y
+        ok = np.abs(Z) <= 1.0 + 1e-15
+        x, y, z = X[ok], Y[ok], Z[ok]
+        cubes = x**3 + y**3 + z**3
+        best = None
+        for k in range(1, 7):
+            e = 2 * k + 1
+            gaps = cubes - (x**e + y**e + z**e)
+            t = int(np.argmin(gaps))
+            if best is None or gaps[t] < best[0]:
+                best = (float(gaps[t]), k, t)
+        value, k, t = best
+        e = 13
+        boundary = np.max(np.abs((1.0 + axis**3 + (-axis) ** 3) - (1.0 + axis**e + (-axis) ** e)))
+        r = check_lemma_power_sums()
+        w = r.witness
+        assert sorted(w) == ["extra", "k", "kind", "value", "x", "y", "z"]
+        assert r.lhs == r.margin == w["value"] == value
+        assert (w["k"], w["x"], w["y"], w["z"]) == (k, float(x[t]), float(y[t]), float(z[t]))
+        assert w["extra"] == {"grid_points": len(z), "boundary_max_dev": float(boundary)}
+        # the documented witness
+        assert (value, k) == (-8.881784197001252e-16, 5)
+        assert (w["x"], w["y"], w["z"]) == (-0.995, 1.0, 0.9950000000000001)
+
     @pytest.mark.parametrize(
         "check, kwargs, name",
         [
