@@ -108,11 +108,12 @@ class BooleanFunction:
 
     ``table[x]`` is ``f(x)`` for the input mask ``x``.  Instances are
     immutable and safe to share between threads.  The table is packed into
-    bytes at most once (:attr:`packed_bytes`); equality, hashing and the
-    serialization forms all read those bytes.
+    bytes at most once (:attr:`packed_bytes`), and those bytes into hex at
+    most once (:attr:`hex`); equality, hashing and the serialization forms
+    all read those bytes.
     """
 
-    __slots__ = ("n", "table", "_bytes", "_hash")
+    __slots__ = ("n", "table", "_bytes", "_hex", "_hash")
 
     def __init__(self, n: int, table) -> None:
         check_arity(n)
@@ -127,6 +128,7 @@ class BooleanFunction:
         self.n = n
         self.table = _frozen(arr)
         self._bytes: bytes | None = None
+        self._hex: str | None = None
         self._hash: int | None = None
 
     @classmethod
@@ -134,7 +136,7 @@ class BooleanFunction:
         # A fresh uint8 0/1 table that nothing else holds, with its packed
         # bytes: both are kept as they are, unchecked.
         f = cls.__new__(cls)
-        f.n, f.table, f._bytes, f._hash = n, _frozen(table), packed, None
+        f.n, f.table, f._bytes, f._hex, f._hash = n, _frozen(table), packed, None, None
         return f
 
     @classmethod
@@ -172,9 +174,12 @@ class BooleanFunction:
 
     @property
     def hex(self) -> str:
-        """Packed table as zero-padded lowercase hex (serialization form)."""
-        width = ((1 << self.n) + 3) // 4
-        return self.packed_bytes[::-1].hex()[-width:]
+        """Packed table as zero-padded lowercase hex (serialization form).
+        Computed once."""
+        if self._hex is None:
+            width = ((1 << self.n) + 3) // 4
+            self._hex = self.packed_bytes[::-1].hex()[-width:]
+        return self._hex
 
     def __call__(self, x: int) -> int:
         return evaluate(self, x)

@@ -348,22 +348,29 @@ def w_oracle(gswf: Gswf, t) -> WResult:
 
 def _profile_masks(rng: np.random.Generator, t, samples: int, n: int):
     # Yields, chunk by chunk, the (A,B), (B,C) and (C,A) input masks of the
-    # profiles of rng.choice(6, (samples, n), p=t.p) as uint32 arrays, voter
-    # i at bit i.  Triple j is drawn iff cdf[j-1] <= u < cdf[j], so a pairwise
-    # bit is its value at triple 0 XOR u >= cdf[i] at each of its flips i.
+    # profiles of rng.choice(6, (samples, n), p=t.p) as unsigned words of
+    # width bits, voter i at bit i.  Triple j is drawn iff
+    # cdf[j-1] <= u < cdf[j], so a pairwise bit is its value at triple 0 XOR
+    # u >= cdf[i] at each of its flips i.
     cdf = t.p.cumsum()
     cdf /= cdf[-1]
-    starts = np.where(_TRIPLE_BITS[0], (1 << n) - 1, 0).astype(np.uint32)
-    rows = max(1, min(samples, MC_CHUNK_DRAWS // n))
-    # Plane j holds voter i's u >= cdf[j] in column i, zero padded to 32
-    # columns (n <= N_MAX = 24): one flat packbits gives a uint32 per row.
-    above = np.zeros((5, rows, 32), dtype=bool)
+    width = next(w for w in (8, 16, 32) if w >= n)
+    dtype = np.dtype(f"<u{width // 8}")
+    starts = np.where(_TRIPLE_BITS[0], (1 << n) - 1, 0).astype(dtype)
+    rows = max(1, min(samples, MC_CHUNK_DRAWS // width))
+    # The draws are copied into rows padded to width columns (n <= N_MAX = 24)
+    # with -1.0, below every threshold, so one compare over contiguous rows
+    # fills the five planes (plane j holds voter i's u >= cdf[j] in column i,
+    # pad bits 0), and one flat packbits makes a word per row.  Chunks of
+    # MC_CHUNK_DRAWS // width rows bound every buffer whatever n is.
+    u = np.empty((rows, n))
+    padded = np.full((rows, width), -1.0)
+    above = np.empty((5, rows, width), dtype=bool)
     for done in range(0, samples, rows):
         m = min(rows, samples - done)
-        u = rng.random((m, n))
-        for j in range(5):
-            np.greater_equal(u, cdf[j], out=above[j, :m, :n])
-        words = np.packbits(above[:, :m], bitorder="little").view("<u4").reshape(5, m)
+        padded[:m, :n] = rng.random(out=u[:m])
+        np.greater_equal(padded[None, :m], cdf[:5, None, None], out=above[:, :m])
+        words = np.packbits(above[:, :m], bitorder="little").view(dtype).reshape(5, m)
         yield [np.bitwise_xor.reduce(words[flips]) ^ start for flips, start in zip(_BIT_FLIPS, starts)]
 
 
@@ -374,8 +381,12 @@ def w_monte_carlo(gswf: Gswf, t, samples: int, seed: int) -> WResult:
     ``numpy.random.default_rng(seed)``: one ``rng.random`` uniform ``u`` per
     voter picks the triple ``#{j : cdf[j] <= u}`` of the normalized
     cumulative law, and the input masks are read off the thresholds
-    ``u >= cdf[j]``.  ``rng.random`` fills its output in C order, so the
-    estimate does not depend on how the profiles are split into chunks.
+    ``u >= cdf[j]``.  Each chunk's uniforms are copied into rows padded with
+    ``-1.0`` to the word width, the least of 8, 16 and 32 bits holding ``n``
+    voters, so one compare over contiguous rows gives all five thresholds
+    and one ``packbits`` a word per profile.  ``rng.random`` fills its
+    output in C order, so the estimate does not depend on how the profiles
+    are split into chunks.
     """
     t = as_triple_distribution(t)
     check_count("samples", samples, high=SAMPLES_MAX)

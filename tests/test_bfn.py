@@ -110,6 +110,7 @@ class TestTables:
             for _ in range(5):
                 f = bfn.random_function(n, rng)
                 assert f.hex == format(f.packed, f"0{width}x")
+                assert f.hex is f.hex  # built once, then read from the cache
                 assert f.packed_bytes == np.packbits(f.table, bitorder="little").tobytes()
                 for g in (
                     BooleanFunction.from_hex(n, f.hex),
@@ -117,7 +118,7 @@ class TestTables:
                     BooleanFunction.from_packed(n, f.packed),
                     BooleanFunction(n, f.table.copy()),
                 ):
-                    assert g == f and hash(g) == hash(f)
+                    assert g == f and hash(g) == hash(f) and g.hex == f.hex
                     assert np.array_equal(g.table, f.table) and not g.table.flags.writeable
 
 

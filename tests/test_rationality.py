@@ -798,27 +798,35 @@ MC_LAWS = {
 }
 
 
+def word_width(n):
+    # The sampler's mask width: the least of 8, 16 and 32 bits holding n voters.
+    return 8 if n <= 8 else 16 if n <= 16 else 32
+
+
 class TestMonteCarlo:
-    @pytest.mark.parametrize("n", [1, 7, 15, 20])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 20, 24])
     @pytest.mark.parametrize("law", MC_LAWS)
     def test_equals_choice_reference_bit_for_bit(self, n, law):
-        # three full chunks and a remainder
-        samples = 3 * (rationality.MC_CHUNK_DRAWS // n) + 17
+        # three full chunks and a remainder, at each word width and its edges
+        samples = 3 * (rationality.MC_CHUNK_DRAWS // word_width(n)) + 17
         rng = np.random.default_rng(n)
         gswf = Gswf(*(bfn.random_function(n, rng) for _ in range(3)))
         for seed in (0, 31):
             got = w_monte_carlo(gswf, MC_LAWS[law], samples=samples, seed=seed).w
             assert got == choice_monte_carlo_w(gswf, MC_LAWS[law], samples, seed)
 
+    @pytest.mark.parametrize("n", [5, 8, 16, 17, 24])
     @pytest.mark.parametrize(
         "p", [*(as_triple_distribution(t).p for t in MC_LAWS.values()), [0, 0.5, 0, 0, 0.5, 0]]
     )
-    def test_threshold_decode_is_choice(self, p):
+    def test_threshold_decode_is_choice(self, p, n):
         # Decode the package's masks back to triple indices voter by voter:
-        # they are the indices rng.choice draws from the same seed.
-        t, n, samples, seed = TripleDistribution(p), 5, 30_011, 4
+        # they are the indices rng.choice draws from the same seed, and no
+        # bit above voter n - 1 is set.
+        t, samples, seed = TripleDistribution(p), 30_011, 4
         chunks = rationality._profile_masks(np.random.default_rng(seed), t, samples, n)
         masks = [np.concatenate(parts).astype(np.int64) for parts in zip(*chunks)]
+        assert all(m.max() >> n == 0 for m in masks)
         bits = [(m[:, None] >> np.arange(n)) & 1 for m in masks]
         index_of = np.full(8, -1)
         index_of[[x | y << 1 | z << 2 for x, y, z in TRIPLES]] = np.arange(6)
@@ -832,6 +840,20 @@ class TestMonteCarlo:
         for draws in (1, 7, 50):
             monkeypatch.setattr(rationality, "MC_CHUNK_DRAWS", draws)
             assert w_monte_carlo(gswf, UNIFORM, samples=4001, seed=3).w == expected
+
+    @pytest.mark.parametrize("n, parent_kib", [(9, 2413), (15, 1859), (17, 1790), (23, 1569)])
+    def test_peak_memory_is_no_more_than_the_strided_sampler(self, n, parent_kib):
+        # tracemalloc's peak over one 200 000-sample call, bounded by what the
+        # sampler that compared into strided 32-column planes peaked at.
+        gswf = preset_gswf("condorcet", n)
+        w_monte_carlo(gswf, UNIFORM, samples=100, seed=1)
+        tracemalloc.start()
+        try:
+            w_monte_carlo(gswf, UNIFORM, samples=200_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= parent_kib * 1024
 
     def test_dictator_triple_exact_zero(self):
         gswf = preset_gswf("dictator_triple", 5)
