@@ -303,7 +303,7 @@ def _parse_n_list(text: str) -> list[int]:
     try:
         if len(parts) > 1:
             step = int(parts[2]) if len(parts) == 3 else 1
-            values = range(int(parts[0]), int(parts[1]) + 1, step)
+            values = range(int(parts[0]), int(parts[1]) + (1 if step > 0 else -1), step)
         else:
             values = [int(x) for x in text.split(",") if x]
     except ValueError as exc:  # a non-integer, or a zero step
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", choices=("majority-stability", "instability"), required=True)
     p.add_argument("--rho", type=float)
     p.add_argument("--q", type=float)
-    p.add_argument("--n-list", required=True, help="comma list or start:stop[:step]")
+    p.add_argument("--n-list", required=True, help="comma list or start:stop[:step], stop included")
     _add_output_flags(p, formats=False)
     p.set_defaults(func=_cmd_curve)
 

@@ -112,15 +112,14 @@ class ClassFilter:
 
 @dataclass(frozen=True)
 class ExtremalResult:
-    """Optimum of ``W`` over a product of function classes."""
+    """Optimum of ``W`` over a product of function classes; ``trials`` and
+    ``seed`` are set exactly when the triples were sampled."""
 
     objective: str
     value: float
     witness: tuple[BooleanFunction, BooleanFunction, BooleanFunction]
     distribution: EvenProductDistribution
     enumeration_count: int
-    tie_break: str
-    mode: str = "exhaustive"
     trials: int | None = None
     seed: int | None = None
 
@@ -136,8 +135,8 @@ class ExtremalResult:
             },
             "distribution": self.distribution.as_dict(),
             "enumeration_count": self.enumeration_count,
-            "tie_break": self.tie_break,
-            "mode": self.mode,
+            "tie_break": _TIE_BREAK_NOTE,
+            "mode": "exhaustive" if self.trials is None else "random",
             "trials": self.trials,
             "seed": self.seed,
         }
@@ -343,7 +342,6 @@ def extremal_w(
         witness=(F[i], G[j], H[k]),
         distribution=d,
         enumeration_count=count,
-        tie_break=_TIE_BREAK_NOTE,
     )
 
 
@@ -472,8 +470,6 @@ def random_search(
         witness=best,
         distribution=d,
         enumeration_count=trials,
-        tie_break=_TIE_BREAK_NOTE,
-        mode="random",
         trials=trials,
         seed=seed,
     )

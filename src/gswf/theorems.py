@@ -136,10 +136,22 @@ def _triple_payload(fs) -> dict:
     return {"n": f.n, "f": f.hex, "g": g.hex, "h": h.hex}
 
 
-def _w_triple(value, d: EvenProductDistribution, fs, extra: dict) -> dict:
-    # The witness of a triple's closed-form W under d, as reevaluate_witness reads it.
-    return {"kind": "w_triple", "value": value, "method": "formula",
-            "dist": _dist_payload(d), **_triple_payload(fs), "extra": extra}
+def _triple_witness(value, d: EvenProductDistribution, fs, extra: dict, kind="w_triple") -> dict:
+    # A triple's closed-form W under d (a cross_sum_triple: its W - base), as
+    # reevaluate_witness reads it; only a w_triple names its method.
+    method = {"method": "formula"} if kind == "w_triple" else {}
+    return {"kind": kind, "value": value, **method, "dist": _dist_payload(d),
+            **_triple_payload(fs), "extra": extra}
+
+
+def _hex_rows(n: int, tables, *rows) -> dict:
+    return {k: BooleanFunction(n, tables[r]).hex for k, r in zip("fgh", rows)}
+
+
+def _pair_witness(kind, value, n: int, tables, i, j, extra: dict, **fields) -> dict:
+    # A pair witness: rows i and j of a table stack as f and g.
+    return {"kind": kind, "value": value, "n": n, **_hex_rows(n, tables, i, j), **fields,
+            "extra": extra}
 
 
 def _functions_from_payload(w: dict):
@@ -193,7 +205,7 @@ def check_formula_vs_oracle(
 
     value, (n, d, w, tables), (t,) = first_optimum(blocks(), True)
     fs = tuple(BooleanFunction(n, rows[t]) for rows in tables)
-    witness = _w_triple(float(w[t]), d, fs, {"worst_abs_diff": value})
+    witness = _triple_witness(float(w[t]), d, fs, {"worst_abs_diff": value})
     return _report(
         "formula_vs_oracle",
         lhs=value,
@@ -233,13 +245,7 @@ def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -
         split = catalog.preset_gswf("split_dictators", n)
         res = w_formula(split, d)
         extra["split_dictators_w_minus_base"] = res.w - res.base
-    witness = {
-        "kind": "cross_sum_triple",
-        "value": value,
-        "dist": _dist_payload(d),
-        **_triple_payload(worst_triple),
-        "extra": extra,
-    }
+    witness = _triple_witness(value, d, worst_triple, extra, "cross_sum_triple")
     return _report(
         "monotone_bound",
         lhs=value,
@@ -250,28 +256,21 @@ def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -
     )
 
 
-def _worst_scaled_pair(S):
-    """Least ``(1/delta) <<f, g>>_delta`` over pairs of spectrum rows and
-    :data:`_DELTA_GRID`, as ``(value, delta, (i, j))``; the first minimum
-    wins ties."""
+def _worst_scaled_pair(n: int, tables, S, extra: dict):
+    """Least ``(1/delta) <<f, g>>_delta`` over pairs of rows of ``tables``
+    (spectra ``S``) and :data:`_DELTA_GRID`, as ``(value, witness)``; the
+    first minimum wins ties."""
     blocks = ((delta, pair_matrix(S, S, delta) / delta) for delta in _DELTA_GRID)
-    return first_optimum(blocks, False)
+    value, delta, (i, j) = first_optimum(blocks, False)
+    return value, _pair_witness("scaled_biased_pair", value, n, tables, i, j, extra, delta=delta)
 
 
 def check_biased_product_sign(n: int = 3) -> BoundReport:
     """``(1/delta) <<f, g>>_delta >= 0`` for monotone increasing pairs, at
     every ``delta`` of :data:`_DELTA_GRID`."""
     members, S = class_table(n, _MONOTONE)
-    value, delta, (i, j) = _worst_scaled_pair(S)
-    witness = {
-        "kind": "scaled_biased_pair",
-        "value": value,
-        "n": n,
-        "f": members[i].hex,
-        "g": members[j].hex,
-        "delta": delta,
-        "extra": {"pairs": len(members) ** 2, "delta_grid": list(_DELTA_GRID)},
-    }
+    extra = {"pairs": len(members) ** 2, "delta_grid": list(_DELTA_GRID)}
+    value, witness = _worst_scaled_pair(n, members.tables, S, extra)
     return _report(
         "biased_product_sign",
         lhs=value,
@@ -293,16 +292,8 @@ def check_biased_product_sign_demo() -> BoundReport:
     n = _SIGN_DEMO_N
     tables = all_tables(n)
     tables = tables[~bfn.is_monotone(tables)]
-    value, delta, (i, j) = _worst_scaled_pair(bfn.walsh_coeffs(tables))
-    witness = {
-        "kind": "scaled_biased_pair",
-        "value": value,
-        "n": n,
-        "f": BooleanFunction(n, tables[i]).hex,
-        "g": BooleanFunction(n, tables[j]).hex,
-        "delta": delta,
-        "extra": {"required_depth": _SIGN_DEMO_DEPTH},
-    }
+    extra = {"required_depth": _SIGN_DEMO_DEPTH}
+    value, witness = _worst_scaled_pair(n, tables, bfn.walsh_coeffs(tables), extra)
     return _report(
         "biased_product_sign_nonmonotone_demo",
         lhs=value,
@@ -331,15 +322,8 @@ def check_fkg(n: int = 3) -> BoundReport:
     means = tables.sum(axis=1) / scale
     cov = (tables @ tables.T) / scale - np.multiply.outer(means, means)
     value, _, (i, j) = first_optimum([(None, cov)], False)
-    witness = {
-        "kind": "covariance_pair",
-        "value": value,
-        "n": n,
-        "f": members[i].hex,
-        "g": members[j].hex,
-        "orientation": "increasing",
-        "extra": {"pairs": cov.size},
-    }
+    witness = _pair_witness("covariance_pair", value, n, members.tables, i, j,
+                            {"pairs": cov.size}, orientation="increasing")
     return _report(
         "fkg",
         lhs=value,
@@ -397,7 +381,7 @@ def check_balanced_bound(n: int = 2) -> BoundReport:
     pseudo_w = w_from_spectra(*pseudo_extremal_spectra(max(n, 3)), d).w
     first_w = w_formula(first_level_example(max(n, 2)), d).w
     second_w = w_formula(second_level_example(max(n, 2)), d).w
-    witness = _w_triple(res.value, d, res.witness, {
+    witness = _triple_witness(res.value, d, res.witness, {
         "triples_scanned": res.enumeration_count,
         "pseudo_extremal_w": pseudo_w,
         "first_level_example_w": first_w,
@@ -567,6 +551,16 @@ def check_majority_stability() -> BoundReport:
     )
 
 
+def _dual_deviation(n: int, tables) -> np.ndarray:
+    """Per row of ``tables``, the largest ``|coeff'(S) - (-1)^(|S|-1) coeff(S)|``
+    over nonempty ``S``, ``coeff'`` being the dual function's."""
+    signs = np.where(mask_levels(n) & 1, 1.0, -1.0)  # (-1)^(|S|-1)
+    dual = 1 - tables[:, ::-1]  # row-wise bfn.dual
+    dev = np.abs(bfn.walsh_coeffs(dual) - signs * bfn.walsh_coeffs(tables))
+    dev[:, 0] = 0.0
+    return dev.max(axis=1)
+
+
 def check_dual_claim() -> BoundReport:
     """Dual-function spectra obey ``coeff'(S) = (-1)^(|S|-1) coeff(S)``
     for nonempty ``S``; exhaustive over all functions up to
@@ -574,16 +568,11 @@ def check_dual_claim() -> BoundReport:
 
     def blocks():
         for n in range(1, _DUAL_N_MAX + 1):
-            signs = np.where(mask_levels(n) & 1, 1.0, -1.0)  # (-1)^(|S|-1)
             tables = all_tables(n)
-            dual = 1 - tables[:, ::-1]  # row-wise bfn.dual
-            dev = np.abs(bfn.walsh_coeffs(dual) - signs * bfn.walsh_coeffs(tables))
-            dev[:, 0] = 0.0
-            yield (n, tables), dev.max(axis=1)
+            yield (n, tables), _dual_deviation(n, tables)
 
     value, (n, tables), (t,) = first_optimum(blocks(), True)
-    f = BooleanFunction(n, tables[t])
-    witness = {"kind": "dual_function", "value": value, "n": f.n, "f": f.hex}
+    witness = {"kind": "dual_function", "value": value, "n": n, **_hex_rows(n, tables, t)}
     return _report(
         "dual_claim",
         lhs=value,
@@ -620,27 +609,12 @@ def check_lower_bound_biased(n: int = 2) -> BoundReport:
     )
     equality_dev = max([0.0] + [float(np.abs(slack[constant, :]).max()) for _, slack in slacks])
     margin = min(value, strict - STRICT_FLOOR, TOL_EXACT - equality_dev)
-
-    def hex_of(row):
-        return BooleanFunction(n, tables[row]).hex
-
-    witness = {
-        "kind": "bounded_pair",
-        "value": value,
-        "n": n,
-        "f": hex_of(i),
-        "g": hex_of(j),
-        "delta": delta,
-        "extra": {
-            "strict_min_nonconstant_interior": strict,
-            "strict_witness": {
-                "f": hex_of(keep[si]),
-                "g": hex_of(keep[sj]),
-                "delta": strict_delta,
-            },
-            "constant_equality_max_dev": equality_dev,
-        },
+    extra = {
+        "strict_min_nonconstant_interior": strict,
+        "strict_witness": {**_hex_rows(n, tables, keep[si], keep[sj]), "delta": strict_delta},
+        "constant_equality_max_dev": equality_dev,
     }
+    witness = _pair_witness("bounded_pair", value, n, tables, i, j, extra, delta=delta)
     return _report(
         "lower_bound_biased",
         lhs=value,
@@ -662,7 +636,7 @@ def check_arrow_sum_condition() -> BoundReport:
         *cross_planes(S, S, S, d), False, means=(p, p, p), allowed=lambda i: sum_ok[i]
     )
     fs = (members[i], members[j], members[k])
-    witness = _w_triple(value, d, fs, {"eligible_triples": eligible})
+    witness = _triple_witness(value, d, fs, {"eligible_triples": eligible})
     return _report(
         "arrow_sum_condition",
         lhs=value,
@@ -840,7 +814,7 @@ def check_alpha_half_ceiling(seed: int = _DEFAULT_SEED) -> BoundReport:
     check_count("seed", seed, low=0)
     n, trials = _ALPHA_HALF_N, _ALPHA_HALF_TRIALS
     rng = np.random.default_rng(seed)
-    members, S = class_table(n, ClassFilter(("balanced", "monotone")))
+    members, S = class_table(n, _BALANCED_MONOTONE)
     picks = [rng.integers(0, len(members), size=trials) for _ in range(3)]
     means, sums = cyclic_spectral_sums([S[p] for p in picks])
     grid = _even_product_grid()
@@ -851,7 +825,7 @@ def check_alpha_half_ceiling(seed: int = _DEFAULT_SEED) -> BoundReport:
     extremal = w_formula(extremal_gswf, corner).w
     if extremal >= value:
         value, d, fs = extremal, corner, extremal_gswf.functions
-    witness = _w_triple(value, d, fs, {
+    witness = _triple_witness(value, d, fs, {
         "grid_size": len(grid),
         "sampled_triples": trials,
         "extremal_w_at_corner": extremal,
@@ -892,8 +866,8 @@ CHECKS = {
 
 
 def run_all(seed: int = _DEFAULT_SEED, names=None) -> list[BoundReport]:
-    """Run the selected checks (all by default), sorted by name.  ``seed``
-    is checked even when no selected check reads it."""
+    """Run the selected checks (all by default), sorted by name; a name may
+    be selected once.  ``seed`` is checked even when no selected check reads it."""
     check_count("seed", seed, low=0)
     selected = sorted(CHECKS) if names is None else list(names)
     unknown = [x for x in selected if x not in CHECKS]
@@ -901,6 +875,9 @@ def run_all(seed: int = _DEFAULT_SEED, names=None) -> list[BoundReport]:
         raise ValidationError(
             f"unknown checks: {', '.join(unknown)}; known: {', '.join(sorted(CHECKS))}"
         )
+    repeated = sorted({x for x in selected if selected.count(x) > 1})
+    if repeated:
+        raise ValidationError(f"checks named more than once: {', '.join(repeated)}")
     return sorted((CHECKS[name](seed) for name in selected), key=lambda r: r.name)
 
 
@@ -918,13 +895,9 @@ def reevaluate_witness(report: BoundReport) -> float:
     """Recompute the quantity a report's witness claims, from scratch."""
     w = report.witness
     kind = w["kind"]
-    if kind == "w_triple":
-        return w_formula(Gswf(*_functions_from_payload(w)), _dist_from_payload(w["dist"])).w
-    if kind == "cross_sum_triple":
-        fs = _functions_from_payload(w)
-        dst = _dist_from_payload(w["dist"])
-        res = w_formula(Gswf(*fs), dst)
-        return res.w - res.base
+    if kind in ("w_triple", "cross_sum_triple"):
+        res = w_formula(Gswf(*_functions_from_payload(w)), _dist_from_payload(w["dist"]))
+        return res.w if kind == "w_triple" else res.w - res.base
     if kind in ("scaled_biased_pair", "bounded_pair"):
         f, g = _functions_from_payload(w)
         value = biased_inner_product(walsh_transform(f), walsh_transform(g), w["delta"])
@@ -950,10 +923,7 @@ def reevaluate_witness(report: BoundReport) -> float:
         )
     if kind == "dual_function":
         (f,) = _functions_from_payload(w)
-        signs = np.where(mask_levels(f.n) & 1, 1.0, -1.0)
-        dev = np.abs(walsh_transform(bfn.dual(f)).coeffs - signs * walsh_transform(f).coeffs)
-        dev[0] = 0.0
-        return float(dev.max())
+        return float(_dual_deviation(f.n, f.table[None])[0])
     if kind == "first_level_bound":
         return w_prime_first_level_bound(w["n"])
     if kind == "instability_ratio_pair":

@@ -376,6 +376,13 @@ class TestOtherCommands:
         assert lines[0] == "n,q,w,eta,ratio"
         assert len(lines) == 1 + 6
 
+    @pytest.mark.parametrize("spec, ns", [("1:5:2", [1, 3, 5]), ("5:1:-2", [5, 3, 1])])
+    def test_curve_range_includes_stop(self, spec, ns, capsys):
+        # stop is included whichever way the range steps
+        assert main(["curve", "--check", "instability", "--q", "0.2", "--n-list", spec]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [int(line.split(",")[0]) for line in lines] == ns
+
     def test_curve_instability_reads_the_check_rows(self, capsys):
         # both print the rows of theorems.instability_row, float for float
         assert main(["curve", "--check", "instability", "--q", "0.2", "--n-list", "5:15:2"]) == 0
@@ -451,6 +458,8 @@ class TestOtherCommands:
             ["rationality", "--f", "maj:3", "--g", "maj:3", "--h", "maj:3", "--q", "0.2"],
             ["spectrum", "--function", "maj:9", "--full-coeffs", "--format", "pretty"],
             ["verify", "--all", "--check", "fkg"],
+            # a check named twice would print its report twice
+            ["verify", "--check", "fkg", "--check", "fkg"],
             ["curve", "--check", "instability", "--q", "0.2", "--rho", "0.5", "--n-list", "5"],
             ["curve", "--check", "majority-stability", "--rho", "0.5", "--q", "0.2",
              "--n-list", "3"],

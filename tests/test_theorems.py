@@ -14,7 +14,7 @@ from gswf.bfn import BooleanFunction
 from gswf.catalog import eta
 from gswf.dist import EvenProductDistribution
 from gswf.errors import CapacityError, HypothesisViolation, ValidationError
-from gswf.rationality import Gswf, w_formula, w_oracle
+from gswf.rationality import Gswf, biased_inner_product, w_formula, w_oracle
 from gswf.search import ClassFilter, class_table
 from gswf.theorems import (
     CHECKS,
@@ -353,12 +353,21 @@ class TestIndividualChecks:
         r = check_dual_claim()
         assert r.passed and r.lhs <= 1e-12
 
-    def test_lower_bound_biased(self):
-        r = check_lower_bound_biased(n=2)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lower_bound_biased(self, n):
+        r = check_lower_bound_biased(n=n)
         assert r.passed
         extra = r.witness["extra"]
         assert extra["strict_min_nonconstant_interior"] > 0
         assert extra["constant_equality_max_dev"] <= 1e-12
+        # the nested strict witness re-evaluates to the strict minimum, bit for bit
+        strict = extra["strict_witness"]
+        f, g = (BooleanFunction.from_hex(n, strict[k]) for k in "fg")
+        p1, p2 = bfn.expectation(f), bfn.expectation(g)
+        slack = biased_inner_product(
+            bfn.walsh_transform(f), bfn.walsh_transform(g), strict["delta"]
+        ) + min(p1 * p2, (1 - p1) * (1 - p2))
+        assert slack == extra["strict_min_nonconstant_interior"]
 
     def test_lower_bound_biased_refuses_n4_before_allocating(self):
         # n = 4 would need a 65536 x 65536 floor matrix (32 GiB)
@@ -444,6 +453,11 @@ class TestSuite:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValidationError):
             run_all(names=("no_such_check",))
+
+    def test_repeated_check_rejected(self):
+        # a check named twice would run twice and print two identical reports
+        with pytest.raises(ValidationError, match="more than once: fkg$"):
+            run_all(names=("fkg", "dual_claim", "fkg"))
 
     def test_registry_covers_every_check(self):
         assert set(CHECKS) == {
