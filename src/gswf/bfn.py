@@ -81,10 +81,14 @@ def level_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     For Boolean spectra each product is an integer multiple of ``4^-n`` (of 1)
     and, by Cauchy-Schwarz and Parseval, their absolute values sum to at most
     1 (``4^n < 2^53``): no partial sum is rounded, in any order, so a row's
-    sums depend neither on its stack nor on its spectra's dtype."""
+    sums depend neither on its stack nor on its spectra's dtype.  Integer
+    spectra of at most 7 voters are multiplied in int16, which holds every
+    product (at most ``4^n <= 2^14`` in absolute value) in a quarter of the
+    float64 memory."""
     n = a.shape[-1].bit_length() - 1
     if n <= LEVEL_MATMUL_MAX:
-        return np.multiply(a, b, dtype=np.float64) @ _level_indicator(n)
+        exact = a.dtype.kind == b.dtype.kind == "i" and 2 * n <= _INT16_VOTERS
+        return np.multiply(a, b, dtype=np.int16 if exact else np.float64) @ _level_indicator(n)
     low, high = LEVEL_MATMUL_MAX, n - LEVEL_MATMUL_MAX
     # part[r, h, l]: row r's products with high voters h and l low voters,
     # formed 2^16 at a time (16 lines of 2^12), in numpy's own loops: BLAS

@@ -205,6 +205,16 @@ def cyclic_spectral_sums(rows, pair=level_sums):
     return [s[..., 0] for s in rows], [pair(a, b) for a, b in zip(rows, rows[1:] + rows[:1])]
 
 
+def integer_spectral_sums(rows):
+    """:func:`cyclic_spectral_sums` of row-aligned integer spectra
+    (:func:`bfn.integer_spectrum`'s, ``2^n`` times the coefficients), scaled
+    by ``2^-n`` and ``4^-n`` to the coefficients' means and level sums: both
+    scalings are exact, so the bits are those of the float spectra."""
+    n = rows[0].shape[-1].bit_length() - 1
+    means, sums = cyclic_spectral_sums(rows)
+    return [m / float(1 << n) for m in means], [s / 4.0**n for s in sums]
+
+
 def w_batch(sf: np.ndarray, sg: np.ndarray, sh: np.ndarray, d: EvenProductDistribution):
     """:func:`closed_form` on the :func:`cyclic_spectral_sums` of row-aligned
     stacks of coefficient vectors; row ``t`` of the three stacks is one triple."""
@@ -223,10 +233,9 @@ def cyclic_level_sums(fns):
     * all symmetric: :func:`level_products` of the levels, ``O(n)``;
     * the relevant voters' union ``J`` smaller than ``n``: the ``|J| + 1``
       level sums of the functions restricted to ``J`` (the rest are 0);
-    * otherwise :func:`cyclic_spectral_sums` of the integer spectra
+    * otherwise :func:`integer_spectral_sums` of the integer spectra
       (:func:`bfn.integer_spectrum`, a symmetric member's gathered from its
-      levels), each under :func:`bfn.check_boolean_spectra`, scaled by
-      ``2^-n`` and ``4^-n`` at the end.
+      levels), each under :func:`bfn.check_boolean_spectra`.
     """
     check_same_arity(*(fn.n for fn in fns))
     found = {fn: bfn.read_structure(fn) for fn in set(fns)}
@@ -244,8 +253,7 @@ def cyclic_level_sums(fns):
         else:  # the integer levels 2^n a, gathered
             spectra[fn] = (a * float(1 << n)).astype(np.int32)[mask_levels(n)]
         bfn.check_boolean_spectra(spectra[fn])
-    means, sums = cyclic_spectral_sums([spectra[fn] for fn in fns])
-    return [m / float(1 << n) for m in means], [s / 4.0**n for s in sums]
+    return integer_spectral_sums([spectra[fn] for fn in fns])
 
 
 def w_formula(gswf: Gswf, d: EvenProductDistribution) -> WResult:

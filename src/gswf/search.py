@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ from . import bfn, catalog
 from .bfn import BooleanFunction
 from .dist import EvenProductDistribution, even_product_law
 from .errors import CapacityError, ValidationError, check_count, check_objective, float_array
-from .rationality import pair_matrix, w_batch
+from .rationality import closed_form, integer_spectral_sums, pair_matrix
 
 #: Largest arity for full class enumeration (2^16 candidate tables at n=4).
 ENUM_MAX = 4
@@ -148,23 +149,42 @@ _TIE_BREAK_NOTE = (
 )
 
 
-def all_tables(n: int) -> np.ndarray:
-    """Every truth table of arity ``n <= ENUM_MAX`` as one ``uint8`` stack.
-
-    Row ``v`` is the function whose packed table is ``v``, so the rows are in
-    ascending truth-table order; they are unpacked at once from a counter.
-    """
+def _check_enumerable(n: int) -> None:
     bfn.check_arity(n)
     if n > ENUM_MAX:
         raise CapacityError(
             f"full enumeration is limited to n <= {ENUM_MAX} "
             f"(2^(2^n) candidates); use random_search for larger arities"
         )
+
+
+def all_tables(n: int) -> np.ndarray:
+    """Every truth table of arity ``n <= ENUM_MAX`` as one ``uint8`` stack.
+
+    Row ``v`` is the function whose packed table is ``v``, so the rows are in
+    ascending truth-table order; they are unpacked at once from a counter.
+    """
+    _check_enumerable(n)
     size = 1 << n
     counter = np.arange(1 << size, dtype=f"<u{max(1, size // 8)}")
     return np.unpackbits(
         counter.view(np.uint8).reshape(counter.size, -1), axis=1, count=size, bitorder="little"
     )
+
+
+def _monotone_tables(n: int) -> np.ndarray:
+    # The monotone rows of all_tables(n), by doubling from the two constant
+    # tables of no voter: a table is monotone iff its halves f0 (top voter
+    # 0) and f1 (top voter 1) are and f0 <= f1.  Its packed value is
+    # f0 + 2^(2^(n-1)) f1, so pairs taken in ascending (f1, f0) order come
+    # out in ascending packed order.
+    _check_enumerable(n)
+    tables = np.array([[0], [1]], dtype=np.uint8)
+    for _ in range(n):
+        below = np.all(tables[:, None] <= tables[None, :], axis=-1)
+        high, low = np.nonzero(below.T)
+        tables = np.concatenate([tables[low], tables[high]], axis=1)
+    return tables
 
 
 class ClassMembers(Sequence):
@@ -195,11 +215,14 @@ class ClassMembers(Sequence):
 def class_table(n: int, filt: ClassFilter) -> tuple[ClassMembers, np.ndarray]:
     """Members of a class in ascending truth-table order, with their spectra.
 
-    The rows of :func:`all_tables` are filtered as one stack, and only the
-    members are transformed, in one butterfly pass; row ``i`` of the
-    read-only spectra belongs to member ``i``.
+    A filter with ``monotone`` starts from the monotone tables, built by
+    doubling pairs ``f0 <= f1`` of one voter fewer (the Dedekind numbers 3,
+    6, 20, 168 at n = 1..4); any other starts from :func:`all_tables`.  The
+    rows are filtered as one stack, and only the members are transformed,
+    in one butterfly pass; row ``i`` of the read-only spectra belongs to
+    member ``i``.
     """
-    tables = all_tables(n)
+    tables = _monotone_tables(n) if "monotone" in filt.predicates else all_tables(n)
     tables = tables[filt.select(tables)]
     spectra = bfn.walsh_coeffs(tables)
     bfn.check_boolean_spectra(spectra)
@@ -240,16 +263,17 @@ def cross_planes(sf, sg, sh, d: EvenProductDistribution):
     return pair_matrix(sf, sg, d1), pair_matrix(sg, sh, d2), pair_matrix(sh, sf, d3)
 
 
-def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
+def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None, rows=None):
     """Optimum over triples ``(i, j, k)`` of ``base + fg[i,j] + gh[j,k] + hf[k,i]``.
 
     The triples with first index ``i`` form one plane, summed as
     ``((base + fg) + gh) + hf``.  ``base`` is ``p_i q_j r_k + (1-p_i)(1-q_j)(1-r_k)``
     for ``means = (p, q, r)`` and absent without it.  ``allowed(i)``, if
     given, returns a boolean plane of the triples to consider, or None for
-    all.  Returns ``(value, (i, j, k), triples considered)``; the planes go
-    through :func:`first_optimum`, so the first optimum in ascending
-    ``(i, j, k)`` order wins ties.
+    all.  ``rows``, if given, are the ascending first indices whose planes
+    are scanned, and every plane otherwise.  Returns ``(value, (i, j, k),
+    triples considered)``; the planes go through :func:`first_optimum`, so
+    the first optimum in ascending ``(i, j, k)`` order wins ties.
     """
     if means is not None:
         p, q, r = means
@@ -258,7 +282,7 @@ def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
 
     def planes():
         nonlocal considered
-        for i in range(fg.shape[0]):
+        for i in range(fg.shape[0]) if rows is None else rows:
             if means is None:
                 plane = fg[i][:, None] + gh
             else:
@@ -280,6 +304,50 @@ def scan_planes(fg, gh, hf, maximize: bool, *, means=None, allowed=None):
     return value, (i, j, k), considered
 
 
+def _orbit_minima(tables: np.ndarray) -> np.ndarray:
+    # Ascending indices of the rows whose packed table is the least of its
+    # orbit under voter permutations.  Permuting voters permutes the input
+    # masks: column c of `moved` is where permutation c sends each mask, the
+    # identity first, so a row's permuted packed values are one product with
+    # powers of two (exact in float64 below 2^53).
+    n = bfn.arity_of(tables)
+    cube = np.arange(1 << n).reshape((2,) * n)
+    moved = np.stack([cube.transpose(p).ravel() for p in itertools.permutations(range(n))], axis=1)
+    packed = tables @ np.ldexp(1.0, moved)
+    return np.flatnonzero(packed[:, 0] == packed.min(axis=1))
+
+
+def scan_classes(
+    n: int, filters, d: EvenProductDistribution, maximize: bool, *, base: bool = True, allowed=None
+):
+    """First optimum of ``W`` (of its cross terms alone without ``base``)
+    over the product of three filtered classes under an even law ``d``, as
+    ``(value, (f, g, h))``, through :func:`scan_planes`; ``allowed`` is its
+    argument.
+
+    When no filter has ``cyclic_invariant``, every class is closed under
+    voter permutations (each other predicate and the window are kept by
+    them), and only the planes whose ``f`` is the least packed table of its
+    voter-permutation orbit are scanned; ``allowed`` must then keep a
+    triple exactly when it keeps its voter permutations.  The optimum and
+    its witness are those of the full scan: the level sums are exact
+    integers times ``4^-n``, so a voter-permuted triple has a bit-identical
+    value, and the first optimum, the least triple of that value, has an
+    orbit-minimal ``f``.
+    """
+    (F, sf), (G, sg), (H, sh) = (class_table(n, x) for x in filters)
+    symmetric = not any("cyclic_invariant" in x.predicates for x in filters)
+    rows = _orbit_minima(F.tables) if symmetric else None
+    value, (i, j, k), _ = scan_planes(
+        *cross_planes(sf, sg, sh, d),
+        maximize,
+        means=(sf[:, 0], sg[:, 0], sh[:, 0]) if base else None,
+        allowed=allowed,
+        rows=rows,
+    )
+    return value, (F[i], G[j], H[k])
+
+
 def extremal_w(
     n: int,
     filter_f: ClassFilter,
@@ -298,11 +366,13 @@ def extremal_w(
     exact ties that round apart are not settled.
     With ``exclude_dictator_triples`` the scan skips triples ``f = g = h``
     where the common function is a dictator or a negated dictator (the
-    always-rational rules).
+    always-rational rules).  The scan is :func:`scan_classes`, over the
+    voter-orbit minima of ``f`` unless a filter has ``cyclic_invariant``;
+    ``enumeration_count`` is the size of the whole triple space.
     """
     maximize = check_objective(objective)
     d = even_product_law(d)
-    (F, sf), (G, sg), (H, sh) = (class_table(n, x) for x in (filter_f, filter_g, filter_h))
+    F, G, H = (class_table(n, x)[0] for x in (filter_f, filter_g, filter_h))
     count = len(F) * len(G) * len(H)
     if count == 0:
         raise ValidationError("one of the classes is empty")
@@ -330,16 +400,11 @@ def extremal_w(
             mask[skip[i]] = False
             return mask
 
-    value, (i, j, k), _ = scan_planes(
-        *cross_planes(sf, sg, sh, d),
-        maximize,
-        means=(sf[:, 0], sg[:, 0], sh[:, 0]),
-        allowed=allowed,
-    )
+    value, witness = scan_classes(n, (filter_f, filter_g, filter_h), d, maximize, allowed=allowed)
     return ExtremalResult(
         objective=objective,
         value=value,
-        witness=(F[i], G[j], H[k]),
+        witness=witness,
         distribution=d,
         enumeration_count=count,
     )
@@ -386,21 +451,24 @@ def _best_row(values: np.ndarray, triple, maximize: bool) -> int:
 
 
 def _enumerated_blocks(n, filters, trials, rows, rng):
-    # Classes are enumerable: member indices are drawn up front, and each
-    # block's spectrum rows are gathered into one buffer per class (fresh
+    # Classes are enumerable: member indices are drawn up front (int32 draws
+    # are the int64 ones), and each block gathers rows of each distinct
+    # class's int16 integer spectrum into one buffer per class (fresh
     # gathers per block let malloc trim and re-fault pages).
-    classes = [class_table(n, filt) for filt in filters]
-    for filt, (members, _) in zip(filters, classes):
+    classes = [class_table(n, filt)[0] for filt in filters]
+    for filt, members in zip(filters, classes):
         if not members:
             raise ValidationError(f"class filter {filt} matches no function")
-    picks = [rng.integers(0, len(members), size=trials) for members, _ in classes]
-    bufs = [np.empty((min(rows, trials), 1 << n)) for _ in classes]
+    distinct = dict(zip(filters, classes))
+    spectra = {filt: bfn.integer_spectrum(members.tables) for filt, members in distinct.items()}
+    picks = [rng.integers(0, len(members), size=trials, dtype=np.int32) for members in classes]
+    bufs = [np.empty((min(rows, trials), 1 << n), dtype=np.int16) for _ in classes]
     for start in range(0, trials, rows):
         idx = [p[start : start + rows] for p in picks]
-        gathered = [np.take(spectra, i, axis=0, out=buf[: len(i)])
-                    for (_, spectra), i, buf in zip(classes, idx, bufs)]
+        gathered = [np.take(spectra[filt], i, axis=0, out=buf[: len(i)])
+                    for filt, i, buf in zip(filters, idx, bufs)]
         yield gathered, lambda t, idx=idx: tuple(
-            members[int(i[t])] for (members, _), i in zip(classes, idx))
+            members[int(i[t])] for members, i in zip(classes, idx))
 
 
 def _sampled_blocks(n, filters, trials, rows, rng):
@@ -416,9 +484,9 @@ def _sampled_blocks(n, filters, trials, rows, rng):
                     raise _rejection_error(filt, n)
         else:
             tables = np.array([[_sample_member(n, filt, rng) for filt in filters] for _ in range(m)])
-        spectra = bfn.walsh_coeffs(tables)
+        spectra = bfn.integer_spectrum(tables)
         bfn.check_boolean_spectra(spectra)
-        yield spectra.transpose(1, 0, 2), lambda t, tables=tables: tuple(
+        yield list(spectra.transpose(1, 0, 2)), lambda t, tables=tables: tuple(
             BooleanFunction(n, table) for table in tables[t])
 
 
@@ -436,11 +504,15 @@ def random_search(
     least packed ``(f, g, h)``; exact ties that round apart are not
     settled.  Triples are drawn and evaluated in blocks of
     ``_SAMPLE_BATCH >> n`` rows (at least one).  At ``n <= ENUM_MAX`` each
-    function is a uniform member index of its class table; above it, every
-    function is drawn in trial order ``(f, g, h)`` by its filter's sampler,
-    and a block of balanced-only filters takes one ``rng.permuted`` call,
-    which consumes the generator exactly as one ``rng.shuffle`` per table
-    does.  So the result does not depend on the block size.
+    function is a uniform member index of its class table, drawn as int32,
+    and a block gathers rows of the class's :func:`bfn.integer_spectrum`,
+    taken once per distinct class; above it, every function is drawn in
+    trial order ``(f, g, h)`` by its filter's sampler, and a block of
+    balanced-only filters takes one ``rng.permuted`` call, which consumes
+    the generator exactly as one ``rng.shuffle`` per table does.  So the
+    result does not depend on the block size.  Each block's integer spectra
+    are evaluated by :func:`integer_spectral_sums` and :func:`closed_form`,
+    the bits of the float spectra.
     """
     maximize = check_objective(objective)
     d = even_product_law(d)
@@ -455,7 +527,7 @@ def random_search(
     # candidate, so one tie-break decides across blocks.
     best_w, best = np.empty(0), None
     for spectra, triple in sampler(n, filters, trials, rows, np.random.default_rng(seed)):
-        fresh = w_batch(*spectra, d)[0]
+        fresh = closed_form(*integer_spectral_sums(spectra), d.deltas)[0]
 
         def row(t):
             # functions are built only for tied rows and the winner

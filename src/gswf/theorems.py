@@ -43,6 +43,7 @@ from .search import (
     cross_planes,
     extremal_w,
     first_optimum,
+    scan_classes,
     scan_planes,
 )
 
@@ -223,7 +224,8 @@ def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -
     nonpositive); outside that hypothesis the bound is provably false, so
     the check refuses to run.  For balanced monotone triples the base is
     exactly 1/4, so the same scan certifies that rationality holds with
-    probability at least 3/4 there.
+    probability at least 3/4 there.  The monotone cross sums go through
+    :func:`scan_classes`, the voter-orbit scan :func:`extremal_w` runs.
     """
     d = d or EvenProductDistribution.uniform()
     if max(d.alpha, d.beta, d.gamma) > 0.25 + TOL_EXACT:
@@ -231,15 +233,13 @@ def check_monotone_bound(n: int = 3, d: EvenProductDistribution | None = None) -
             "monotone bound requires alpha, beta, gamma <= 1/4; "
             f"got ({d.alpha}, {d.beta}, {d.gamma})"
         )
-    members, S = class_table(n, _MONOTONE)
-    value, (i, j, k), _ = scan_planes(*cross_planes(S, S, S, d), True)
-    worst_triple = (members[i], members[j], members[k])
+    value, worst_triple = scan_classes(n, (_MONOTONE,) * 3, d, True, base=False)
     bal = extremal_w(n, _BALANCED_MONOTONE, _BALANCED_MONOTONE, _BALANCED_MONOTONE, d, "max_w")
     extra = {
         "balanced_max_w": bal.value,
         "balanced_witness": _triple_payload(bal.witness),
         "balanced_count": len(class_table(n, _BALANCED_MONOTONE)[0]),
-        "monotone_count": len(members),
+        "monotone_count": len(class_table(n, _MONOTONE)[0]),
     }
     if n >= 3:
         split = catalog.preset_gswf("split_dictators", n)

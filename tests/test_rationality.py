@@ -121,13 +121,16 @@ def integer_level_sums(fa, fb, n):
 class TestLevelSums:
     @pytest.mark.parametrize(
         "n, shape",
-        [(12, (5,)), (13, (5,)), (16, (3,)), (20, (2,)), (24, (1,)), (14, (2, 3)), (13, None), (20, None)],
-        ids=["12-5", "13-5", "16-3", "20-2", "24-1", "14-2x3", "13-structured", "20-structured"],
+        [(1, (5,)), (4, (7,)), (7, (3,)), (8, (3,)), (12, (5,)), (13, (5,)), (16, (3,)), (20, (2,)),
+         (24, (1,)), (14, (2, 3)), (7, None), (13, None), (20, None)],
+        ids=["1-5", "4-7", "7-3", "8-3", "12-5", "13-5", "16-3", "20-2", "24-1", "14-2x3",
+             "7-structured", "13-structured", "20-structured"],
     )
     def test_equal_an_integer_reference(self, n, shape, rng):
-        # below and above LEVEL_MATMUL_MAX, with one and two leading stack
-        # axes; shape None pairs tribes, a junta and parity, whose spectra
-        # leave whole levels empty
+        # int16 products up to 7 voters, float64 ones above; below and above
+        # LEVEL_MATMUL_MAX, with one and two leading stack axes; shape None
+        # pairs tribes, a junta and parity, whose spectra leave whole levels
+        # empty (parity's at 7 voters is the largest product, 4^7 = 2^14)
         if shape is None:
             fns = [tribes(n, 3), tribes(n, 4), random_junta(n, (0, 5, n - 1), rng), parity(n)]
             rows = np.stack([f.table for f in fns])
@@ -135,13 +138,18 @@ class TestLevelSums:
         else:
             tables = rng.integers(0, 2, size=(2, *shape, 1 << n), dtype=np.uint8)
         sa, sb = (bfn.walsh_coeffs(t) for t in tables)
+        int16 = [bfn.integer_spectrum(t) for t in tables] if n <= 8 else None
         del tables
         fa, fb = (np.rint(s * (1 << n)).astype(np.int64) for s in (sa, sb))
         reference = integer_level_sums(fa, fb, n)
         assert reference.shape == sa.shape[:-1] + (n + 1,)
         assert np.array_equal(bfn.level_sums(sa, sb) * 4.0**n, reference)
-        # integer spectra, 2^n times the coefficients, give the integers themselves
+        # integer spectra, 2^n times the coefficients, give the integers
+        # themselves, as int64 and as integer_spectrum's int16
         assert np.array_equal(bfn.level_sums(fa, fb), reference)
+        if int16 is not None:
+            assert int16[0].dtype == np.int16
+            assert np.array_equal(bfn.level_sums(*int16), reference)
 
     def test_blocked_sums_read_one_cached_read_only_weight_table(self):
         # the transposed low-voter indicator is built once, not per call

@@ -1,24 +1,27 @@
 """Class enumeration and extremal search."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gswf import bfn, search
+from gswf import bfn, cli, search
 from gswf.catalog import dictator, majority
 from gswf.dist import EvenProductDistribution, TripleDistribution
 from gswf.errors import CapacityError, ValidationError
-from gswf.rationality import Gswf, w_formula
+from gswf.rationality import Gswf, w_batch, w_formula
 from gswf.search import (
     PREDICATES,
     ClassFilter,
     all_tables,
     class_table,
+    cross_planes,
     extremal_w,
     first_optimum,
     random_search,
+    scan_planes,
 )
 
 from conftest import exact_min_w_non_constant
@@ -29,6 +32,7 @@ BALANCED = ClassFilter(("balanced",))
 MONOTONE = ClassFilter(("monotone",))
 BAL_MONO = ClassFilter(("balanced", "monotone"))
 NON_CONST = ClassFilter(("non_constant",))
+SELF_DUAL = ClassFilter(("self_dual",))
 
 
 class TestClassFilter:
@@ -149,6 +153,145 @@ class TestClassTable:
         assert members.find(dictator(4, 2).table) == 0xCCCC - 1
         assert members.find(np.zeros(16, dtype=np.uint8)) is None
         assert not members.tables.flags.writeable
+
+
+# every filter with monotone: with each subset of the other predicates,
+# monotone first and last, with and without a window
+MONOTONE_FILTERS = sorted(
+    {
+        ClassFilter(preds, window)
+        for r in range(5)
+        for rest in itertools.combinations(["balanced", "self_dual", "cyclic_invariant", "non_constant"], r)
+        for preds in (("monotone", *rest), (*rest, "monotone"))
+        for window in (None, (0.25, 0.75))
+    },
+    key=str,
+)
+
+
+class TestMonotoneDoubling:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("filt", MONOTONE_FILTERS, ids=str)
+    def test_equals_the_filtered_enumeration(self, n, filt):
+        tables = all_tables(n)
+        expected = tables[filt.select(tables)]
+        members, spectra = class_table(n, filt)
+        assert members.tables.dtype == np.uint8 and members.tables.shape == expected.shape
+        assert members.tables.tobytes() == expected.tobytes()
+        assert spectra.tobytes() == bfn.walsh_coeffs(expected).tobytes()
+
+    def test_dedekind_sizes(self):
+        assert [len(class_table(n, MONOTONE)[0]) for n in (1, 2, 3, 4)] == [3, 6, 20, 168]
+
+    def test_above_the_enumeration_ceiling_is_refused(self, capsys):
+        argv = ["search", "--n", "5", "--class-f", "monotone", "--class-g", "monotone",
+                "--class-h", "monotone", "--objective", "max_w", "--uniform"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: full enumeration is limited to n <= 4 (2^(2^n) candidates); "
+            "use random_search for larger arities\n"
+        )
+
+
+def full_scan(n, filters, d, objective, exclude):
+    """extremal_w's optimum from scan_planes over every plane, as
+    (value, witness hex)."""
+    (F, sf), (G, sg), (H, sh) = (class_table(n, filt) for filt in filters)
+    skip = {}
+    for voter in range(1, n + 1) if exclude else ():
+        table = dictator(n, voter).table
+        for signed in (table, 1 - table):
+            i, j, k = (members.find(signed) for members in (F, G, H))
+            if None not in (i, j, k):
+                skip[i] = (j, k)
+
+    def allowed(i):
+        if i not in skip:
+            return None
+        mask = np.ones((len(G), len(H)), dtype=bool)
+        mask[skip[i]] = False
+        return mask
+
+    value, (i, j, k), _ = scan_planes(
+        *cross_planes(sf, sg, sh, d),
+        objective == "max_w",
+        means=(sf[:, 0], sg[:, 0], sh[:, 0]),
+        allowed=allowed,
+    )
+    return value, [F[i].hex, G[j].hex, H[k].hex]
+
+
+WINDOW = ClassFilter((), expectation_range=(0.875, 1.0))
+ORBIT_LAWS = [UNIFORM, EvenProductDistribution(0.25, 0.25, 0.0), EvenProductDistribution(0.3, 0.15, 0.05)]
+
+
+def orbit_cases():
+    for n in (1, 2, 3, 4):
+        triples = [(MONOTONE,) * 3, (BAL_MONO,) * 3, (SELF_DUAL,) * 3, (WINDOW,) * 3]
+        if n <= 3:
+            # 65534 non-constant tables at n = 4 are too many planes for the reference
+            triples += [(NON_CONST,) * 3, (MONOTONE, NON_CONST, SELF_DUAL)]
+        else:
+            triples += [(BAL_MONO, MONOTONE, SELF_DUAL)]
+        for filters in triples:
+            yield pytest.param(n, filters, id=f"{n}-" + "/".join(map(str, filters)))
+
+
+class TestOrbitScan:
+    @pytest.mark.parametrize("n, filters", orbit_cases())
+    def test_equals_the_full_scan(self, n, filters):
+        # value bits and witness under every law, objective and exclusion
+        count = np.prod([len(class_table(n, filt)[0]) for filt in filters])
+        for d, objective, exclude in itertools.product(ORBIT_LAWS, ("max_w", "min_w"), (False, True)):
+            try:
+                value, witness = full_scan(n, filters, d, objective, exclude)
+            except ValidationError:
+                # every triple is a dictator triple: both scans refuse
+                with pytest.raises(ValidationError):
+                    extremal_w(n, *filters, d, objective, exclude_dictator_triples=exclude)
+                continue
+            result = extremal_w(n, *filters, d, objective, exclude_dictator_triples=exclude)
+            assert result.value.hex() == value.hex(), (d, objective, exclude)
+            assert [f.hex for f in result.witness] == witness, (d, objective, exclude)
+            assert result.enumeration_count == count
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_monotone_planes_are_the_orbit_minima(self, n, monkeypatch):
+        # 3, 5, 10 and 30 monotone functions up to voter permutation
+        rows, real = [], search.scan_planes
+        monkeypatch.setattr(
+            search, "scan_planes", lambda *a, **kw: rows.append(kw["rows"]) or real(*a, **kw)
+        )
+        extremal_w(n, MONOTONE, MONOTONE, MONOTONE, UNIFORM, "max_w")
+        (scanned,) = rows
+        assert len(scanned) == [3, 5, 10, 30][n - 1]
+        members = class_table(n, MONOTONE)[0]
+        for i in scanned:
+            f = members[i]
+            for perm in itertools.permutations(range(n)):
+                moved = f.table.reshape((2,) * n).transpose(perm).ravel()
+                assert bfn.BooleanFunction(n, moved).packed >= f.packed
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize(
+        "names",
+        [("cyclic_invariant",) * 3, ("cyclic_invariant,monotone", "monotone", "monotone"),
+         ("monotone", "monotone", "cyclic_invariant"), ("balanced,monotone", "cyclic_invariant", "self_dual")],
+    )
+    def test_a_cyclic_invariant_filter_scans_every_plane(self, n, names, monkeypatch):
+        rows, real = [], search.scan_planes
+        monkeypatch.setattr(
+            search, "scan_planes", lambda *a, **kw: rows.append(kw["rows"]) or real(*a, **kw)
+        )
+        filters = [ClassFilter.parse(x) for x in names]
+        for objective in ("max_w", "min_w"):
+            result = extremal_w(n, *filters, UNIFORM, objective)
+            value, witness = full_scan(n, filters, UNIFORM, objective, False)
+            assert result.value.hex() == value.hex()
+            assert [f.hex for f in result.witness] == witness
+        assert rows == [None, None]
 
 
 class TestFirstOptimum:
@@ -314,18 +457,19 @@ class TestRandomSearch:
 
     def test_enumerated_blocks_equal_one_unblocked_batch(self, monkeypatch):
         # 1050 trials in blocks of 100 rows: the last block is partial, and
-        # the blocks' values, concatenated, are one unblocked batch's bytes
+        # the blocks' values, from gathered integer spectra, concatenated,
+        # are the bytes of one unblocked batch of the float spectra
         values, rows = [], []
-        real_w_batch = search.w_batch
+        real_closed_form = search.closed_form
 
-        def recording_w_batch(sf, sg, sh, d):
-            rows.append(len(sf))
-            out = real_w_batch(sf, sg, sh, d)
+        def recording_closed_form(means, sums, deltas):
+            rows.append(len(means[0]))
+            out = real_closed_form(means, sums, deltas)
             values.append(out[0].copy())
             return out
 
         monkeypatch.setattr(search, "_SAMPLE_BATCH", 100 << 4)
-        monkeypatch.setattr(search, "w_batch", recording_w_batch)
+        monkeypatch.setattr(search, "closed_form", recording_closed_form)
         d = EvenProductDistribution(0.3, 0.15, 0.05)
         filters = (BALANCED, MONOTONE, NON_CONST)
         result = random_search(4, filters, d, "min_w", trials=1050, seed=5)
@@ -333,7 +477,7 @@ class TestRandomSearch:
         rng = np.random.default_rng(5)
         classes = [class_table(4, filt) for filt in filters]
         picks = [rng.integers(0, len(members), size=1050) for members, _ in classes]
-        expected = real_w_batch(*(spectra[p] for (_, spectra), p in zip(classes, picks)), d)[0]
+        expected = w_batch(*(spectra[p] for (_, spectra), p in zip(classes, picks)), d)[0]
         assert np.concatenate(values).tobytes() == expected.tobytes()
         assert result.value == float(expected.min())
 
@@ -349,7 +493,7 @@ class TestRandomSearch:
         rng = np.random.default_rng(2)
         members, spectra = class_table(4, BAL_MONO)
         picks = [rng.integers(0, len(members), size=30_000) for _ in range(3)]
-        values = search.w_batch(*(spectra[p] for p in picks), UNIFORM)[0]
+        values = w_batch(*(spectra[p] for p in picks), UNIFORM)[0]
         tied = np.flatnonzero(values == values.max())
         assert len(tied) == 52 and len(set(tied // block_rows)) == 8
         least = min(tied, key=lambda t: tuple(members[int(p[t])].packed for p in picks))
@@ -383,6 +527,29 @@ class TestRandomSearch:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20, peak
+
+    def test_enumerated_path_peak_is_below_the_float_gathers(self):
+        # int32 member indices and int16 spectrum rows; with int64 indices
+        # and float64 spectrum gathers the same search peaked at 7289 KiB
+        random_search(4, (BALANCED,) * 3, UNIFORM, "max_w", trials=1000, seed=1)
+        tracemalloc.start()
+        try:
+            random_search(4, (BALANCED,) * 3, UNIFORM, "max_w", trials=200_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7289 << 10, peak
+
+    @pytest.mark.parametrize("k", [1, 24, 168, 12870])
+    def test_int32_member_draws_are_the_int64_stream(self, k):
+        # the class sizes the searches draw from: one member, 24 balanced
+        # monotone, 168 monotone and 12870 balanced functions at n = 4
+        for size in (1, 5001, 200_000):
+            a, b = np.random.default_rng(11), np.random.default_rng(11)
+            drawn = a.integers(0, k, size, dtype=np.int32)
+            assert drawn.dtype == np.int32
+            assert np.array_equal(drawn, b.integers(0, k, size))
+            assert a.bit_generator.state == b.bit_generator.state
 
     def test_balanced_window_without_balanced_tables_is_a_capacity_error(self):
         # every balanced table has mean 1/2, so this filter rejects them all
